@@ -19,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -28,7 +29,7 @@ from pathlib import Path
 from .crosscheck import run_crosschecks
 from .errors import CertificationError, PreconditionError
 from .genera import evaluate as evaluate_genus
-from .lie import CartanElement, Weight, build_root_system, casimir, weyl_dimension, weyl_group
+from .lie import CartanElement, Weight, build_root_system, casimir, weyl_dimension
 from .modular import central_charge, s_matrix
 from .orbits import (
     dh_weyl_sum,
@@ -171,7 +172,7 @@ def _cmd_lie(args) -> int:
         "positive_roots": rs.num_positive_roots,
         "dual_coxeter": rs.dual_coxeter,
         "centre_order": rs.centre_order,
-        "weyl_order": len(weyl_group(rs)),
+        "weyl_order": math.factorial(rs.rank + 1),
         "cartan_matrix": [list(row) for row in rs.cartan],
     }
     if args.weight is not None:

@@ -63,7 +63,7 @@ def j_function(rs: RootSystem, x: CartanElement) -> complex:
     """Squared sinc product over the positive roots; j(0) = 1."""
     prod = 1.0 + 0j
     for root_fw in rs.positive_roots_fw:
-        prod *= _sinc_half(rs.root_value(root_fw, x)) ** 2
+        prod *= _sinc_half(rs.pair(root_fw, x)) ** 2
     return prod
 
 
@@ -75,7 +75,7 @@ def wall_distance(rs: RootSystem, x: CartanElement) -> float:
     """
     best = math.inf
     for root_fw in rs.positive_roots_fw:
-        a = rs.root_value(root_fw, x)
+        a = rs.pair(root_fw, x)
         n0 = round(a.real / (2 * math.pi))
         for n in (n0 - 1, n0, n0 + 1):
             if n == 0:
@@ -96,7 +96,7 @@ def j_inverse_sqrt(rs: RootSystem, x: CartanElement) -> complex:
             "point within %g of a singular wall of j^(-1/2)" % WALL_MARGIN)
     prod = 1.0 + 0j
     for root_fw in rs.positive_roots_fw:
-        prod /= _sinc_half(rs.root_value(root_fw, x))
+        prod /= _sinc_half(rs.pair(root_fw, x))
     return prod
 
 
@@ -106,7 +106,7 @@ def a_hat_function(rs: RootSystem, x: CartanElement, genus: int) -> complex:
         raise PreconditionError("genus must be >= 0")
     prod = 1.0 + 0j
     for root_fw in rs.positive_roots_fw:
-        prod *= _sinhc_half(rs.root_value(root_fw, x)) ** (2 - 2 * genus)
+        prod *= _sinhc_half(rs.pair(root_fw, x)) ** (2 - 2 * genus)
     return prod
 
 
@@ -117,7 +117,7 @@ def todd_function(rs: RootSystem, x: CartanElement, genus: int,
         raise PreconditionError("genus must be >= 0")
     prod = 1.0 + 0j
     for root_fw in rs.positive_roots_fw:
-        prod *= _sinc_half(rs.root_value(root_fw, x)) ** (2 - 2 * genus)
+        prod *= _sinc_half(rs.pair(root_fw, x)) ** (2 - 2 * genus)
     return cmath.exp(complex(c1_part) / 2) * prod
 
 
@@ -132,7 +132,7 @@ def partial_euler_product(rs: RootSystem, x: CartanElement, n_terms: int) -> com
     ns = np.arange(1, n_terms + 1, dtype=float)
     prod = 1.0 + 0j
     for root_fw in rs.positive_roots_fw:
-        a = rs.root_value(root_fw, x)
+        a = rs.pair(root_fw, x)
         factors = 1.0 - (a / (2 * math.pi * ns)) ** 2
         prod *= complex(np.prod(factors)) ** 2
     return prod

@@ -15,15 +15,29 @@ Conventions, fixed once for the whole package:
   (characters, genus functions) uses floating point, binary64 first with
   an mpmath fallback near non-regular points.
 
-Weyl characters are the alternating-sum ratio
+Every Weyl alternating sum at a Cartan point goes through one kernel,
+_alternating_sum (modular assembles S from the same determinant form,
+batched over exact integer phases). The Weyl group of A_r is the
+symmetric group S_{r+1} permuting epsilon coordinates, so (Weyl
+character formula, Fulton-Harris 24.1)
 
-    chi_Lambda(x) = sum_w eps(w) e^{<w(Lambda+rho), x>}
-                  / sum_w eps(w) e^{<w rho, x>},
+    sum_w eps(w) e^{<w lam, x>} = det[ e^{e_j y_i} ],
+
+with integer e_i = lam_i + ... + lam_r (e_{r+1} = 0) for lam in
+fundamental-weight coordinates and y_i = x_i - x_{i-1} (x_0 = x_{r+1} = 0)
+for x in coroot coordinates. That is an (r+1)x(r+1) determinant in place
+of (r+1)! terms. Weyl characters are the ratio
+
+    chi_Lambda(x) = det[e^{e(Lambda+rho)_j y_i}] / det[e^{e(rho)_j y_i}],
 
 regularised near walls by evaluating at x + t*delta for a regular
 direction delta, t in {1e-4, 5e-5, 2.5e-5}, and Richardson-extrapolating
 the three values (done at 50-digit precision so the alternating sums do
 not lose the limit to cancellation).
+
+weyl_group still enumerates the group explicitly (as matrices acting on
+weights and on Cartan points) for callers that need the elements; no
+sum in the package uses it.
 """
 
 from __future__ import annotations
@@ -32,7 +46,7 @@ import cmath
 import functools
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import mpmath as mp
 
@@ -114,16 +128,6 @@ class RootSystem:
     centre_order: int
 
     @property
-    def simple_roots(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(int(i == j) for j in range(self.rank))
-                     for i in range(self.rank))
-
-    @property
-    def fundamental_weights(self) -> tuple[Weight, ...]:
-        return tuple(Weight(tuple(int(i == j) for j in range(self.rank)))
-                     for i in range(self.rank))
-
-    @property
     def num_positive_roots(self) -> int:
         return len(self.positive_roots)
 
@@ -143,15 +147,9 @@ class RootSystem:
                         total += ai * row[j] * bj
         return total
 
-    def ip_weights(self, a: Weight, b: Weight) -> Q:
-        return self.ip(a.coords, b.coords)
-
     def pair(self, fw_coords: Sequence[int], x: CartanElement) -> complex:
         """<mu, x> for mu in fw coordinates, x in coroot coordinates."""
         return sum(m * xc for m, xc in zip(fw_coords, x.coords))
-
-    def root_value(self, root_fw: Sequence[int], x: CartanElement) -> complex:
-        return self.pair(root_fw, x)
 
     def level_of(self, weight: Weight) -> int:
         lev = self.ip(weight.coords, self.highest_root_fw)
@@ -307,19 +305,68 @@ def weyl_dimension(rs: RootSystem, weight: Weight) -> int:
     return int(dim)
 
 
-def _alternating_sum(rs: RootSystem, lam_fw: Sequence[int], x: CartanElement) -> complex:
-    total = 0j
-    for el in rs.weyl_group():
-        wl = el.apply_weight(lam_fw)
-        total += el.sign * cmath.exp(rs.pair(wl, x))
-    return total
+def _epsilon_coords(lam_fw: Sequence[int]) -> tuple[int, ...]:
+    """Epsilon coordinates e_i = lam_i + ... + lam_r, with e_{r+1} = 0.
+
+    The Weyl group of A_r permutes them, and the form reads
+    <l, m> = sum_i e_i f_i - (sum_i e_i)(sum_i f_i)/(r+1).
+    """
+    out = [0] * (len(lam_fw) + 1)
+    for i in range(len(lam_fw) - 1, -1, -1):
+        out[i] = out[i + 1] + int(lam_fw[i])
+    return tuple(out)
+
+
+def _alternating_sum(rs: RootSystem, lam_fw: Sequence[int], x, dps: int | None = None):
+    """sum_w eps(w) e^{<w lam, x>} over the Weyl group of the A_r system rs,
+    as the determinant det[e^{e_j y_i}].
+
+    x is a CartanElement or a sequence of coroot coordinates. With dps
+    None the determinant is taken in binary64 and a complex is returned;
+    with a dps it is taken in mpmath at that many digits and an mpc is
+    returned.
+    """
+    coords = x.coords if isinstance(x, CartanElement) else tuple(x)
+    e = _epsilon_coords(lam_fw)
+    if dps is None:
+        pts = (0j,) + tuple(complex(c) for c in coords) + (0j,)
+        return _det([[cmath.exp(ej * (b - a)) for ej in e] for a, b in zip(pts, pts[1:])])
+    with mp.workdps(dps):
+        pts = [mp.mpc(0)] + [mp.mpc(c) for c in coords] + [mp.mpc(0)]
+        return _det([[mp.exp(ej * (b - a)) for ej in e] for a, b in zip(pts, pts[1:])])
+
+
+def _det(rows):
+    """Determinant of a small complex or mpc matrix, by Gaussian elimination
+    with partial pivoting at the entries' precision.
+
+    mp.det is not used: on a matrix whose pivot column eliminates to exact
+    zeros (tables of roots of unity give such exactly singular matrices)
+    mpmath 1.3 leaves the pivot index unset and raises TypeError.
+    """
+    a = [list(row) for row in rows]
+    n = len(a)
+    det = 1
+    for j in range(n):
+        p = max(range(j, n), key=lambda i: abs(a[i][j]))
+        if a[p][j] == 0:
+            return a[p][j]  # an exact zero of the entries' type
+        if p != j:
+            a[j], a[p] = a[p], a[j]
+            det = -det
+        det *= a[j][j]
+        for i in range(j + 1, n):
+            f = a[i][j] / a[j][j]
+            for k in range(j + 1, n):
+                a[i][k] -= f * a[j][k]
+    return det
 
 
 def weyl_denominator_product(rs: RootSystem, x: CartanElement) -> complex:
     """prod_{alpha>0} 2 sinh(alpha(x)/2), equal to the rho alternating sum."""
     prod = 1.0 + 0j
     for root_fw in rs.positive_roots_fw:
-        prod *= 2 * cmath.sinh(rs.root_value(root_fw, x) / 2)
+        prod *= 2 * cmath.sinh(rs.pair(root_fw, x) / 2)
     return prod
 
 
@@ -331,29 +378,16 @@ def is_regular(rs: RootSystem, x: CartanElement,
     alternating-sum ratio degenerates even though the character is finite.
     """
     for root_fw in rs.positive_roots_fw:
-        if abs(cmath.sinh(rs.root_value(root_fw, x) / 2)) < threshold:
+        if abs(cmath.sinh(rs.pair(root_fw, x) / 2)) < threshold:
             return False
     return True
 
 
-def _mp_pair(fw_coords, x_coords):
-    total = mp.mpc(0)
-    for m, xc in zip(fw_coords, x_coords):
-        if m:
-            total += m * xc
-    return total
-
-
-def _character_mp(rs: RootSystem, lam_fw, x_coords) -> complex:
-    num = mp.mpc(0)
-    den = mp.mpc(0)
-    rho = rs.rho.coords
-    for el in rs.weyl_group():
-        wl = el.apply_weight(lam_fw)
-        wr = el.apply_weight(rho)
-        num += el.sign * mp.exp(_mp_pair(wl, x_coords))
-        den += el.sign * mp.exp(_mp_pair(wr, x_coords))
-    return num / den
+def _character_mp(rs: RootSystem, lam_fw, x_coords):
+    """Alternating-sum ratio at the current mpmath working precision."""
+    dps = mp.mp.dps
+    return (_alternating_sum(rs, lam_fw, x_coords, dps)
+            / _alternating_sum(rs, rs.rho.coords, x_coords, dps))
 
 
 def _regular_direction(rs: RootSystem) -> tuple[complex, ...]:

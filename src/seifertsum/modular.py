@@ -1,11 +1,20 @@
 """Kac-Peterson modular data for affine A series at integer level.
 
-The S matrix is assembled from the Weyl alternating sum
+The S matrix is the Weyl alternating sum
 
     S[L, M] = i^{|Delta_+|} (kappa^r det(Cartan))^(-1/2)
               sum_w eps(w) exp(-2 pi i <w(L+rho), M+rho> / kappa),
 
-with kappa = k + dual Coxeter number. T is diagonal with entries
+with kappa = k + dual Coxeter number. For A_r the Weyl group permutes
+the epsilon coordinates e of L+rho (e_i = sum_{j>=i} (L+rho)_j,
+e_{r+1} = 0), and <l, m> = sum e_i f_i - (sum e)(sum f)/(r+1), so each
+entry is one (r+1)x(r+1) determinant,
+
+    S[L, M] = norm * det[zeta^{(r+1) e_i f_j}] * zeta^{-(sum e)(sum f)},
+    zeta = exp(-2 pi i / ((r+1) kappa)).
+
+Every exponent is an integer, reduced exactly mod (r+1) kappa and looked
+up in a table of roots of unity. T is diagonal with entries
 exp(2 pi i (<L, L+2 rho>/(2 kappa) - c/24)) in the canonical framing,
 c = k dim(g)/kappa, and without the -c/24 shift in the bare framing.
 
@@ -18,17 +27,15 @@ triggers one retry at higher working precision before raising.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction as Q
 
 import mpmath as mp
 import numpy as np
 
 from .errors import BudgetExceededError, CertificationError, PreconditionError
 from .exactlinalg import rational_determinant
-from .lie import RootSystem, Weight, casimir
+from .lie import RootSystem, Weight, _det, _epsilon_coords, casimir
 
 DEFAULT_TOL = 1e-9
 DEFAULT_BUDGET = 50_000_000
@@ -36,16 +43,24 @@ RETRY_DPS = 34  # about 113-bit software floats
 
 
 def integrable_weights(rs: RootSystem, level: int) -> tuple[Weight, ...]:
-    """Dominant weights with <Lambda, theta> <= k, lexicographic order."""
+    """Dominant weights with <Lambda, theta> <= k, lexicographic order.
+
+    For A_r the level <Lambda, theta> is the sum of the coordinates, so
+    these are the coordinate tuples with sum at most k.
+    """
     if level < 0:
         raise PreconditionError("level must be >= 0")
-    out = []
-    for coords in itertools.product(range(level + 1), repeat=rs.rank):
-        w = Weight(coords)
-        if rs.level_of(w) <= level:
-            out.append(w)
-    out.sort(key=lambda w: w.coords)
-    return tuple(out)
+    return tuple(Weight(c) for c in _bounded_tuples(rs.rank, level))
+
+
+def _bounded_tuples(length: int, total: int):
+    """Nonnegative integer tuples with sum <= total, lexicographic."""
+    if length == 0:
+        yield ()
+        return
+    for head in range(total + 1):
+        for tail in _bounded_tuples(length - 1, total - head):
+            yield (head,) + tail
 
 
 def central_charge(rs: RootSystem, level: int) -> float:
@@ -88,44 +103,47 @@ class ModularData:
                 "weight %r is not integrable at level %d"
                 % (weight.coords, self.level)) from None
 
-    def t_diagonal(self, framing_convention: str = "canonical") -> np.ndarray:
-        if framing_convention == "canonical":
-            return self.t_canonical
-        if framing_convention == "bare":
-            return self.t_bare
-        raise PreconditionError("unknown framing convention %r" % framing_convention)
+
+# complex entries per block of the batched binary64 determinant
+_BLOCK_ENTRIES = 1 << 16
 
 
-def _assemble_binary64(rs, weights, kappa, norm):
-    wg = rs.weyl_group()
-    gram = np.array([[float(v) for v in row] for row in rs.gram_fw])
-    lams = np.array([[c + 1 for c in w.coords] for w in weights], dtype=float)
-    acc = np.zeros((len(weights), len(weights)), dtype=complex)
-    for el in wg:
-        mat = np.array(el.weight_matrix, dtype=float)
-        moved = lams @ mat.T
-        pair = moved @ gram @ lams.T
-        acc += el.sign * np.exp(-2j * math.pi * pair / kappa)
-    return norm * acc
+def _assemble(rs, weights, kappa, dps=None):
+    """S from one (r+1)x(r+1) determinant per entry (see module docstring).
 
-
-def _assemble_mp(rs, weights, kappa, n_pos, det_cartan, dps):
-    wg = rs.weyl_group()
+    With dps None the determinants are taken by numpy in binary64, over
+    row blocks of at most _BLOCK_ENTRIES matrix entries; with a dps each
+    one is taken by mpmath at that many digits.
+    """
+    r1 = rs.rank + 1
+    order = r1 * kappa
+    es = np.array([_epsilon_coords([c + 1 for c in w.coords]) for w in weights],
+                  dtype=np.int64)
+    sums = es.sum(axis=1)
     n = len(weights)
-    lams = [tuple(c + 1 for c in w.coords) for w in weights]
+    det_cartan = int(rational_determinant(rs.cartan))
+    if dps is None:
+        norm = (1j ** rs.num_positive_roots) / math.sqrt(float(kappa ** rs.rank * det_cartan))
+        table = np.exp(-2j * math.pi * np.arange(order) / order)
+        out = np.empty((n, n), dtype=complex)
+        block = max(1, _BLOCK_ENTRIES // (n * r1 * r1))
+        for i0 in range(0, n, block):
+            rows = es[i0:i0 + block]
+            phases = (r1 * rows[:, None, :, None] * es[None, :, None, :]) % order
+            shift = (-sums[i0:i0 + block, None] * sums[None, :]) % order
+            out[i0:i0 + block] = norm * np.linalg.det(table[phases]) * table[shift]
+        return out
+    out = np.empty((n, n), dtype=complex)
     with mp.workdps(dps):
-        norm = (mp.mpc(0, 1) ** n_pos) / mp.sqrt(mp.mpf(kappa) ** rs.rank * det_cartan)
-        out = np.zeros((n, n), dtype=complex)
-        two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
+        norm = (mp.mpc(0, 1) ** rs.num_positive_roots
+                / mp.sqrt(mp.mpf(kappa) ** rs.rank * det_cartan))
+        table = [mp.expjpi(mp.mpf(-2 * m) / order) for m in range(order)]
         for i in range(n):
             for j in range(n):
-                tot = mp.mpc(0)
-                for el in wg:
-                    wl = el.apply_weight(lams[i])
-                    pair = rs.ip(wl, lams[j])
-                    tot += el.sign * mp.exp(-two_pi_i * mp.mpf(pair.numerator)
-                                            / (pair.denominator * kappa))
-                out[i, j] = complex(norm * tot)
+                mat = [[table[(r1 * a * b) % order] for b in es[j].tolist()]
+                       for a in es[i].tolist()]
+                shift = (-int(sums[i]) * int(sums[j])) % order
+                out[i, j] = complex(norm * _det(mat) * table[shift])
     return out
 
 
@@ -162,16 +180,12 @@ def s_matrix(rs: RootSystem, level: int, tol: float = DEFAULT_TOL,
         raise PreconditionError("level must be >= 1")
     weights = integrable_weights(rs, level)
     n = len(weights)
-    wg = rs.weyl_group()
-    cost = len(wg) * n * n
+    cost = n * n * (rs.rank + 1) ** 3
     if cost > budget:
         raise BudgetExceededError(
-            "S matrix needs %d Weyl terms, budget is %d" % (cost, budget))
+            "S matrix needs %d determinant operations, budget is %d" % (cost, budget))
 
     kappa = level + rs.dual_coxeter
-    n_pos = rs.num_positive_roots
-    det_cartan = rational_determinant(rs.cartan)
-    norm = (1j ** n_pos) / math.sqrt(float(kappa ** rs.rank * det_cartan))
 
     qs = [casimir(rs, w) for w in weights]
     t_bare = np.array([cmath.exp(1j * math.pi * float(q) / kappa) for q in qs])
@@ -185,10 +199,7 @@ def s_matrix(rs: RootSystem, level: int, tol: float = DEFAULT_TOL,
 
     last_residuals = None
     for bits, dps in attempts:
-        if dps is None:
-            s = _assemble_binary64(rs, weights, kappa, norm)
-        else:
-            s = _assemble_mp(rs, weights, kappa, n_pos, int(det_cartan), dps)
+        s = _assemble(rs, weights, kappa, dps)
         ok, residuals, perm = _certify(s, t_canon, tol)
         last_residuals = residuals
         if ok:
@@ -220,8 +231,8 @@ _CACHE: dict = {}
 
 
 def modular_data(rs: RootSystem, level: int, tol: float = DEFAULT_TOL) -> ModularData:
-    """Shared certified instance per (series, rank, level)."""
-    key = (rs.series, rs.rank, level)
+    """Shared certified instance per (series, rank, level, tol)."""
+    key = (rs.series, rs.rank, level, tol)
     if key not in _CACHE:
         _CACHE[key] = s_matrix(rs, level, tol=tol)
     return _CACHE[key]

@@ -1,12 +1,16 @@
 """Coadjoint orbits, their Fourier transforms, and Wilson line weights.
 
-Two closed Weyl-sum forms of the orbit transform are exposed, differing
-by the standard rotation between the compact and the split picture:
+Both orbit transforms below are built on the determinant form of the
+Weyl alternating sum (lie._alternating_sum): for A_r,
+sum_w eps(w) e^{<w lam, x>} = det[e^{e_j y_i}] in epsilon coordinates,
+one (r+1)x(r+1) determinant in binary64 or, near walls, in mpmath. Two
+closed forms are exposed, differing by the standard rotation between
+the compact and the split picture:
 
 * orbit_fourier pairs with the character identity: it is the entire
   function j(x)^(1/2) * chi_Lambda(x), computed directly as
 
-      sum_w eps(w) e^{<w lam, x>} * prod_{alpha>0}
+      det[e^{e_j y_i}] * prod_{alpha>0}
           sin(alpha(x)/2) / (alpha(x) sinh(alpha(x)/2)),
 
   normalised so that the value at x = 0 is dim(Lambda). kirillov_check
@@ -15,9 +19,13 @@ by the standard rotation between the compact and the split picture:
   and product evaluations.
 
 * dh_weyl_sum is the exact stationary-phase sum for the oscillatory
-  integral over the orbit, sum_w eps(w) e^{i <w lam, x>} divided by
+  integral over the orbit, the same determinant at i*x divided by
   prod (i alpha(x)). For su(2) it reduces to sin(lam t)/t on the ray
   alpha(x) = 2t and is cross-checked against direct sphere quadrature.
+
+Both are entire in x. Where some alpha(x) (or sinh(alpha(x)/2))
+vanishes, the quotient is replaced by the Richardson limit along a
+regular direction, evaluated with the mpmath determinant.
 
 Only regular orbits (lam strictly inside the dominant chamber, i.e.
 lam = Lambda + rho for dominant Lambda) are supported.
@@ -38,9 +46,9 @@ from .lie import (
     CartanElement,
     RootSystem,
     Weight,
+    _alternating_sum,
     _character_mp,
     _limit_eval,
-    _mp_pair,
     is_regular,
     weyl_dimension,
 )
@@ -72,29 +80,28 @@ def orbit_from_highest_weight(rs: RootSystem, weight: Weight) -> CoadjointOrbit:
 
 def _of_factors_ok(rs: RootSystem, x: CartanElement, threshold: float = 1e-6) -> bool:
     for root_fw in rs.positive_roots_fw:
-        a = rs.root_value(root_fw, x)
+        a = rs.pair(root_fw, x)
         if abs(a) < threshold or abs(cmath.sinh(a / 2)) < threshold:
             return False
     return True
 
 
-def _orbit_fourier_direct(rs: RootSystem, lam_fw, x: CartanElement) -> complex:
-    total = 0j
-    for el in rs.weyl_group():
-        total += el.sign * cmath.exp(rs.pair(el.apply_weight(lam_fw), x))
+def _orbit_fourier_sum(rs: RootSystem, lam_fw, x_coords, dps: int | None = None):
+    """Alternating sum times prod sin(a/2)/(a sinh(a/2)), in binary64 or,
+    with dps, in mpmath."""
+    fn = cmath if dps is None else mp
+    total = _alternating_sum(rs, lam_fw, x_coords, dps)
     for root_fw in rs.positive_roots_fw:
-        a = rs.root_value(root_fw, x)
-        total *= cmath.sin(a / 2) / (a * cmath.sinh(a / 2))
+        a = sum(m * c for m, c in zip(root_fw, x_coords))
+        total *= fn.sin(a / 2) / (a * fn.sinh(a / 2))
     return total
 
 
-def _orbit_fourier_mp(rs: RootSystem, lam_fw, x_coords) -> complex:
-    total = mp.mpc(0)
-    for el in rs.weyl_group():
-        total += el.sign * mp.exp(_mp_pair(el.apply_weight(lam_fw), x_coords))
+def _stationary_phase_sum(rs: RootSystem, lam_fw, x_coords, dps: int | None = None):
+    """Alternating sum at i*x divided by prod i*alpha(x)."""
+    total = _alternating_sum(rs, lam_fw, [1j * c for c in x_coords], dps)
     for root_fw in rs.positive_roots_fw:
-        a = _mp_pair(root_fw, x_coords)
-        total *= mp.sin(a / 2) / (a * mp.sinh(a / 2))
+        total /= 1j * sum(m * c for m, c in zip(root_fw, x_coords))
     return total
 
 
@@ -108,8 +115,8 @@ def orbit_fourier(orbit: CoadjointOrbit, x: CartanElement) -> complex:
         highest = Weight(tuple(c - 1 for c in lam_fw))
         return complex(weyl_dimension(rs, highest))
     if _of_factors_ok(rs, x):
-        return _orbit_fourier_direct(rs, lam_fw, x)
-    return _limit_eval(rs, x, lambda xc: _orbit_fourier_mp(rs, lam_fw, xc))
+        return _orbit_fourier_sum(rs, lam_fw, x.coords)
+    return _limit_eval(rs, x, lambda xc: _orbit_fourier_sum(rs, lam_fw, xc, mp.mp.dps))
 
 
 def dh_weyl_sum(orbit: CoadjointOrbit, x: CartanElement) -> complex:
@@ -121,13 +128,9 @@ def dh_weyl_sum(orbit: CoadjointOrbit, x: CartanElement) -> complex:
     if all(c == 0 for c in x.coords):
         highest = Weight(tuple(c - 1 for c in lam_fw))
         return complex(weyl_dimension(rs, highest))
-    num = 0j
-    for el in rs.weyl_group():
-        num += el.sign * cmath.exp(1j * rs.pair(el.apply_weight(lam_fw), x))
-    den = 1.0 + 0j
-    for root_fw in rs.positive_roots_fw:
-        den *= 1j * rs.root_value(root_fw, x)
-    return num / den
+    if _of_factors_ok(rs, x):
+        return _stationary_phase_sum(rs, lam_fw, x.coords)
+    return _limit_eval(rs, x, lambda xc: _stationary_phase_sum(rs, lam_fw, xc, mp.mp.dps))
 
 
 def su2_orbit_quadrature(j_label: float, t: float, n_points: int = 64) -> complex:
@@ -153,10 +156,10 @@ _RESIDUAL_DPS = 30
 
 def _identity_gap_mp(rs: RootSystem, lam_fw, x_coords):
     chi = _character_mp(rs, lam_fw, x_coords)
-    of = _orbit_fourier_mp(rs, lam_fw, x_coords)
+    of = _orbit_fourier_sum(rs, lam_fw, x_coords, mp.mp.dps)
     half = mp.mpc(1)
     for root_fw in rs.positive_roots_fw:
-        a = _mp_pair(root_fw, x_coords)
+        a = sum(m * c for m, c in zip(root_fw, x_coords))
         half *= (a / 2) / mp.sin(a / 2)
     return chi - half * of
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import BudgetExceededError, PreconditionError
 from .lie import RootSystem, Weight, shifted_norm

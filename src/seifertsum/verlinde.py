@@ -10,7 +10,7 @@ than a silent rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import IntegralityError, PreconditionError
 from .lie import RootSystem, Weight

@@ -217,3 +217,22 @@ def test_point_and_points_merge(capsys):
     code, _, err = run(["kirillov", "--algebra", "A1", "--weight", "2"],
                        capsys)
     assert code == 64
+
+
+def test_lie_reports_weyl_order_past_the_enumeration_range(capsys):
+    code, out, _ = run(["lie", "--algebra", "A7"], capsys)
+    assert code == 0
+    assert json.loads(out)["weyl_order"] == 40320
+
+
+def test_modular_rank7_is_certified(capsys):
+    code, out, _ = run(["modular", "--algebra", "A7", "--level", "2"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert len(doc["weights"]) == 36
+    cert = doc["certificate"]
+    assert cert["involution"] is True
+    assert cert["row0_min"] > 0
+    for key in ("unitarity", "symmetry", "row0_imag", "conjugation_permutation",
+                "st_cubed"):
+        assert cert[key] < 1e-9
