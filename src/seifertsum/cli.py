@@ -9,8 +9,7 @@ The algebra can be named either combined (--algebra A2) or split
 (--series A --rank 2). A JSON config file can preload any subcommand
 option by its dest name (--config path, accepted before or after the
 subcommand); explicit flags win over the file. --output writes the
-report to a file instead of stdout. SEIFERTSUM_THREADS sets the
-default worker count for grid scans.
+report to a file instead of stdout.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import csv
 import io
 import json
 import math
-import os
 import re
 import sys
 from fractions import Fraction
@@ -103,14 +101,6 @@ def _ints_type(text: str) -> tuple[int, ...]:
     except ValueError:
         raise argparse.ArgumentTypeError(
             "expected comma separated integers, got %r" % (text,))
-
-
-def _default_threads() -> int:
-    raw = os.environ.get("SEIFERTSUM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _complex_pair(z: complex) -> list[float]:
@@ -239,7 +229,7 @@ def _cmd_seifert(args) -> int:
         cells = seifert_scan(rs, args.genera, args.degrees, args.levels,
                              labels=labels, framing=args.framing,
                              include_centre_factor=args.centre_factor,
-                             budget=args.budget, threads=args.threads)
+                             budget=args.budget)
         out = {
             "series": rs.series,
             "rank": rs.rank,
@@ -445,7 +435,6 @@ def build_parser() -> _Parser:
     p.add_argument("--degrees", type=_ints_type, default=())
     p.add_argument("--levels", type=_ints_type, default=())
     p.add_argument("--budget", type=int, default=DEFAULT_SCAN_BUDGET)
-    p.add_argument("--threads", type=int, default=_default_threads())
     p.set_defaults(func=_cmd_seifert)
 
     p = sub.add_parser("kirillov", help="orbit transforms at sample points")

@@ -34,9 +34,6 @@ from .seifert import SeifertSpec, seifert_partition
 from .verlinde import VerlindeRequest, verlinde_dimension, verlinde_sum
 from .ym2 import YM2Request, verlinde_ym2_crosscheck, ym2_epsilon_profile, ym2_partition
 
-QUICK_TIME_BUDGET = 30.0
-FULL_TIME_BUDGET = 600.0
-
 
 @dataclass(frozen=True)
 class CheckResult:

@@ -172,6 +172,15 @@ def _certify(s, t_canon, tol):
     return ok, residuals, tuple(perm)
 
 
+def _t_diagonals(rs, level, weights):
+    """Diagonals of T over the given weights, bare and canonical framing,
+    from one casimir per weight (see module docstring)."""
+    kappa = level + rs.dual_coxeter
+    t_bare = np.array([cmath.exp(1j * math.pi * float(casimir(rs, w)) / kappa)
+                       for w in weights])
+    return t_bare, t_bare * cmath.exp(-2j * math.pi * central_charge(rs, level) / 24)
+
+
 def s_matrix(rs: RootSystem, level: int, tol: float = DEFAULT_TOL,
              precision_bits: int = 53,
              budget: int = DEFAULT_BUDGET) -> ModularData:
@@ -186,11 +195,7 @@ def s_matrix(rs: RootSystem, level: int, tol: float = DEFAULT_TOL,
             "S matrix needs %d determinant operations, budget is %d" % (cost, budget))
 
     kappa = level + rs.dual_coxeter
-
-    qs = [casimir(rs, w) for w in weights]
-    t_bare = np.array([cmath.exp(1j * math.pi * float(q) / kappa) for q in qs])
-    c_charge = central_charge(rs, level)
-    t_canon = t_bare * cmath.exp(-2j * math.pi * c_charge / 24)
+    t_bare, t_canon = _t_diagonals(rs, level, weights)
 
     attempts = ([(precision_bits, None)] if precision_bits <= 53
                 else [(precision_bits, max(RETRY_DPS, precision_bits // 3))])
@@ -218,13 +223,8 @@ def t_matrix(rs: RootSystem, level: int,
         raise PreconditionError("level must be >= 1")
     if framing_convention not in ("canonical", "bare"):
         raise PreconditionError("unknown framing convention %r" % framing_convention)
-    weights = integrable_weights(rs, level)
-    kappa = level + rs.dual_coxeter
-    diag = np.array([cmath.exp(1j * math.pi * float(casimir(rs, w)) / kappa)
-                     for w in weights])
-    if framing_convention == "canonical":
-        diag = diag * cmath.exp(-2j * math.pi * central_charge(rs, level) / 24)
-    return diag
+    t_bare, t_canon = _t_diagonals(rs, level, integrable_weights(rs, level))
+    return t_canon if framing_convention == "canonical" else t_bare
 
 
 _CACHE: dict = {}

@@ -8,8 +8,13 @@ path integral onto the weight lattice gives the finite sum
             * exp(-i pi p <lam+rho, lam+rho> / kappa)
 
 with kappa = k + dual Coxeter number and the sum over integrable lam at
-level k. At p = 0 the phase collapses and the sum reduces exactly to the
-Verlinde dimension. The overall normalisation N is pure convention:
+level k. At p = 0 the phase collapses and the sum is exactly the
+Verlinde sum: `verlinde.verlinde_sum` calls the same kernel with p = 0.
+The phase is reduced exactly: (r+1)<lam+rho, lam+rho> is the integer
+M = (r+1) sum e_i^2 - (sum e_i)^2 in the epsilon coordinates e of
+lam+rho, so the exponent is -2 pi i (p M mod 2(r+1)kappa) / (2(r+1)kappa),
+and Z(p) is periodic in p with period 2(r+1)kappa bit for bit.
+The overall normalisation N is pure convention:
 
 * framing "bare" applies no extra phase; "canonical" multiplies by
   exp(-2 pi i c sign(p) / 8), one unit of framing correction per
@@ -26,11 +31,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, PreconditionError
-from .lie import RootSystem, Weight, shifted_norm
+from .lie import RootSystem, Weight, _epsilon_coords
 from .modular import ModularData, central_charge, integrable_weights, modular_data
 
 DEFAULT_SCAN_BUDGET = 10_000_000
@@ -65,6 +69,31 @@ class SeifertValue:
     term_count: int
 
 
+def _lattice_sum(md: ModularData, genus: int, label_idx, degree: int) -> complex:
+    """sum_lam S[0,lam]^(2-2g-n) prod_i S[label_i,lam] exp(-i pi p |lam+rho|^2/kappa).
+
+    The phase is exact (see module docstring) and at p = 0 none is
+    applied, so the terms are those of the Verlinde sum. Real and
+    imaginary parts are each summed by math.fsum.
+    """
+    s0 = md.s[0].real
+    power = 2 - 2 * genus - len(label_idx)
+    r1 = md.rs.rank + 1
+    order = 2 * r1 * md.kappa
+    re_parts, im_parts = [], []
+    for j, lam in enumerate(md.weights):
+        term = complex(s0[j]) ** power
+        for i in label_idx:
+            term *= md.s[i, j]
+        if degree:
+            e = _epsilon_coords([c + 1 for c in lam.coords])
+            m = r1 * sum(x * x for x in e) - sum(e) ** 2
+            term *= cmath.exp(-2j * math.pi * (degree * m % order) / order)
+        re_parts.append(term.real)
+        im_parts.append(term.imag)
+    return complex(math.fsum(re_parts), math.fsum(im_parts))
+
+
 def seifert_partition(spec: SeifertSpec, modular: ModularData | None = None) -> SeifertValue:
     if spec.level < 1:
         raise PreconditionError("level must be >= 1")
@@ -73,20 +102,8 @@ def seifert_partition(spec: SeifertSpec, modular: ModularData | None = None) -> 
     if spec.framing not in FRAMING_CONVENTIONS:
         raise PreconditionError("unknown framing convention %r" % spec.framing)
     md = modular if modular is not None else modular_data(spec.rs, spec.level)
-    kappa = md.kappa
     label_idx = [md.index_of(lab) for lab in spec.labels]
-    n = len(label_idx)
-    s0 = md.s[0].real
-    re_parts, im_parts = [], []
-    for j, lam in enumerate(md.weights):
-        term = complex(s0[j]) ** (2 - 2 * spec.genus - n)
-        for i in label_idx:
-            term *= md.s[i, j]
-        phase = -math.pi * spec.degree * float(shifted_norm(spec.rs, lam)) / kappa
-        term *= cmath.exp(1j * phase)
-        re_parts.append(term.real)
-        im_parts.append(term.imag)
-    value = complex(math.fsum(re_parts), math.fsum(im_parts))
+    value = _lattice_sum(md, spec.genus, label_idx, spec.degree)
     if spec.framing == "canonical" and spec.degree != 0:
         c = central_charge(spec.rs, spec.level)
         sign = 1 if spec.degree > 0 else -1
@@ -111,8 +128,7 @@ class ScanCell:
 def seifert_scan(rs: RootSystem, genera, degrees, levels,
                  labels: tuple[Weight, ...] = (), framing: str = "bare",
                  include_centre_factor: bool = False,
-                 budget: int = DEFAULT_SCAN_BUDGET,
-                 threads: int = 1) -> tuple[ScanCell, ...]:
+                 budget: int = DEFAULT_SCAN_BUDGET) -> tuple[ScanCell, ...]:
     """Grid evaluation with an all-or-nothing term budget.
 
     The total number of lattice terms over all cells is counted before
@@ -131,20 +147,14 @@ def seifert_scan(rs: RootSystem, genera, degrees, levels,
     if total > budget:
         raise BudgetExceededError(
             "scan needs %d lattice terms, budget is %d" % (total, budget))
-    cells = [(g, p, k) for g in genera for p in degrees for k in levels]
-
-    def run(cell):
-        g, p, k = cell
-        spec = SeifertSpec(rs=rs, level=k, genus=g, degree=p, labels=labels,
-                           framing=framing,
-                           include_centre_factor=include_centre_factor)
-        val = seifert_partition(spec)
-        return ScanCell(genus=g, degree=p, level=k, value=val.value,
-                        modulus=val.modulus, term_count=val.term_count)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, cells))
-    else:
-        results = [run(c) for c in cells]
-    return tuple(results)
+    cells = []
+    for g in genera:
+        for p in degrees:
+            for k in levels:
+                spec = SeifertSpec(rs=rs, level=k, genus=g, degree=p, labels=labels,
+                                   framing=framing,
+                                   include_centre_factor=include_centre_factor)
+                val = seifert_partition(spec)
+                cells.append(ScanCell(genus=g, degree=p, level=k, value=val.value,
+                                      modulus=val.modulus, term_count=val.term_count))
+    return tuple(cells)

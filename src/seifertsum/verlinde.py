@@ -9,12 +9,12 @@ than a silent rounding.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import IntegralityError, PreconditionError
 from .lie import RootSystem, Weight
 from .modular import ModularData, modular_data
+from .seifert import _lattice_sum
 
 INTEGRALITY_TOL = 1e-6
 
@@ -48,28 +48,19 @@ def _round_integral(value: complex, context: str) -> int:
 
 
 def verlinde_sum(req: VerlindeRequest, modular: ModularData | None = None) -> complex:
-    """The raw complex weight sum, before integrality enforcement."""
+    """The raw complex weight sum, before integrality enforcement: the
+    degree-zero Seifert lattice sum."""
     if req.genus < 0:
         raise PreconditionError("genus must be >= 0")
     if req.level < 1:
         raise PreconditionError("level must be >= 1")
     md = modular if modular is not None else modular_data(req.rs, req.level)
+    label_idx = []
     for lab in req.labels:
         if not lab.is_dominant:
             raise PreconditionError("labels must be dominant")
-        md.index_of(lab)  # validates integrability
-    s0 = md.s[0].real
-    label_idx = [md.index_of(lab) for lab in req.labels]
-    n = len(label_idx)
-    re_parts = []
-    im_parts = []
-    for j in range(len(md.weights)):
-        term = complex(s0[j]) ** (2 - 2 * req.genus - n)
-        for i in label_idx:
-            term *= md.s[i, j]
-        re_parts.append(term.real)
-        im_parts.append(term.imag)
-    return complex(math.fsum(re_parts), math.fsum(im_parts))
+        label_idx.append(md.index_of(lab))  # validates integrability
+    return _lattice_sum(md, req.genus, label_idx, 0)
 
 
 def verlinde_dimension(req: VerlindeRequest, modular: ModularData | None = None) -> int:

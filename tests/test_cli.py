@@ -200,13 +200,13 @@ def test_modular_report_shape(capsys):
     assert doc["s"][1][1][0] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_threads_env_default(monkeypatch, capsys):
-    monkeypatch.setenv("SEIFERTSUM_THREADS", "2")
+def test_scan_refuses_threads_flag(capsys):
+    # scans run serially; a stale worker-count flag is a usage error
     code, out, _ = run(["seifert", "--algebra", "A2", "--scan",
                         "--genera", "0,2", "--degrees", "0,1",
-                        "--levels", "1,2"], capsys)
-    assert code == 0
-    assert len(json.loads(out)["cells"]) == 8
+                        "--levels", "1,2", "--threads", "2"], capsys)
+    assert code == 64
+    assert out == ""
 
 
 def test_point_and_points_merge(capsys):
