@@ -4,7 +4,8 @@
 For fixed algebra, level and genus, sweep the degree p and print
 |Z|, arg Z for bare and canonical framings side by side. The moduli
 must agree; only the phase column moves, by exp(-2 pi i c sign(p)/8)
-per unit of framing correction.
+per unit of framing correction. Where |Z| < 1e-12 the sum vanishes to
+rounding and both phases print as `undef`.
 """
 
 import argparse
@@ -13,6 +14,9 @@ import cmath
 from seifertsum.lie import build_root_system
 from seifertsum.modular import central_charge
 from seifertsum.seifert import SeifertSpec, seifert_partition
+
+# below this modulus Z is zero to rounding and its phase is noise
+ZERO_MODULUS = 1e-12
 
 
 def main():
@@ -33,8 +37,11 @@ def main():
         zc = seifert_partition(SeifertSpec(rs, args.level, args.genus, p,
                                            framing="canonical"))
         assert abs(zb.modulus - zc.modulus) < 1e-12 * max(1.0, zb.modulus)
-        print("%5d  %14.9f  %10.6f  %10.6f"
-              % (p, zb.modulus, cmath.phase(zb.value), cmath.phase(zc.value)))
+        if zb.modulus < ZERO_MODULUS:
+            phases = ("undef", "undef")
+        else:
+            phases = ("%.6f" % cmath.phase(zb.value), "%.6f" % cmath.phase(zc.value))
+        print("%5d  %14.9f  %10s  %10s" % ((p, zb.modulus) + phases))
 
 
 if __name__ == "__main__":

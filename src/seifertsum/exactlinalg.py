@@ -1,32 +1,13 @@
 """Small exact linear algebra helpers over fractions.Fraction.
 
-Used for Cartan matrix inversion and quasi-polynomial interpolation,
-where floating point is forbidden.
+Used for Cartan determinants and quasi-polynomial interpolation, where
+floating point is forbidden.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
 from typing import Sequence
-
-
-def rational_matrix_inverse(rows: Sequence[Sequence]) -> tuple[tuple[Q, ...], ...]:
-    """Invert a square matrix by Gauss-Jordan elimination with exact pivots."""
-    n = len(rows)
-    aug = [[Q(rows[i][j]) for j in range(n)] + [Q(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Q(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
 
 
 def rational_determinant(rows: Sequence[Sequence]) -> Q:

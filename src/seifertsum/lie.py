@@ -11,9 +11,12 @@ Conventions, fixed once for the whole package:
   so the pairing of a weight mu with x is the plain dot product of
   coordinate vectors and a root functional evaluates as
   alpha(x) = dot(fw_coords(alpha), coords(x)).
-* Lattice pairings are exact fractions; only transcendental evaluation
-  (characters, genus functions) uses floating point, binary64 first with
-  an mpmath fallback near non-regular points.
+* Lattice pairings are integer forms in the epsilon coordinates e, f
+  (below): (r+1)<a, b> = (r+1) sum e_i f_i - (sum e)(sum f) (_form), and
+  prod_{alpha>0} <mu, alpha> = prod_{i<j} (e_i - e_j) (_vandermonde).
+  Fractions appear only at the API (ip, casimir, ...). Only
+  transcendental evaluation (characters, genus functions) uses floating
+  point, binary64 first with an mpmath fallback near non-regular points.
 
 Every Weyl alternating sum at a Cartan point goes through one kernel,
 _alternating_sum (modular assembles S from the same determinant form,
@@ -138,24 +141,18 @@ class RootSystem:
 
     def ip(self, a: Sequence[int], b: Sequence[int]) -> Q:
         """Invariant form on weight-lattice coordinates, exact."""
-        total = Q(0)
-        for i, ai in enumerate(a):
-            if ai:
-                row = self.gram_fw[i]
-                for j, bj in enumerate(b):
-                    if bj:
-                        total += ai * row[j] * bj
-        return total
+        return Q(_form(_epsilon_coords(a), _epsilon_coords(b)), self.rank + 1)
 
     def pair(self, fw_coords: Sequence[int], x: CartanElement) -> complex:
         """<mu, x> for mu in fw coordinates, x in coroot coordinates."""
         return sum(m * xc for m, xc in zip(fw_coords, x.coords))
 
     def level_of(self, weight: Weight) -> int:
-        lev = self.ip(weight.coords, self.highest_root_fw)
-        if lev.denominator != 1:
+        lev, rem = divmod(_form(_epsilon_coords(weight.coords),
+                                _epsilon_coords(self.highest_root_fw)), self.rank + 1)
+        if rem:
             raise PreconditionError("non-integral level for %r" % (weight,))
-        return int(lev)
+        return lev
 
     def cartan_point(self, weight_like: Sequence, scale: complex = 1.0) -> CartanElement:
         """Cartan element representing scale * (weight_like) under the form.
@@ -195,9 +192,9 @@ def build_root_system(series: str, rank: int) -> RootSystem:
     pos = tuple(tuple(1 if i <= t <= j else 0 for t in range(r))
                 for i in range(r) for j in range(i, r))
     pos_fw = tuple(_root_to_fw(cartan, c) for c in pos)
-    from .exactlinalg import rational_matrix_inverse
-
-    gram = rational_matrix_inverse(cartan)
+    # <omega_i, omega_j> = min(i, j) (r + 1 - max(i, j)) / (r + 1), 1-based
+    gram = tuple(tuple(Q(min(i, j) * (r + 1 - max(i, j)), r + 1)
+                       for j in range(1, r + 1)) for i in range(1, r + 1))
     theta = tuple(1 for _ in range(r))
     theta_fw = _root_to_fw(cartan, theta)
     return RootSystem(
@@ -274,47 +271,59 @@ def weyl_group(rs: RootSystem, max_order: int = DEFAULT_WEYL_BOUND) -> tuple[Wey
 
 
 def casimir(rs: RootSystem, weight: Weight) -> Q:
-    """Quadratic Casimir <Lambda, Lambda + 2 rho>, exact rational."""
+    """Quadratic Casimir <Lambda, Lambda + 2 rho> = |Lambda+rho|^2 - |rho|^2, exact."""
     if not weight.is_dominant:
         raise PreconditionError("casimir expects a dominant weight")
-    shifted = tuple(c + 2 for c in weight.coords)
-    return rs.ip(weight.coords, shifted)
+    e = _shifted_epsilon(weight.coords)
+    e_rho = _shifted_epsilon((0,) * rs.rank)
+    return Q(_form(e, e) - _form(e_rho, e_rho), rs.rank + 1)
 
 
 def shifted_norm(rs: RootSystem, weight: Weight) -> Q:
     """<Lambda + rho, Lambda + rho>, exact rational."""
-    lam = tuple(c + 1 for c in weight.coords)
-    return rs.ip(lam, lam)
+    e = _shifted_epsilon(weight.coords)
+    return Q(_form(e, e), rs.rank + 1)
 
 
 def weyl_dimension(rs: RootSystem, weight: Weight) -> int:
-    """prod_{alpha>0} <Lambda+rho, alpha> / <rho, alpha>."""
+    """prod_{alpha>0} <Lambda+rho, alpha> / <rho, alpha>, a Vandermonde ratio."""
     if not weight.is_dominant:
         raise PreconditionError("weyl_dimension expects a dominant weight")
-    lam = tuple(c + 1 for c in weight.coords)
-    num = Q(1)
-    den = Q(1)
-    for root_fw, root in zip(rs.positive_roots_fw, rs.positive_roots):
-        # <mu, alpha> = dot(fw coords of mu, simple-root coords of alpha)
-        # times nothing extra in the simply laced normalisation
-        num *= sum(l * c for l, c in zip(lam, root))
-        den *= sum(c for c in root)
-    dim = num / den
-    if dim.denominator != 1 or dim <= 0:
-        raise RuntimeError("Weyl dimension came out non-integral: %s" % dim)
-    return int(dim)
+    return (_vandermonde(_shifted_epsilon(weight.coords))
+            // _vandermonde(_shifted_epsilon((0,) * rs.rank)))
 
 
 def _epsilon_coords(lam_fw: Sequence[int]) -> tuple[int, ...]:
     """Epsilon coordinates e_i = lam_i + ... + lam_r, with e_{r+1} = 0.
 
-    The Weyl group of A_r permutes them, and the form reads
-    <l, m> = sum_i e_i f_i - (sum_i e_i)(sum_i f_i)/(r+1).
+    The Weyl group of A_r permutes them; _form and _vandermonde read
+    the invariants from them.
     """
     out = [0] * (len(lam_fw) + 1)
     for i in range(len(lam_fw) - 1, -1, -1):
         out[i] = out[i + 1] + int(lam_fw[i])
     return tuple(out)
+
+
+def _shifted_epsilon(lam_fw: Sequence[int]) -> tuple[int, ...]:
+    """Epsilon coordinates of lam + rho."""
+    return _epsilon_coords([c + 1 for c in lam_fw])
+
+
+def _form(e: Sequence[int], f: Sequence[int]) -> int:
+    """(r+1) <a, b> = (r+1) sum e_i f_i - (sum e)(sum f), for the epsilon
+    coordinates e, f (length r+1) of weights a, b."""
+    return len(e) * sum(x * y for x, y in zip(e, f)) - sum(e) * sum(f)
+
+
+def _vandermonde(e: Sequence[int]) -> int:
+    """prod_{i<j} (e_i - e_j): the product of <mu, alpha> over the positive
+    roots alpha = eps_i - eps_j, for the epsilon coordinates e of mu."""
+    prod = 1
+    for i, x in enumerate(e):
+        for y in e[i + 1:]:
+            prod *= x - y
+    return prod
 
 
 def _alternating_sum(rs: RootSystem, lam_fw: Sequence[int], x, dps: int | None = None):

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, CertificationError, PreconditionError
 from .exactlinalg import rational_determinant
-from .lie import RootSystem, Weight, _det, _epsilon_coords, casimir
+from .lie import RootSystem, Weight, _det, _form, _shifted_epsilon
 
 DEFAULT_TOL = 1e-9
 DEFAULT_BUDGET = 50_000_000
@@ -117,7 +117,7 @@ def _assemble(rs, weights, kappa, dps=None):
     """
     r1 = rs.rank + 1
     order = r1 * kappa
-    es = np.array([_epsilon_coords([c + 1 for c in w.coords]) for w in weights],
+    es = np.array([_shifted_epsilon(w.coords) for w in weights],
                   dtype=np.int64)
     sums = es.sum(axis=1)
     n = len(weights)
@@ -173,11 +173,18 @@ def _certify(s, t_canon, tol):
 
 
 def _t_diagonals(rs, level, weights):
-    """Diagonals of T over the given weights, bare and canonical framing,
-    from one casimir per weight (see module docstring)."""
+    """Diagonals of T over the given weights, bare and canonical framing.
+    The Casimir is (M - M_rho)/(r+1) from the integer M = (r+1)|L+rho|^2;
+    int/int division rounds it exactly as float(casimir(...)) does."""
     kappa = level + rs.dual_coxeter
-    t_bare = np.array([cmath.exp(1j * math.pi * float(casimir(rs, w)) / kappa)
-                       for w in weights])
+    r1 = rs.rank + 1
+    e_rho = _shifted_epsilon((0,) * rs.rank)
+    m_rho = _form(e_rho, e_rho)
+    t_bare = []
+    for w in weights:
+        e = _shifted_epsilon(w.coords)
+        t_bare.append(cmath.exp(1j * math.pi * ((_form(e, e) - m_rho) / r1) / kappa))
+    t_bare = np.array(t_bare)
     return t_bare, t_bare * cmath.exp(-2j * math.pi * central_charge(rs, level) / 24)
 
 

@@ -47,7 +47,6 @@ from .lie import (
     RootSystem,
     Weight,
     _alternating_sum,
-    _character_mp,
     _limit_eval,
     is_regular,
     weyl_dimension,
@@ -78,19 +77,16 @@ def orbit_from_highest_weight(rs: RootSystem, weight: Weight) -> CoadjointOrbit:
     return CoadjointOrbit(rs=rs, lam=Weight(tuple(c + 1 for c in weight.coords)))
 
 
-def _of_factors_ok(rs: RootSystem, x: CartanElement, threshold: float = 1e-6) -> bool:
-    for root_fw in rs.positive_roots_fw:
-        a = rs.pair(root_fw, x)
-        if abs(a) < threshold or abs(cmath.sinh(a / 2)) < threshold:
-            return False
-    return True
-
-
 def _orbit_fourier_sum(rs: RootSystem, lam_fw, x_coords, dps: int | None = None):
     """Alternating sum times prod sin(a/2)/(a sinh(a/2)), in binary64 or,
     with dps, in mpmath."""
+    return _times_orbit_factors(rs, _alternating_sum(rs, lam_fw, x_coords, dps),
+                                x_coords, dps)
+
+
+def _times_orbit_factors(rs: RootSystem, total, x_coords, dps: int | None = None):
+    """total * prod_{alpha>0} sin(a/2)/(a sinh(a/2)), a = alpha(x)."""
     fn = cmath if dps is None else mp
-    total = _alternating_sum(rs, lam_fw, x_coords, dps)
     for root_fw in rs.positive_roots_fw:
         a = sum(m * c for m, c in zip(root_fw, x_coords))
         total *= fn.sin(a / 2) / (a * fn.sinh(a / 2))
@@ -114,7 +110,7 @@ def orbit_fourier(orbit: CoadjointOrbit, x: CartanElement) -> complex:
     if all(c == 0 for c in x.coords):
         highest = Weight(tuple(c - 1 for c in lam_fw))
         return complex(weyl_dimension(rs, highest))
-    if _of_factors_ok(rs, x):
+    if is_regular(rs, x):
         return _orbit_fourier_sum(rs, lam_fw, x.coords)
     return _limit_eval(rs, x, lambda xc: _orbit_fourier_sum(rs, lam_fw, xc, mp.mp.dps))
 
@@ -128,7 +124,7 @@ def dh_weyl_sum(orbit: CoadjointOrbit, x: CartanElement) -> complex:
     if all(c == 0 for c in x.coords):
         highest = Weight(tuple(c - 1 for c in lam_fw))
         return complex(weyl_dimension(rs, highest))
-    if _of_factors_ok(rs, x):
+    if is_regular(rs, x):
         return _stationary_phase_sum(rs, lam_fw, x.coords)
     return _limit_eval(rs, x, lambda xc: _stationary_phase_sum(rs, lam_fw, xc, mp.mp.dps))
 
@@ -155,8 +151,12 @@ _RESIDUAL_DPS = 30
 
 
 def _identity_gap_mp(rs: RootSystem, lam_fw, x_coords):
-    chi = _character_mp(rs, lam_fw, x_coords)
-    of = _orbit_fourier_sum(rs, lam_fw, x_coords, mp.mp.dps)
+    """chi - j^(-1/2) * orbit transform, with one Lambda+rho determinant A:
+    chi = A / A_rho and the transform is A * prod sin(a/2)/(a sinh(a/2))."""
+    dps = mp.mp.dps
+    alt = _alternating_sum(rs, lam_fw, x_coords, dps)
+    chi = alt / _alternating_sum(rs, rs.rho.coords, x_coords, dps)
+    of = _times_orbit_factors(rs, alt, x_coords, dps)
     half = mp.mpc(1)
     for root_fw in rs.positive_roots_fw:
         a = sum(m * c for m, c in zip(root_fw, x_coords))
@@ -179,7 +179,7 @@ def kirillov_check(rs: RootSystem, weight: Weight, x: CartanElement) -> float:
         raise WallProximityError(
             "point within %g of a singular wall of j^(-1/2)" % WALL_MARGIN)
     lam_fw = tuple(c + 1 for c in weight.coords)
-    if is_regular(rs, x) and _of_factors_ok(rs, x):
+    if is_regular(rs, x):
         with mp.workdps(_RESIDUAL_DPS):
             xs = tuple(mp.mpc(c) for c in x.coords)
             return float(abs(_identity_gap_mp(rs, lam_fw, xs)))

@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, PreconditionError
-from .lie import RootSystem, Weight, _epsilon_coords
+from .lie import RootSystem, Weight, _form, _shifted_epsilon
 from .modular import ModularData, central_charge, integrable_weights, modular_data
 
 DEFAULT_SCAN_BUDGET = 10_000_000
@@ -49,16 +49,8 @@ class SeifertSpec:
     genus: int
     degree: int
     labels: tuple[Weight, ...] = ()
-    base_points: tuple[str, ...] = ()
     framing: str = "bare"
     include_centre_factor: bool = False
-
-    def __post_init__(self):
-        if self.base_points and len(self.base_points) != len(self.labels):
-            raise PreconditionError("one base point tag per label")
-        if not self.base_points and self.labels:
-            object.__setattr__(self, "base_points",
-                               tuple("pt%d" % i for i in range(len(self.labels))))
 
 
 @dataclass(frozen=True)
@@ -78,17 +70,15 @@ def _lattice_sum(md: ModularData, genus: int, label_idx, degree: int) -> complex
     """
     s0 = md.s[0].real
     power = 2 - 2 * genus - len(label_idx)
-    r1 = md.rs.rank + 1
-    order = 2 * r1 * md.kappa
+    order = 2 * (md.rs.rank + 1) * md.kappa
     re_parts, im_parts = [], []
     for j, lam in enumerate(md.weights):
         term = complex(s0[j]) ** power
         for i in label_idx:
             term *= md.s[i, j]
         if degree:
-            e = _epsilon_coords([c + 1 for c in lam.coords])
-            m = r1 * sum(x * x for x in e) - sum(e) ** 2
-            term *= cmath.exp(-2j * math.pi * (degree * m % order) / order)
+            e = _shifted_epsilon(lam.coords)
+            term *= cmath.exp(-2j * math.pi * (degree * _form(e, e) % order) / order)
         re_parts.append(term.real)
         im_parts.append(term.imag)
     return complex(math.fsum(re_parts), math.fsum(im_parts))

@@ -20,6 +20,10 @@ certified truncation bound:
               * (r/(L+1+r))^(m [rank>=2])
               * exp(-eps L^2 / 8).
 
+Each box term takes dim Lambda as an integer Vandermonde ratio and
+casimir(Lambda) as (M - M_rho)/(r+1) from the integer M = (r+1)|Lambda+rho|^2
+of lie._form; int/int division rounds as float(casimir(...)) does.
+
 Genus must be at least 2; the g < 2 sums diverge at eps = 0 and are
 refused rather than regularised.
 """
@@ -31,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, CertificationError, PreconditionError
-from .lie import RootSystem, Weight, casimir, weyl_dimension
+from .lie import RootSystem, _form, _shifted_epsilon, _vandermonde
 from .verlinde import VerlindeRequest, verlinde_dimension
 
 DEFAULT_TOL = 1e-10
@@ -88,9 +92,7 @@ def ym2_partition(req: YM2Request) -> YM2Result:
         raise PreconditionError("target_tol must be positive")
     m = 2 * req.genus - 2
     if rs.rank == 1 and req.epsilon == 0:
-        res = _rank1_flat(m, req.target_tol, req.max_terms)
-        return YM2Result(value=res.value, tail_bound=res.tail_bound,
-                         terms=res.terms, genus=req.genus, epsilon=0.0)
+        return _rank1_flat(m, req.target_tol, req.max_terms)
 
     box = 16
     while _box_tail_bound(rs.rank, m, req.epsilon, box) > req.target_tol:
@@ -100,11 +102,16 @@ def ym2_partition(req: YM2Request) -> YM2Result:
                 "certifying tol %g needs a box of %d^%d dominant weights, "
                 "budget %d; raise max_terms or relax target_tol"
                 % (req.target_tol, box + 1, rs.rank, req.max_terms))
+    r1 = rs.rank + 1
+    e_rho = _shifted_epsilon((0,) * rs.rank)
+    m_rho = _form(e_rho, e_rho)
+    v_rho = _vandermonde(e_rho)
     parts = []
     for coords in itertools.product(range(box + 1), repeat=rs.rank):
-        w = Weight(coords)
-        dim = weyl_dimension(rs, w)
-        parts.append(dim ** (-m) * math.exp(-req.epsilon * float(casimir(rs, w)) / 2))
+        e = _shifted_epsilon(coords)
+        dim = _vandermonde(e) // v_rho
+        cas = (_form(e, e) - m_rho) / r1
+        parts.append(dim ** (-m) * math.exp(-req.epsilon * cas / 2))
     value = math.fsum(parts)
     if value <= 0:
         raise CertificationError("partition sum must be positive")

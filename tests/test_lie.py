@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import character_value, dimension_value
+from oracles import _ip, character_value, dimension_value
 from seifertsum.errors import (
     PreconditionError,
     UnsupportedAlgebraError,
@@ -28,7 +28,7 @@ from seifertsum.lie import (
 )
 
 
-@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5, 6])
 def test_gram_inverts_cartan_exactly(rank):
     rs = build_root_system("A", rank)
     for i in range(rank):
@@ -103,6 +103,35 @@ def test_casimir_values(a1, a2):
     assert casimir(a2, Weight((1, 1))) == 6
     assert casimir(a2, Weight((0, 0))) == 0
     assert shifted_norm(a1, Weight((0,))) == Fraction(1, 2)
+
+
+# level cap per rank, so the Freudenthal oracle stays fast
+_ORACLE_LEVEL = {1: 8, 2: 5, 3: 3, 4: 2, 5: 2}
+
+
+@st.composite
+def _rank_weight_and_vector(draw):
+    rank = draw(st.integers(1, 5))
+    coords, budget = [], _ORACLE_LEVEL[rank]
+    for _ in range(rank):
+        coords.append(draw(st.integers(0, budget)))
+        budget -= coords[-1]
+    other = draw(st.tuples(*[st.integers(-4, 4)] * rank))
+    return rank, tuple(coords), other
+
+
+@given(case=_rank_weight_and_vector())
+def test_invariants_match_gram_and_freudenthal_oracles(case):
+    rank, coords, other = case
+    rs = build_root_system("A", rank)
+    w = Weight(coords)
+    shifted = tuple(c + 1 for c in coords)
+    assert rs.ip(coords, other) == _ip(rs, coords, other)
+    assert rs.ip(other, other) == _ip(rs, other, other)
+    assert casimir(rs, w) == _ip(rs, coords, tuple(c + 2 for c in coords))
+    assert shifted_norm(rs, w) == _ip(rs, shifted, shifted)
+    assert rs.level_of(w) == _ip(rs, coords, rs.highest_root_fw)
+    assert weyl_dimension(rs, w) == dimension_value(rs, w)
 
 
 def test_casimir_refuses_non_dominant(a2):

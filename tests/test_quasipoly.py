@@ -9,20 +9,12 @@ from seifertsum.exactlinalg import (
     eval_poly,
     newton_interpolate,
     rational_determinant,
-    rational_matrix_inverse,
 )
 from seifertsum.quasipoly import (
     QuasiPolynomial,
     fit_quasi_polynomial,
     pairing_report,
 )
-
-
-def test_matrix_inverse_is_exact():
-    inv = rational_matrix_inverse([[2, -1], [-1, 2]])
-    assert inv == ((Q(2, 3), Q(1, 3)), (Q(1, 3), Q(2, 3)))
-    with pytest.raises(ValueError):
-        rational_matrix_inverse([[1, 2], [2, 4]])
 
 
 def test_determinant_values():

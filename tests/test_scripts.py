@@ -29,6 +29,22 @@ def test_script_runs(name, args):
     assert proc.stdout
 
 
+def test_degree_phase_scan_leaves_vanishing_phases_undefined():
+    # A1 level 3 genus 0 vanishes at p = +-2; its phase there is rounding noise
+    proc = run_script("degree_phase_scan.py", "--pmax", "2")
+    assert proc.returncode == 0, proc.stderr
+    rows = {}
+    for line in proc.stdout.splitlines():
+        fields = line.split()
+        if fields and fields[0].lstrip("-").isdigit():
+            rows[int(fields[0])] = fields[1:]
+    assert sorted(rows) == [-2, -1, 0, 1, 2]
+    for p in (-2, 2):
+        assert rows[p][1:] == ["undef", "undef"]
+    for p in (-1, 0, 1):
+        assert "undef" not in rows[p]
+
+
 def test_pairing_degrees_predicts_exactly():
     proc = run_script("pairing_degrees.py", "--gmax", "2")
     assert proc.returncode == 0, proc.stderr

@@ -107,15 +107,6 @@ def test_wilson_lines_enter_through_s_ratios(a1):
     assert abs(got.value - want) < 1e-12
 
 
-def test_base_point_tags(a1):
-    spec = SeifertSpec(rs=a1, level=2, genus=1, degree=0,
-                       labels=(Weight((1,)), Weight((2,))))
-    assert spec.base_points == ("pt0", "pt1")
-    with pytest.raises(PreconditionError):
-        SeifertSpec(rs=a1, level=2, genus=1, degree=0,
-                    labels=(Weight((1,)),), base_points=("a", "b"))
-
-
 def test_preconditions(a1):
     with pytest.raises(PreconditionError):
         _z(a1, 0, 1, 0)

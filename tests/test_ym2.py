@@ -67,6 +67,15 @@ def test_rank2_flat_sum_against_brute_force(a2):
     assert abs(res.value - brute) <= res.tail_bound + 1e-7
 
 
+def test_rank2_flat_sum_is_pinned(a2):
+    # the integer box sum must reproduce these bits exactly; the
+    # Mordell-Tornheim value 4 T(2,2,2) = 4 pi^6 / 2835 lies inside the bound
+    res = _run(a2, 2, 0.0, target_tol=1e-6)
+    assert repr(res.value) == "1.356457164470393"
+    assert res.terms == 66049
+    assert abs(res.value - 4 * math.pi**6 / 2835) <= res.tail_bound
+
+
 def test_profile_is_decreasing_and_convex(a1):
     grid = (0.0, 0.001, 0.01, 0.1, 1.0)
     prof = ym2_epsilon_profile(a1, 2, grid)
