@@ -1,9 +1,10 @@
 """Command line front end.
 
 One subcommand per computational surface. Reports are JSON on stdout
-with sorted keys and a schema tag, except the table-shaped commands
-(genera, ym2) which emit CSV. Exit codes: 0 success, 2 refused
-precondition, 3 failed certification or integrality, 64 usage error.
+with sorted keys, two-space indent and a schema tag, streamed as they
+are written; the table-shaped commands (genera, ym2) emit CSV. Exit
+codes: 0 success, 2 refused precondition or unwritable report, 3 failed
+certification or integrality, 64 usage error.
 
 The algebra can be named either combined (--algebra A2) or split
 (--series A --rank 2). A JSON config file can preload any subcommand
@@ -16,13 +17,17 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
+import itertools
 import json
 import math
 import re
 import sys
 from fractions import Fraction
 from pathlib import Path
+
+import numpy as np
 
 from .crosscheck import run_crosschecks
 from .errors import CertificationError, PreconditionError
@@ -103,26 +108,107 @@ def _ints_type(text: str) -> tuple[int, ...]:
             "expected comma separated integers, got %r" % (text,))
 
 
-def _complex_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
 def _fraction_str(q: Fraction) -> str:
     return "%d/%d" % (q.numerator, q.denominator)
 
 
-def _write_report(text: str, args) -> None:
+class _ReportWriteError(Exception):
+    """The report could not be written to the --output path."""
+
+    def __init__(self, path: str, reason: OSError):
+        super().__init__("cannot write report %s: %s" % (path, reason))
+
+
+def _write_report(chunks, args) -> None:
+    """Write the report, an iterable of str pieces, to the --output file
+    or to stdout. A failed file write leaves no partial file."""
     output = getattr(args, "output", None)
-    if output:
-        Path(output).write_text(text)
-    else:
-        sys.stdout.write(text)
+    if not output:
+        sys.stdout.writelines(chunks)
+        return
+    try:
+        fh = open(output, "w")
+    except OSError as exc:
+        raise _ReportWriteError(output, exc) from exc
+    try:
+        with fh:
+            fh.writelines(chunks)
+    except BaseException as exc:
+        # remove a partial report, never a device or link named by --output
+        target = Path(output)
+        if target.is_file() and not target.is_symlink():
+            target.unlink()
+        if isinstance(exc, OSError):
+            raise _ReportWriteError(output, exc) from exc
+        raise
 
 
 def _emit_json(payload: dict, args) -> None:
+    """Write json.dumps(payload + schema, sort_keys=True, indent=2) + newline,
+    streamed piece by piece; complex arrays and numbers go out as nested
+    [re, im] lists."""
     payload = dict(payload)
     payload["schema"] = 1
-    _write_report(json.dumps(payload, sort_keys=True, indent=2) + "\n", args)
+    _write_report(itertools.chain(_json_chunks(payload, 0), ("\n",)), args)
+
+
+def _json_chunks(obj, depth: int):
+    """Pieces of json.dumps(obj, sort_keys=True, indent=2) for obj nested
+    depth levels deep. With indent, json.dumps runs its pure-Python
+    encoder, which takes seconds on a 57 MB S matrix; here each complex
+    array row is one %-format instead."""
+    if isinstance(obj, dict):
+        items = sorted(obj.items())
+        if not all(isinstance(key, str) for key, _ in items):
+            raise TypeError("report keys must be strings")
+        yield from _container_chunks(
+            "{}", [(json.dumps(key) + ": ", value) for key, value in items], depth)
+    elif isinstance(obj, (list, tuple)):
+        yield from _container_chunks("[]", [("", value) for value in obj], depth)
+    elif isinstance(obj, np.ndarray) and np.iscomplexobj(obj):
+        yield from _complex_array_chunks(obj, depth)
+    elif isinstance(obj, complex):
+        yield from _json_chunks([float(obj.real), float(obj.imag)], depth)
+    else:
+        # strings, numbers, bools and None exactly as json writes them
+        yield json.dumps(obj)
+
+
+def _container_chunks(brackets: str, entries, depth: int):
+    """A dict or list whose entries are (key prefix, value) pairs."""
+    if not entries:
+        yield brackets
+        return
+    sep = brackets[0]
+    inner = "\n" + "  " * (depth + 1)
+    for prefix, value in entries:
+        yield sep + inner + prefix
+        yield from _json_chunks(value, depth + 1)
+        sep = ","
+    yield "\n" + "  " * depth + brackets[1]
+
+
+def _complex_array_chunks(arr: np.ndarray, depth: int):
+    if arr.ndim == 0:
+        yield from _json_chunks(complex(arr), depth)
+    elif arr.ndim > 1:
+        yield from _json_chunks(list(arr), depth)
+    elif len(arr) and np.isfinite(arr).all():
+        # %r is float.__repr__, which is what json writes for finite floats
+        flat = np.ascontiguousarray(arr, dtype=np.complex128).view(np.float64)
+        yield _complex_row_template(len(arr), depth) % tuple(flat.tolist())
+    else:
+        # json spells non-finite floats NaN/Infinity where %r gives nan/inf
+        yield from _json_chunks(arr.tolist(), depth)
+
+
+@functools.lru_cache(maxsize=16)
+def _complex_row_template(length: int, depth: int) -> str:
+    """json.dumps layout of `length` [re, im] pairs at `depth`, with %r
+    in place of every float."""
+    inner = "\n" + "  " * (depth + 1)
+    pair = "[" + inner + "  %r," + inner + "  %r" + inner + "]"
+    return "[" + inner + ("," + inner).join([pair] * length) + "\n" + "  " * depth + "]"
 
 
 def _root_system(args):
@@ -182,8 +268,8 @@ def _cmd_lie(args) -> int:
 
 def _cmd_modular(args) -> int:
     rs = _root_system(args)
-    # certify fresh at the requested tolerance rather than reusing the
-    # process cache, which only knows the default
+    # s_matrix rather than the modular_data cache: a process writes one
+    # report, so a cached copy would never be read again
     md = s_matrix(rs, args.level, tol=args.tol)
     out = {
         "series": rs.series,
@@ -193,9 +279,9 @@ def _cmd_modular(args) -> int:
         "weights": [list(w.coords) for w in md.weights],
         "central_charge": central_charge(rs, args.level),
         "precision_bits": md.precision_bits,
-        "s": [[_complex_pair(complex(v)) for v in row] for row in md.s],
-        "t_canonical": [_complex_pair(complex(v)) for v in md.t_canonical],
-        "t_bare": [_complex_pair(complex(v)) for v in md.t_bare],
+        "s": md.s,
+        "t_canonical": md.t_canonical,
+        "t_bare": md.t_bare,
         "conjugation": list(md.conjugation),
         "certificate": {k: (v if isinstance(v, bool) else float(v))
                         for k, v in sorted(md.certificate.items())},
@@ -295,8 +381,8 @@ def _cmd_kirillov(args) -> int:
         worst = max(worst, residual)
         rows.append({
             "point": [float(c) for c in point],
-            "orbit_fourier": _complex_pair(of),
-            "stationary_phase_sum": _complex_pair(dh),
+            "orbit_fourier": of,
+            "stationary_phase_sum": dh,
             "residual": residual,
         })
     out = {
@@ -325,7 +411,7 @@ def _cmd_genera(args) -> int:
         gv = evaluate_genus(rs, args.which, x, args.genus, args.c1)
         writer.writerow([repr(float(c)) for c in point]
                         + [repr(gv.value.real), repr(gv.value.imag)])
-    _write_report(buf.getvalue(), args)
+    _write_report([buf.getvalue()], args)
     return 0
 
 
@@ -338,7 +424,7 @@ def _cmd_ym2(args) -> int:
     writer.writerow(["epsilon", "Z", "tail_bound"])
     for eps, value, bound in prof.rows:
         writer.writerow([repr(eps), repr(value), repr(bound)])
-    _write_report(buf.getvalue(), args)
+    _write_report([buf.getvalue()], args)
     return 0
 
 
@@ -526,6 +612,9 @@ def main(argv=None) -> int:
     except CertificationError as exc:
         sys.stderr.write("certification failed: %s\n" % (exc,))
         return 3
+    except _ReportWriteError as exc:
+        sys.stderr.write("error: %s\n" % (exc,))
+        return 2
 
 
 if __name__ == "__main__":

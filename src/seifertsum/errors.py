@@ -37,7 +37,19 @@ class CertificationError(RuntimeError):
 
 
 class IntegralityError(CertificationError):
-    """A quantity that must be a nonnegative integer is not one."""
+    """A quantity that must be a nonnegative integer is not one.
+
+    When the value missed the nearest integer, residual is that distance,
+    threshold the largest distance accepted and precision the arithmetic
+    the value was computed in (e.g. "binary64"); otherwise they are None.
+    """
+
+    def __init__(self, message: str, residual=None, threshold=None,
+                 precision=None):
+        super().__init__(message)
+        self.residual = residual
+        self.threshold = threshold
+        self.precision = precision
 
 
 class QuasiPolynomialFitError(CertificationError):

@@ -71,8 +71,8 @@ def central_charge(rs: RootSystem, level: int) -> float:
 class ModularData:
     """Immutable S/T package for one (algebra, level) pair.
 
-    Arrays are set read-only after certification so instances can be
-    shared freely across threads.
+    Arrays are set read-only after certification, so every caller of the
+    modular_data cache can be handed the same instance.
     """
 
     rs: RootSystem

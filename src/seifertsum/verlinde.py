@@ -17,6 +17,7 @@ from .modular import ModularData, modular_data
 from .seifert import _lattice_sum
 
 INTEGRALITY_TOL = 1e-6
+_PRECISION = "binary64"  # arithmetic of the lattice sum being rounded
 
 
 @dataclass(frozen=True)
@@ -37,10 +38,12 @@ class VerlindeTable:
 
 def _round_integral(value: complex, context: str) -> int:
     nearest = round(value.real)
-    if abs(value - nearest) > INTEGRALITY_TOL:
+    residual = abs(value - nearest)
+    if residual > INTEGRALITY_TOL:
         raise IntegralityError(
-            "%s = %r is %.3g away from the nearest integer"
-            % (context, value, abs(value - nearest)))
+            "%s = %r is %.3g away from the nearest integer (threshold %g, %s)"
+            % (context, value, residual, INTEGRALITY_TOL, _PRECISION),
+            residual=residual, threshold=INTEGRALITY_TOL, precision=_PRECISION)
     if nearest < 0:
         raise IntegralityError("%s rounded to the negative integer %d"
                                % (context, nearest))

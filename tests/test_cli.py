@@ -1,13 +1,24 @@
 """End-to-end command line behaviour, exit codes, report formats."""
 
+import contextlib
 import csv
+import errno
 import io
 import json
 import math
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from seifertsum import cli
+from seifertsum.errors import IntegralityError
+from seifertsum.lie import build_root_system
+from seifertsum.modular import central_charge, s_matrix
+from seifertsum.verlinde import INTEGRALITY_TOL, verlinde_table
 
 
 def run(argv, capsys):
@@ -236,3 +247,139 @@ def test_modular_rank7_is_certified(capsys):
     for key in ("unitarity", "symmetry", "row0_imag", "conjugation_permutation",
                 "st_cubed"):
         assert cert[key] < 1e-9
+
+
+def to_lists(obj):
+    """The payload with every complex array and number as [re, im] lists,
+    ready for json.dumps."""
+    if isinstance(obj, dict):
+        return {k: to_lists(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [to_lists(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return to_lists(obj.tolist())
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    return obj
+
+
+def json_oracle(payload: dict) -> str:
+    return json.dumps(to_lists({**payload, "schema": 1}),
+                      sort_keys=True, indent=2) + "\n"
+
+
+def emitted(payload: dict) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli._emit_json(payload, SimpleNamespace(output=None))
+    return buf.getvalue()
+
+
+_floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e300,
+                     -1e300, math.nan, math.inf, -math.inf]))
+_complexes = st.builds(complex, _floats, _floats)
+_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), _floats, st.text(), _complexes,
+    arrays(np.complex128, array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4),
+           elements=_complexes))
+_payloads = st.dictionaries(st.text(), st.recursive(
+    _leaves,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=3).map(tuple),
+                            st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=12), max_size=5)
+
+
+@settings(max_examples=300)
+@given(_payloads)
+def test_streamed_json_matches_json_dumps(payload):
+    assert emitted(payload) == json_oracle(payload)
+
+
+def test_streamed_json_covers_array_edge_cases():
+    special = np.array([[-0.0 + 5e-324j, 1e300 - 1e-310j],
+                        [complex(math.nan, 1.0), complex(-math.inf, math.inf)]])
+    payload = {"2d": special, "row": special[0], "bad_row": special[1],
+               "scalar": special[1, 1], "0d": np.array(1.5 - 0j),
+               "empty": np.zeros((0, 3), complex), "empty_rows": np.zeros((2, 0), complex),
+               "strided": special[:, 0], "single": np.array([0.1 + 0.2j], np.complex64),
+               "text": "S\u00e9ifert \u2203", "nested": {"": [(), {}, []]}}
+    assert emitted(payload) == json_oracle(payload)
+
+
+def test_modular_report_matches_json_dumps_of_its_arrays(capsys):
+    code, out, _ = run(["modular", "--algebra", "A2", "--level", "12"], capsys)
+    assert code == 0
+    rs = build_root_system("A", 2)
+    md = s_matrix(rs, 12, tol=1e-9)
+    expected = json_oracle({
+        "series": "A", "rank": 2, "level": 12, "kappa": md.kappa,
+        "weights": [list(w.coords) for w in md.weights],
+        "central_charge": central_charge(rs, 12),
+        "precision_bits": md.precision_bits,
+        "s": md.s.tolist(), "t_canonical": md.t_canonical.tolist(),
+        "t_bare": md.t_bare.tolist(), "conjugation": list(md.conjugation),
+        "certificate": {k: (v if isinstance(v, bool) else float(v))
+                        for k, v in md.certificate.items()},
+    })
+    assert out == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["modular", "--algebra", "A2", "--level", "4"],
+    ["kirillov", "--algebra", "A2", "--weight", "1,2", "--point", "0.3,0.4"],
+    ["ym2", "--algebra", "A1", "--genus", "2", "--epsilons", "0,0.1"],
+])
+def test_output_file_matches_stdout(argv, tmp_path, capsys):
+    target = tmp_path / "report"
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    code, to_file, _ = run(argv + ["--output", str(target)], capsys)
+    assert code == 0 and to_file == ""
+    assert target.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("argv", [
+    ["seifert", "--algebra", "A1", "--level", "1", "--genus", "2", "--degree", "0"],
+    ["ym2", "--algebra", "A1", "--genus", "2", "--epsilons", "0"],
+])
+def test_unwritable_output_exits_2(argv, tmp_path, capsys):
+    target = tmp_path / "no" / "such" / "dir" / "r.json"
+    code, out, err = run(argv + ["--output", str(target)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write report %s: " % target)
+    assert "No such file or directory" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "no").exists()
+
+
+def test_failed_report_write_leaves_no_file(tmp_path, capsys, monkeypatch):
+    def disk_full(obj, depth):
+        yield "{"
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli, "_json_chunks", disk_full)
+    target = tmp_path / "r.json"
+    code, _, err = run(["seifert", "--algebra", "A1", "--level", "1", "--genus", "2",
+                        "--degree", "0", "--output", str(target)], capsys)
+    assert code == 2
+    assert "cannot write report" in err and "No space left" in err
+    assert not target.exists()
+
+
+def test_integrality_failure_names_residual_threshold_and_precision(a1, capsys):
+    # A1 genus 5 level 10 (exact 129443600) reads 129443599.99999875 in binary64
+    code, out, err = run(["verlinde", "--algebra", "A1", "--genus", "5",
+                          "--levels", "10"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "is 1.25e-06 away from the nearest integer (threshold 1e-06, binary64)" in err
+    with pytest.raises(IntegralityError) as info:
+        verlinde_table(a1, 5, [10])
+    exc = info.value
+    assert exc.threshold == INTEGRALITY_TOL
+    assert exc.precision == "binary64"
+    assert INTEGRALITY_TOL < exc.residual < 2e-6
