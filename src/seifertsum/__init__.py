@@ -48,7 +48,6 @@ from .modular import (
     integrable_weights,
     modular_data,
     s_matrix,
-    t_matrix,
 )
 from .orbits import (
     CoadjointOrbit,

@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import functools
 import io
 import itertools
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -141,6 +143,19 @@ def _write_report(chunks, args) -> None:
         if isinstance(exc, OSError):
             raise _ReportWriteError(output, exc) from exc
         raise
+
+
+def _check_report_dir(output: str) -> None:
+    """Refuse an --output path whose directory is missing or unwritable,
+    before any computation and without creating the file."""
+    parent = os.path.dirname(output) or "."
+    if not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise _ReportWriteError(output, OSError(code, os.strerror(code), output))
 
 
 def _emit_json(payload: dict, args) -> None:
@@ -312,6 +327,12 @@ def _cmd_seifert(args) -> int:
     conventions = {"framing": args.framing,
                    "centre_factor": bool(args.centre_factor)}
     if args.scan:
+        missing = [flag for flag, values in (("--genera", args.genera),
+                                             ("--degrees", args.degrees),
+                                             ("--levels", args.levels)) if not values]
+        if missing:
+            sys.stderr.write("seifert: error: --scan needs %s\n" % ", ".join(missing))
+            return 64
         cells = seifert_scan(rs, args.genera, args.degrees, args.levels,
                              labels=labels, framing=args.framing,
                              include_centre_factor=args.centre_factor,
@@ -399,6 +420,9 @@ def _cmd_kirillov(args) -> int:
 
 def _cmd_genera(args) -> int:
     rs = _root_system(args)
+    if not args.points:
+        sys.stderr.write("genera: error: --points names no point\n")
+        return 64
     buf = io.StringIO()
     writer = csv.writer(buf)
     coords_header = ["x%d" % (i + 1) for i in range(rs.rank)]
@@ -605,6 +629,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 64
     try:
+        if getattr(args, "output", None):
+            _check_report_dir(args.output)
         return args.func(args)
     except PreconditionError as exc:
         sys.stderr.write("refused: %s\n" % (exc,))

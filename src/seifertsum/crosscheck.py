@@ -148,7 +148,7 @@ def _check_sphere_anchor(rng):
         rs = build_root_system("A", 1)
         md = modular_data(rs, level)
         z = seifert_partition(
-            SeifertSpec(rs=rs, level=level, genus=0, degree=1), modular=md)
+            SeifertSpec(rs=rs, level=level, genus=0, degree=1))
         worst = max(worst, abs(z.modulus - float(np.abs(md.s[0, 0]))))
     return worst, "degree-one sphere bundle modulus against S[0,0]"
 
@@ -219,11 +219,10 @@ def _check_epsilon_profile(rng):
 def _check_wilson_character_point(rng):
     rs = build_root_system("A", 2)
     level = 2
-    md = modular_data(rs, level)
     worst = 0.0
     for label in (Weight((1, 0)), Weight((1, 1)), Weight((0, 2))):
         for mu in (Weight((0, 0)), Weight((2, 0)), Weight((1, 1))):
-            ratio = wilson_weight(rs, label, mu, level, modular=md)
+            ratio = wilson_weight(rs, label, mu, level)
             x = quantum_character_point(rs, mu, level)
             chi = weyl_character(rs, label, x)
             worst = max(worst, abs(ratio - chi))

@@ -79,9 +79,6 @@ class Weight:
     def is_dominant(self) -> bool:
         return all(c >= 0 for c in self.coords)
 
-    def __add__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
 
 @dataclass(frozen=True)
 class CartanElement:
@@ -174,10 +171,9 @@ class RootSystem:
 def build_root_system(series: str, rank: int) -> RootSystem:
     """Construct the root system; only the A series is implemented.
 
-    The B, C, and D series are deliberate extension points: everything
-    downstream consumes only the fields stored on RootSystem, so adding a
-    series means supplying its Cartan matrix, positive roots, highest
-    root, dual Coxeter number, and centre order here.
+    The kernels downstream (_form, _vandermonde, _alternating_sum and the
+    S assembly in modular) work in the epsilon coordinates of A_r, so
+    another series needs kernels of its own, not only a table here.
     """
     series = str(series).strip().upper()
     if rank < 1:
@@ -379,29 +375,22 @@ def weyl_denominator_product(rs: RootSystem, x: CartanElement) -> complex:
     return prod
 
 
-def is_regular(rs: RootSystem, x: CartanElement,
-               threshold: float = _SINGULAR_THRESHOLD) -> bool:
+def is_regular(rs: RootSystem, x: CartanElement) -> bool:
     """True when every sinh(alpha(x)/2) stays away from zero.
 
     This also excludes the affine walls alpha(x) in 2*pi*i*Z where the
     alternating-sum ratio degenerates even though the character is finite.
     """
     for root_fw in rs.positive_roots_fw:
-        if abs(cmath.sinh(rs.pair(root_fw, x) / 2)) < threshold:
+        if abs(cmath.sinh(rs.pair(root_fw, x) / 2)) < _SINGULAR_THRESHOLD:
             return False
     return True
 
 
-def _character_mp(rs: RootSystem, lam_fw, x_coords):
-    """Alternating-sum ratio at the current mpmath working precision."""
-    dps = mp.mp.dps
+def _character(rs: RootSystem, lam_fw, x_coords, dps: int | None = None):
+    """Alternating-sum ratio, in binary64 or, with dps, in mpmath."""
     return (_alternating_sum(rs, lam_fw, x_coords, dps)
             / _alternating_sum(rs, rs.rho.coords, x_coords, dps))
-
-
-def _regular_direction(rs: RootSystem) -> tuple[complex, ...]:
-    # the rho point: alpha(delta) = <alpha, rho> >= 1 for every positive root
-    return rs.cartan_point(rs.rho.coords).coords
 
 
 def richardson_limit(values: Sequence[complex]) -> complex:
@@ -412,17 +401,35 @@ def richardson_limit(values: Sequence[complex]) -> complex:
     return (4 * g2 - g1) / 3
 
 
-def _limit_eval(rs: RootSystem, x: CartanElement, eval_mp) -> complex:
-    """Richardson limit of eval_mp(x + t*delta) along the rho direction."""
-    delta = _regular_direction(rs)
+def _limit_eval(rs: RootSystem, lam_fw, x: CartanElement, kernel) -> complex:
+    """Richardson limit of kernel(rs, lam_fw, x + t*delta, _FALLBACK_DPS)
+    along the rho direction."""
+    # the rho point: alpha(delta) = <alpha, rho> >= 1 for every positive root
+    delta = rs.cartan_point(rs.rho.coords).coords
     with mp.workdps(_FALLBACK_DPS):
         xs = [mp.mpc(c) for c in x.coords]
         vals = []
         for t in _RICHARDSON_STEPS:
             shifted = tuple(xc + t * dc for xc, dc in zip(xs, delta))
-            vals.append(eval_mp(shifted))
+            vals.append(kernel(rs, lam_fw, shifted, _FALLBACK_DPS))
         limit = richardson_limit(vals)
         return complex(limit)
+
+
+def _entire_eval(rs: RootSystem, lam_fw, x: CartanElement, kernel) -> complex:
+    """kernel(rs, lam_fw, coords, dps) at x, for a kernel entire in x whose
+    value at x = 0 is the dimension of the irrep with highest weight
+    lam_fw - rho.
+
+    x = 0 returns that dimension, a regular x takes the binary64 kernel
+    (dps None), and a point on or near a wall takes the Richardson limit
+    of the mpmath kernel.
+    """
+    if all(c == 0 for c in x.coords):
+        return complex(weyl_dimension(rs, Weight(tuple(c - 1 for c in lam_fw))))
+    if is_regular(rs, x):
+        return kernel(rs, lam_fw, x.coords, None)
+    return _limit_eval(rs, lam_fw, x, kernel)
 
 
 def weyl_character(rs: RootSystem, weight: Weight, x: CartanElement) -> complex:
@@ -431,11 +438,4 @@ def weyl_character(rs: RootSystem, weight: Weight, x: CartanElement) -> complex:
         raise PreconditionError("weyl_character expects a dominant weight")
     if len(x.coords) != rs.rank:
         raise PreconditionError("point dimension mismatch")
-    if all(c == 0 for c in x.coords):
-        return complex(weyl_dimension(rs, weight))
-    lam = tuple(c + 1 for c in weight.coords)
-    if is_regular(rs, x):
-        num = _alternating_sum(rs, lam, x)
-        den = _alternating_sum(rs, rs.rho.coords, x)
-        return num / den
-    return _limit_eval(rs, x, lambda xc: _character_mp(rs, lam, xc))
+    return _entire_eval(rs, tuple(c + 1 for c in weight.coords), x, _character)

@@ -5,10 +5,11 @@ The S matrix is the Weyl alternating sum
     S[L, M] = i^{|Delta_+|} (kappa^r det(Cartan))^(-1/2)
               sum_w eps(w) exp(-2 pi i <w(L+rho), M+rho> / kappa),
 
-with kappa = k + dual Coxeter number. For A_r the Weyl group permutes
-the epsilon coordinates e of L+rho (e_i = sum_{j>=i} (L+rho)_j,
-e_{r+1} = 0), and <l, m> = sum e_i f_i - (sum e)(sum f)/(r+1), so each
-entry is one (r+1)x(r+1) determinant,
+with kappa = k + dual Coxeter number and det(Cartan) = r+1 for A_r.
+The Weyl group of A_r permutes the epsilon coordinates e of L+rho
+(e_i = sum_{j>=i} (L+rho)_j, e_{r+1} = 0), and
+<l, m> = sum e_i f_i - (sum e)(sum f)/(r+1), so each entry is one
+(r+1)x(r+1) determinant,
 
     S[L, M] = norm * det[zeta^{(r+1) e_i f_j}] * zeta^{-(sum e)(sum f)},
     zeta = exp(-2 pi i / ((r+1) kappa)).
@@ -20,8 +21,9 @@ c = k dim(g)/kappa, and without the -c/24 shift in the bare framing.
 
 Every constructed matrix is certified: S symmetric and unitary, S^2 a
 permutation (charge conjugation) squaring to the identity, row zero real
-positive, and (S T)^3 = S^2 for the canonical T. A certification failure
-triggers one retry at higher working precision before raising.
+positive, and (S T)^3 = S^2 for the canonical T. S is assembled in
+binary64 first; a certification failure triggers one retry at RETRY_DPS
+digits (113 bits) before raising.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import mpmath as mp
 import numpy as np
 
 from .errors import BudgetExceededError, CertificationError, PreconditionError
-from .exactlinalg import rational_determinant
 from .lie import RootSystem, Weight, _det, _form, _shifted_epsilon
 
 DEFAULT_TOL = 1e-9
@@ -121,9 +122,8 @@ def _assemble(rs, weights, kappa, dps=None):
                   dtype=np.int64)
     sums = es.sum(axis=1)
     n = len(weights)
-    det_cartan = int(rational_determinant(rs.cartan))
     if dps is None:
-        norm = (1j ** rs.num_positive_roots) / math.sqrt(float(kappa ** rs.rank * det_cartan))
+        norm = (1j ** rs.num_positive_roots) / math.sqrt(float(kappa ** rs.rank * r1))
         table = np.exp(-2j * math.pi * np.arange(order) / order)
         out = np.empty((n, n), dtype=complex)
         block = max(1, _BLOCK_ENTRIES // (n * r1 * r1))
@@ -136,7 +136,7 @@ def _assemble(rs, weights, kappa, dps=None):
     out = np.empty((n, n), dtype=complex)
     with mp.workdps(dps):
         norm = (mp.mpc(0, 1) ** rs.num_positive_roots
-                / mp.sqrt(mp.mpf(kappa) ** rs.rank * det_cartan))
+                / mp.sqrt(mp.mpf(kappa) ** rs.rank * r1))
         table = [mp.expjpi(mp.mpf(-2 * m) / order) for m in range(order)]
         for i in range(n):
             for j in range(n):
@@ -188,58 +188,38 @@ def _t_diagonals(rs, level, weights):
     return t_bare, t_bare * cmath.exp(-2j * math.pi * central_charge(rs, level) / 24)
 
 
-def s_matrix(rs: RootSystem, level: int, tol: float = DEFAULT_TOL,
-             precision_bits: int = 53,
-             budget: int = DEFAULT_BUDGET) -> ModularData:
+def s_matrix(rs: RootSystem, level: int, tol: float = DEFAULT_TOL) -> ModularData:
     """Build and certify the modular data at the given level."""
     if level < 1:
         raise PreconditionError("level must be >= 1")
     weights = integrable_weights(rs, level)
     n = len(weights)
     cost = n * n * (rs.rank + 1) ** 3
-    if cost > budget:
+    if cost > DEFAULT_BUDGET:
         raise BudgetExceededError(
-            "S matrix needs %d determinant operations, budget is %d" % (cost, budget))
+            "S matrix needs %d determinant operations, budget is %d"
+            % (cost, DEFAULT_BUDGET))
 
     kappa = level + rs.dual_coxeter
     t_bare, t_canon = _t_diagonals(rs, level, weights)
-
-    attempts = ([(precision_bits, None)] if precision_bits <= 53
-                else [(precision_bits, max(RETRY_DPS, precision_bits // 3))])
-    if attempts[0][1] is None:
-        attempts = [(53, None), (113, RETRY_DPS)]
-
-    last_residuals = None
-    for bits, dps in attempts:
+    for bits, dps in ((53, None), (113, RETRY_DPS)):
         s = _assemble(rs, weights, kappa, dps)
         ok, residuals, perm = _certify(s, t_canon, tol)
-        last_residuals = residuals
         if ok:
             return ModularData(rs=rs, level=level, weights=weights, s=s,
                                t_canonical=t_canon, t_bare=t_bare,
                                conjugation=perm, precision_bits=bits,
                                certificate=residuals)
     raise CertificationError(
-        "modular certification failed after retry: %r" % (last_residuals,))
-
-
-def t_matrix(rs: RootSystem, level: int,
-             framing_convention: str = "canonical") -> np.ndarray:
-    """Diagonal of T for the requested framing convention."""
-    if level < 1:
-        raise PreconditionError("level must be >= 1")
-    if framing_convention not in ("canonical", "bare"):
-        raise PreconditionError("unknown framing convention %r" % framing_convention)
-    t_bare, t_canon = _t_diagonals(rs, level, integrable_weights(rs, level))
-    return t_canon if framing_convention == "canonical" else t_bare
+        "modular certification failed after retry: %r" % (residuals,))
 
 
 _CACHE: dict = {}
 
 
-def modular_data(rs: RootSystem, level: int, tol: float = DEFAULT_TOL) -> ModularData:
-    """Shared certified instance per (series, rank, level, tol)."""
-    key = (rs.series, rs.rank, level, tol)
+def modular_data(rs: RootSystem, level: int) -> ModularData:
+    """Shared certified instance per (series, rank, level), at DEFAULT_TOL."""
+    key = (rs.series, rs.rank, level)
     if key not in _CACHE:
-        _CACHE[key] = s_matrix(rs, level, tol=tol)
+        _CACHE[key] = s_matrix(rs, level)
     return _CACHE[key]

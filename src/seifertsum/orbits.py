@@ -47,11 +47,11 @@ from .lie import (
     RootSystem,
     Weight,
     _alternating_sum,
+    _entire_eval,
     _limit_eval,
     is_regular,
-    weyl_dimension,
 )
-from .modular import ModularData, modular_data
+from .modular import modular_data
 
 
 @dataclass(frozen=True)
@@ -105,44 +105,31 @@ def orbit_fourier(orbit: CoadjointOrbit, x: CartanElement) -> complex:
     """Character-matched orbit transform; orbit_fourier(orbit, 0) = dim."""
     if not orbit.regular:
         raise DegenerateOrbitError("only regular orbits are implemented")
-    rs = orbit.rs
-    lam_fw = orbit.lam.coords
-    if all(c == 0 for c in x.coords):
-        highest = Weight(tuple(c - 1 for c in lam_fw))
-        return complex(weyl_dimension(rs, highest))
-    if is_regular(rs, x):
-        return _orbit_fourier_sum(rs, lam_fw, x.coords)
-    return _limit_eval(rs, x, lambda xc: _orbit_fourier_sum(rs, lam_fw, xc, mp.mp.dps))
+    return _entire_eval(orbit.rs, orbit.lam.coords, x, _orbit_fourier_sum)
 
 
 def dh_weyl_sum(orbit: CoadjointOrbit, x: CartanElement) -> complex:
     """Stationary-phase sum: sum_w eps(w) e^{i<w lam,x>} / prod(i alpha(x))."""
     if not orbit.regular:
         raise DegenerateOrbitError("only regular orbits are implemented")
-    rs = orbit.rs
-    lam_fw = orbit.lam.coords
-    if all(c == 0 for c in x.coords):
-        highest = Weight(tuple(c - 1 for c in lam_fw))
-        return complex(weyl_dimension(rs, highest))
-    if is_regular(rs, x):
-        return _stationary_phase_sum(rs, lam_fw, x.coords)
-    return _limit_eval(rs, x, lambda xc: _stationary_phase_sum(rs, lam_fw, xc, mp.mp.dps))
+    return _entire_eval(orbit.rs, orbit.lam.coords, x, _stationary_phase_sum)
 
 
-def su2_orbit_quadrature(j_label: float, t: float, n_points: int = 64) -> complex:
+_QUADRATURE_POINTS = 64
+
+
+def su2_orbit_quadrature(j_label: float, t: float) -> complex:
     """Sphere quadrature of the su(2) orbit transform.
 
     Integrates e^{i lam t cos(theta)} against the normalised area form of
     the radius-lam sphere, lam = 2 j_label + 1, via Gauss-Legendre in
-    cos(theta). Spectrally convergent; n = 64 is far past convergence for
-    the |lam t| ranges used here.
+    cos(theta). Spectrally convergent; _QUADRATURE_POINTS = 64 nodes are
+    far past convergence for the |lam t| ranges used here.
     """
     lam = 2 * float(j_label) + 1
     if lam < 1 or abs(lam - round(lam)) > 1e-12:
         raise PreconditionError("j_label must be a nonnegative half-integer")
-    if n_points < 8:
-        raise PreconditionError("n_points must be >= 8")
-    nodes, weights = np.polynomial.legendre.leggauss(int(n_points))
+    nodes, weights = np.polynomial.legendre.leggauss(_QUADRATURE_POINTS)
     vals = np.exp(1j * lam * t * nodes)
     return complex((lam / 2) * np.dot(weights, vals))
 
@@ -150,10 +137,10 @@ def su2_orbit_quadrature(j_label: float, t: float, n_points: int = 64) -> comple
 _RESIDUAL_DPS = 30
 
 
-def _identity_gap_mp(rs: RootSystem, lam_fw, x_coords):
-    """chi - j^(-1/2) * orbit transform, with one Lambda+rho determinant A:
-    chi = A / A_rho and the transform is A * prod sin(a/2)/(a sinh(a/2))."""
-    dps = mp.mp.dps
+def _identity_gap(rs: RootSystem, lam_fw, x_coords, dps: int):
+    """chi - j^(-1/2) * orbit transform in mpmath at dps digits, with one
+    Lambda+rho determinant A: chi = A / A_rho and the transform is
+    A * prod sin(a/2)/(a sinh(a/2))."""
     alt = _alternating_sum(rs, lam_fw, x_coords, dps)
     chi = alt / _alternating_sum(rs, rs.rho.coords, x_coords, dps)
     of = _times_orbit_factors(rs, alt, x_coords, dps)
@@ -182,8 +169,8 @@ def kirillov_check(rs: RootSystem, weight: Weight, x: CartanElement) -> float:
     if is_regular(rs, x):
         with mp.workdps(_RESIDUAL_DPS):
             xs = tuple(mp.mpc(c) for c in x.coords)
-            return float(abs(_identity_gap_mp(rs, lam_fw, xs)))
-    gap = _limit_eval(rs, x, lambda xc: _identity_gap_mp(rs, lam_fw, xc))
+            return float(abs(_identity_gap(rs, lam_fw, xs, _RESIDUAL_DPS)))
+    gap = _limit_eval(rs, lam_fw, x, _identity_gap)
     return abs(gap)
 
 
@@ -200,10 +187,9 @@ def quantum_character_point(rs: RootSystem, lam_sum: Weight, level: int) -> Cart
     return rs.cartan_point(shifted, scale=-2j * math.pi / kappa)
 
 
-def wilson_weight(rs: RootSystem, label: Weight, lam_sum: Weight, level: int,
-                  modular: ModularData | None = None) -> complex:
+def wilson_weight(rs: RootSystem, label: Weight, lam_sum: Weight, level: int) -> complex:
     """S[label, lam]/S[0, lam], the fibre Wilson line factor."""
-    md = modular if modular is not None else modular_data(rs, level)
+    md = modular_data(rs, level)
     i = md.index_of(label)
     j = md.index_of(lam_sum)
     return complex(md.s[i, j] / md.s[0, j])

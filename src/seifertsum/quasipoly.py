@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError, QuasiPolynomialFitError
-from .exactlinalg import eval_poly, newton_interpolate
 from .lie import RootSystem, Weight
 from .verlinde import VerlindeRequest, verlinde_dimension
 
@@ -50,7 +49,37 @@ class QuasiPolynomial:
 
     def evaluate(self, k: int) -> Fraction:
         cls = self.coeffs[k % self.period]
-        return eval_poly(cls, Fraction(k))
+        return _eval_poly(cls, Fraction(k))
+
+
+def _newton_interpolate(points) -> tuple[Fraction, ...]:
+    """Exact polynomial through the given (x, y) points.
+
+    Returns monomial coefficients in ascending order; length == len(points),
+    trailing zeros not trimmed. Divided differences keep everything rational.
+    """
+    xs = [Fraction(x) for x, _ in points]
+    if len(set(xs)) != len(xs):
+        raise ValueError("duplicate interpolation nodes")
+    coef = [Fraction(y) for _, y in points]
+    n = len(points)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
+    # Horner expansion of the Newton form into monomial coefficients.
+    poly = [coef[n - 1]]
+    for i in range(n - 2, -1, -1):
+        shifted = [Fraction(0)] + poly
+        poly = [a - xs[i] * b for a, b in zip(shifted, poly + [Fraction(0)])]
+        poly[0] += coef[i]
+    return tuple(poly)
+
+
+def _eval_poly(coeffs, x) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def _trim(coeffs):
@@ -101,9 +130,9 @@ def fit_quasi_polynomial(points, degree_bound: int,
         ok = True
         for cls in classes:
             nodes = cls[:degree_bound + 1]
-            coeffs = newton_interpolate(nodes)
+            coeffs = _newton_interpolate(nodes)
             for k, v in cls[degree_bound + 1:]:
-                err = abs(eval_poly(coeffs, Fraction(k)) - v)
+                err = abs(_eval_poly(coeffs, Fraction(k)) - v)
                 if err != 0:
                     ok = False
                     worst = max(worst, err)

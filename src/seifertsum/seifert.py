@@ -84,14 +84,14 @@ def _lattice_sum(md: ModularData, genus: int, label_idx, degree: int) -> complex
     return complex(math.fsum(re_parts), math.fsum(im_parts))
 
 
-def seifert_partition(spec: SeifertSpec, modular: ModularData | None = None) -> SeifertValue:
+def seifert_partition(spec: SeifertSpec) -> SeifertValue:
     if spec.level < 1:
         raise PreconditionError("level must be >= 1")
     if spec.genus < 0:
         raise PreconditionError("genus must be >= 0")
     if spec.framing not in FRAMING_CONVENTIONS:
         raise PreconditionError("unknown framing convention %r" % spec.framing)
-    md = modular if modular is not None else modular_data(spec.rs, spec.level)
+    md = modular_data(spec.rs, spec.level)
     label_idx = [md.index_of(lab) for lab in spec.labels]
     value = _lattice_sum(md, spec.genus, label_idx, spec.degree)
     if spec.framing == "canonical" and spec.degree != 0:

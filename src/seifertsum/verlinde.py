@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import IntegralityError, PreconditionError
 from .lie import RootSystem, Weight
-from .modular import ModularData, modular_data
+from .modular import modular_data
 from .seifert import _lattice_sum
 
 INTEGRALITY_TOL = 1e-6
@@ -50,14 +50,14 @@ def _round_integral(value: complex, context: str) -> int:
     return int(nearest)
 
 
-def verlinde_sum(req: VerlindeRequest, modular: ModularData | None = None) -> complex:
+def verlinde_sum(req: VerlindeRequest) -> complex:
     """The raw complex weight sum, before integrality enforcement: the
     degree-zero Seifert lattice sum."""
     if req.genus < 0:
         raise PreconditionError("genus must be >= 0")
     if req.level < 1:
         raise PreconditionError("level must be >= 1")
-    md = modular if modular is not None else modular_data(req.rs, req.level)
+    md = modular_data(req.rs, req.level)
     label_idx = []
     for lab in req.labels:
         if not lab.is_dominant:
@@ -66,8 +66,8 @@ def verlinde_sum(req: VerlindeRequest, modular: ModularData | None = None) -> co
     return _lattice_sum(md, req.genus, label_idx, 0)
 
 
-def verlinde_dimension(req: VerlindeRequest, modular: ModularData | None = None) -> int:
-    value = verlinde_sum(req, modular)
+def verlinde_dimension(req: VerlindeRequest) -> int:
+    value = verlinde_sum(req)
     return _round_integral(value, "Verlinde dimension")
 
 

@@ -171,8 +171,7 @@ class CrosscheckReport:
     converged: bool
 
 
-def verlinde_ym2_crosscheck(rs: RootSystem, genus: int, levels,
-                            target_tol: float = DEFAULT_TOL) -> CrosscheckReport:
+def verlinde_ym2_crosscheck(rs: RootSystem, genus: int, levels) -> CrosscheckReport:
     """Ratio convergence between scaled Verlinde growth and Z_g(0).
 
     The Verlinde dimension grows like kappa^D with D = (g-1) dim(g);
@@ -186,8 +185,7 @@ def verlinde_ym2_crosscheck(rs: RootSystem, genus: int, levels,
     if genus < 2:
         raise PreconditionError("genus must be >= 2")
     d_exp = (genus - 1) * rs.dimension
-    flat = ym2_partition(YM2Request(rs=rs, genus=genus, epsilon=0.0,
-                                    target_tol=target_tol))
+    flat = ym2_partition(YM2Request(rs=rs, genus=genus, epsilon=0.0))
     scaled = []
     for k in ks:
         v = verlinde_dimension(VerlindeRequest(rs=rs, level=k, genus=genus))

@@ -11,6 +11,7 @@ arithmetic is exact.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -221,6 +222,16 @@ def blocks_genus2(series: str, rank: int, level: int) -> int:
 def blocks_sphere3(series: str, rank: int, level: int, a, b, c) -> int:
     labels, table = _fusion_table(series, rank, level)
     return table[(tuple(a), tuple(b))].get(_conjugate(tuple(c)), 0)
+
+
+def integer_determinant(rows) -> int:
+    """Exact determinant of an integer matrix by the Leibniz expansion."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        total += (-1) ** inversions * math.prod(rows[i][p] for i, p in enumerate(perm))
+    return total
 
 
 def su2_s_closed(level: int):

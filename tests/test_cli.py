@@ -165,6 +165,26 @@ def test_scan_grid(capsys):
                              "value_im", "modulus", "terms"}
 
 
+@pytest.mark.parametrize("argv,missing", [
+    (["seifert", "--algebra", "A1", "--scan"], "--genera, --degrees, --levels"),
+    (["seifert", "--algebra", "A1", "--scan", "--genera", "0", "--levels", "1"],
+     "--degrees"),
+])
+def test_scan_without_a_grid_is_a_usage_error(argv, missing, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 64
+    assert out == ""
+    assert err == "seifert: error: --scan needs %s\n" % missing
+
+
+def test_genera_without_points_is_a_usage_error(capsys):
+    code, out, err = run(["genera", "--algebra", "A1", "--which", "j",
+                          "--points", ""], capsys)
+    assert code == 64
+    assert out == ""
+    assert "--points" in err
+
+
 def test_config_file_defaults_and_overrides(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"algebra": "A1", "genus": 1, "levels": [5]}))
@@ -354,6 +374,32 @@ def test_unwritable_output_exits_2(argv, tmp_path, capsys):
     assert "No such file or directory" in err
     assert "Traceback" not in err
     assert not (tmp_path / "no").exists()
+
+
+def test_unwritable_output_is_refused_before_computing(capsys, monkeypatch):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("s_matrix ran for an unwritable report")
+
+    monkeypatch.setattr(cli, "s_matrix", no_compute)
+    target = "/no/such/dir/r.json"
+    code, out, err = run(["modular", "--algebra", "A2", "--level", "40",
+                          "--output", target], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: cannot write report %s: [Errno 2] No such file or "
+                   "directory: '%s'\n" % (target, target))
+
+
+def test_output_into_a_file_path_is_refused(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    target = blocker / "r.json"
+    code, out, err = run(["seifert", "--algebra", "A1", "--level", "1", "--genus", "2",
+                          "--degree", "0", "--output", str(target)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write report %s: " % target)
+    assert "Not a directory" in err
+    assert blocker.read_text() == "kept"
 
 
 def test_failed_report_write_leaves_no_file(tmp_path, capsys, monkeypatch):

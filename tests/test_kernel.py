@@ -19,7 +19,8 @@ from seifertsum.lie import (
     build_root_system,
     weyl_group,
 )
-from seifertsum.modular import integrable_weights, modular_data, s_matrix
+from seifertsum import modular
+from seifertsum.modular import integrable_weights, s_matrix
 from seifertsum.orbits import dh_weyl_sum, orbit_from_highest_weight
 
 
@@ -75,9 +76,20 @@ def test_s_matrix_matches_weyl_enumeration(rank, level):
 
 
 @pytest.mark.parametrize("rank,level", [(1, 2), (2, 5), (3, 2)])
-def test_extended_precision_s_matches_weyl_enumeration(rank, level):
+def test_extended_precision_s_matches_weyl_enumeration(rank, level, monkeypatch):
+    # refuse the binary64 certificate once, so s_matrix takes its 113-bit retry
+    certify = modular._certify
+    passed = []
+
+    def refuse_binary64(s, t_canon, tol):
+        ok, residuals, perm = certify(s, t_canon, tol)
+        passed.append(ok)
+        return ok and len(passed) > 1, residuals, perm
+
+    monkeypatch.setattr(modular, "_certify", refuse_binary64)
     rs = build_root_system("A", rank)
-    md = s_matrix(rs, level, precision_bits=113)
+    md = s_matrix(rs, level)
+    assert passed == [True, True]
     assert md.precision_bits == 113
     assert np.abs(np.asarray(md.s) - _weyl_enumeration_s(rs, level)).max() <= 1e-12
 
@@ -126,12 +138,7 @@ def test_integrable_weight_count_and_order(rank):
         assert coords == box
 
 
-def test_modular_data_cache_is_keyed_by_tolerance(a1):
-    default = modular_data(a1, 3)
-    assert modular_data(a1, 3) is default
-    loose = modular_data(a1, 3, tol=1e-8)
-    assert loose is not default
-    assert modular_data(a1, 3, tol=1e-8) is loose
-    # no binary64 or 113-bit S meets 1e-30, so this must not be the cached one
-    with pytest.raises(CertificationError):
-        modular_data(a1, 3, tol=1e-30)
+def test_s_matrix_refuses_an_unreachable_tolerance(a1):
+    # no binary64 or 113-bit S meets 1e-30
+    with pytest.raises(CertificationError, match="after retry"):
+        s_matrix(a1, 3, tol=1e-30)

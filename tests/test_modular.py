@@ -14,7 +14,6 @@ from seifertsum.modular import (
     integrable_weights,
     modular_data,
     s_matrix,
-    t_matrix,
 )
 
 
@@ -88,12 +87,9 @@ def test_canonical_t_includes_central_charge_phase(a2):
 
 
 def test_t_matrix_conventions(a1):
-    bare = t_matrix(a1, 3, framing_convention="bare")
-    canon = t_matrix(a1, 3, framing_convention="canonical")
-    assert np.abs(np.abs(bare) - 1).max() < 1e-12
-    assert np.abs(np.abs(canon) - 1).max() < 1e-12
-    with pytest.raises(PreconditionError):
-        t_matrix(a1, 3, framing_convention="fancy")
+    md = modular_data(a1, 3)
+    assert np.abs(np.abs(md.t_bare) - 1).max() < 1e-12
+    assert np.abs(np.abs(md.t_canonical) - 1).max() < 1e-12
 
 
 def test_vacuum_row_is_positive(a2):

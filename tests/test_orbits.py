@@ -68,8 +68,6 @@ def test_sphere_quadrature_matches_weyl_sum(a1):
 def test_quadrature_input_validation():
     with pytest.raises(PreconditionError):
         su2_orbit_quadrature(0.3, 1.0)
-    with pytest.raises(PreconditionError):
-        su2_orbit_quadrature(1.0, 1.0, n_points=4)
 
 
 def test_character_identity_residuals():
