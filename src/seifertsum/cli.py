@@ -146,10 +146,13 @@ def _write_report(chunks, args) -> None:
 
 
 def _check_report_dir(output: str) -> None:
-    """Refuse an --output path whose directory is missing or unwritable,
-    before any computation and without creating the file."""
+    """Refuse an --output path that names a directory or whose directory
+    is missing or unwritable, before any computation and without creating
+    the file."""
     parent = os.path.dirname(output) or "."
-    if not os.path.isdir(parent):
+    if os.path.isdir(output):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
         code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
     elif not os.access(parent, os.W_OK):
         code = errno.EACCES

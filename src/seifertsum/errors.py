@@ -40,8 +40,9 @@ class IntegralityError(CertificationError):
     """A quantity that must be a nonnegative integer is not one.
 
     When the value missed the nearest integer, residual is that distance,
-    threshold the largest distance accepted and precision the arithmetic
-    the value was computed in (e.g. "binary64"); otherwise they are None.
+    threshold the largest distance accepted (1/2 less the certified error
+    of the value) and precision the arithmetic the value was computed in
+    ("binary64", or "dps=N" for N mpmath digits); otherwise they are None.
     """
 
     def __init__(self, message: str, residual=None, threshold=None,

@@ -109,42 +109,42 @@ class ModularData:
 _BLOCK_ENTRIES = 1 << 16
 
 
-def _assemble(rs, weights, kappa, dps=None):
-    """S from one (r+1)x(r+1) determinant per entry (see module docstring).
+def _s_block(rs, kappa, rows, cols, dps=None):
+    """S[L, M] for L over rows and M over cols, each an int64 array of the
+    epsilon coordinates of L+rho and M+rho, one (r+1)x(r+1) determinant per
+    entry (see module docstring).
 
     With dps None the determinants are taken by numpy in binary64, over
-    row blocks of at most _BLOCK_ENTRIES matrix entries; with a dps each
-    one is taken by mpmath at that many digits.
+    row blocks of at most _BLOCK_ENTRIES matrix entries, and a complex
+    array is returned; with a dps each one is taken by mpmath at that many
+    digits and nested lists of mpc are returned.
     """
     r1 = rs.rank + 1
     order = r1 * kappa
-    es = np.array([_shifted_epsilon(w.coords) for w in weights],
-                  dtype=np.int64)
-    sums = es.sum(axis=1)
-    n = len(weights)
+    row_sums = rows.sum(axis=1)
+    col_sums = cols.sum(axis=1)
+    n = len(cols)
     if dps is None:
         norm = (1j ** rs.num_positive_roots) / math.sqrt(float(kappa ** rs.rank * r1))
         table = np.exp(-2j * math.pi * np.arange(order) / order)
-        out = np.empty((n, n), dtype=complex)
+        out = np.empty((len(rows), n), dtype=complex)
         block = max(1, _BLOCK_ENTRIES // (n * r1 * r1))
-        for i0 in range(0, n, block):
-            rows = es[i0:i0 + block]
-            phases = (r1 * rows[:, None, :, None] * es[None, :, None, :]) % order
-            shift = (-sums[i0:i0 + block, None] * sums[None, :]) % order
+        for i0 in range(0, len(rows), block):
+            part = rows[i0:i0 + block]
+            phases = (r1 * part[:, None, :, None] * cols[None, :, None, :]) % order
+            shift = (-row_sums[i0:i0 + block, None] * col_sums[None, :]) % order
             out[i0:i0 + block] = norm * np.linalg.det(table[phases]) * table[shift]
         return out
-    out = np.empty((n, n), dtype=complex)
     with mp.workdps(dps):
         norm = (mp.mpc(0, 1) ** rs.num_positive_roots
                 / mp.sqrt(mp.mpf(kappa) ** rs.rank * r1))
         table = [mp.expjpi(mp.mpf(-2 * m) / order) for m in range(order)]
-        for i in range(n):
-            for j in range(n):
-                mat = [[table[(r1 * a * b) % order] for b in es[j].tolist()]
-                       for a in es[i].tolist()]
-                shift = (-int(sums[i]) * int(sums[j])) % order
-                out[i, j] = complex(norm * _det(mat) * table[shift])
-    return out
+        out = []
+        for e, e_sum in zip(rows.tolist(), row_sums.tolist()):
+            out.append([norm * _det([[table[(r1 * a * b) % order] for b in f] for a in e])
+                        * table[(-e_sum * f_sum) % order]
+                        for f, f_sum in zip(cols.tolist(), col_sums.tolist())])
+        return out
 
 
 def _certify(s, t_canon, tol):
@@ -202,8 +202,9 @@ def s_matrix(rs: RootSystem, level: int, tol: float = DEFAULT_TOL) -> ModularDat
 
     kappa = level + rs.dual_coxeter
     t_bare, t_canon = _t_diagonals(rs, level, weights)
+    es = np.array([_shifted_epsilon(w.coords) for w in weights], dtype=np.int64)
     for bits, dps in ((53, None), (113, RETRY_DPS)):
-        s = _assemble(rs, weights, kappa, dps)
+        s = np.asarray(_s_block(rs, kappa, es, es, dps), dtype=complex)
         ok, residuals, perm = _certify(s, t_canon, tol)
         if ok:
             return ModularData(rs=rs, level=level, weights=weights, s=s,

@@ -9,11 +9,26 @@ path integral onto the weight lattice gives the finite sum
 
 with kappa = k + dual Coxeter number and the sum over integrable lam at
 level k. At p = 0 the phase collapses and the sum is exactly the
-Verlinde sum: `verlinde.verlinde_sum` calls the same kernel with p = 0.
+Verlinde sum (see `verlinde`).
+
+The sum reads only S row 0 and one row per label, never the full S
+(_Level). Row 0 is the product form
+
+    S[0,lam] = ((r+1) kappa^r)^(-1/2) prod_{i<j} 2 sin(pi (e_i - e_j)/kappa)
+
+in the epsilon coordinates e of lam+rho; every e_i - e_j lies in
+1..kappa-1, so one table of kappa-1 sines serves every weight. A label
+row takes one determinant per weight from the kernel that assembles S
+(modular._s_block). Both are available in binary64 and, at a given
+number of digits, in mpmath.
+
 The phase is reduced exactly: (r+1)<lam+rho, lam+rho> is the integer
-M = (r+1) sum e_i^2 - (sum e_i)^2 in the epsilon coordinates e of
-lam+rho, so the exponent is -2 pi i (p M mod 2(r+1)kappa) / (2(r+1)kappa),
-and Z(p) is periodic in p with period 2(r+1)kappa bit for bit.
+M = (r+1) sum e_i^2 - (sum e_i)^2, so the exponent is
+-2 pi i (p M mod 2(r+1)kappa) / (2(r+1)kappa), and Z(p) is periodic in
+p with period 2(r+1)kappa bit for bit. All (genus, degree) cells of one
+level are contracted together in binary64 (_cells), and a single cell
+goes through the same contraction, so it equals the scan cell bit for bit.
+A genus whose terms overflow binary64 is refused.
 The overall normalisation N is pure convention:
 
 * framing "bare" applies no extra phase; "canonical" multiplies by
@@ -33,13 +48,95 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import mpmath as mp
+import numpy as np
+
 from .errors import BudgetExceededError, PreconditionError
 from .lie import RootSystem, Weight, _form, _shifted_epsilon
-from .modular import ModularData, central_charge, integrable_weights, modular_data
+from .modular import _s_block, central_charge, integrable_weights
 
 DEFAULT_SCAN_BUDGET = 10_000_000
 
 FRAMING_CONVENTIONS = ("bare", "canonical")
+
+
+class _Level:
+    """The integrable weights of one level and the S rows read over them."""
+
+    def __init__(self, rs: RootSystem, level: int):
+        self.rs = rs
+        self.level = level
+        self.kappa = level + rs.dual_coxeter
+        self.weights = integrable_weights(rs, level)
+        self.es = np.array([_shifted_epsilon(w.coords) for w in self.weights],
+                           dtype=np.int64)
+        self._index = {w.coords: i for i, w in enumerate(self.weights)}
+        i, j = np.triu_indices(rs.rank + 1, k=1)
+        self._gaps = self.es[:, i] - self.es[:, j]  # each in 1..kappa-1
+        self.s0 = self.s0_row()
+
+    def index_of(self, weight: Weight) -> int:
+        try:
+            return self._index[weight.coords]
+        except KeyError:
+            raise PreconditionError(
+                "weight %r is not integrable at level %d"
+                % (weight.coords, self.level)) from None
+
+    def s0_row(self, dps: int | None = None):
+        """S[0, lam] for every weight from the sine product: a float array,
+        or with a dps a list of mpf at that many digits."""
+        r, kappa = self.rs.rank, self.kappa
+        # sin(pi d/kappa) = sin(pi min(d, kappa-d)/kappa) keeps the argument
+        # at most pi/2, where its rounding does not grow in the sine
+        folded = np.minimum(np.arange(kappa), kappa - np.arange(kappa))
+        if dps is None:
+            sines = 2 * np.sin(np.pi * folded / kappa)
+            return sines[self._gaps].prod(axis=1) / math.sqrt((r + 1) * kappa ** r)
+        with mp.workdps(dps):
+            sines = [2 * mp.sinpi(mp.mpf(d) / kappa) for d in folded.tolist()]
+            norm = 1 / mp.sqrt(mp.mpf(r + 1) * mp.mpf(kappa) ** r)
+            return [norm * mp.fprod(sines[d] for d in gaps)
+                    for gaps in self._gaps.tolist()]
+
+    def label_rows(self, label_idx, dps: int | None = None):
+        """S[label, lam] for each label index and every weight: a complex
+        array, or with a dps nested lists of mpc."""
+        return _s_block(self.rs, self.kappa, self.es[list(label_idx)], self.es, dps)
+
+
+def _cells(lv: _Level, genera, degrees, label_idx) -> dict:
+    """{(g, p): Z} in binary64 for every genus g and degree p, where
+
+        Z = sum_lam S[0,lam]^(2-2g-n) prod_i S[label_i,lam] exp(-i pi p |lam+rho|^2/kappa)
+
+    and n = len(label_idx).
+
+    The phase is exact (see module docstring) and is 1 at p = 0, so the
+    terms are those of the Verlinde sum. Each term is formed by single
+    elementwise operations and the real and imaginary parts of each cell
+    are summed by math.fsum, so a cell does not depend on which other
+    cells are contracted with it.
+    """
+    r1 = lv.rs.rank + 1
+    order = 2 * r1 * lv.kappa
+    m = np.array([_form(e, e) % order for e in lv.es.tolist()], dtype=np.int64)
+    table = np.exp(-2j * np.pi * np.arange(order) / order)
+    idx = np.array([p % order for p in degrees], dtype=np.int64)[:, None] * m % order
+    ph_re, ph_im = table.real[idx], table.imag[idx]
+    labels = np.prod(lv.label_rows(label_idx), axis=0)
+    out = {}
+    for g in genera:
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = lv.s0 ** (2 - 2 * g - len(label_idx)) * labels
+        if not np.isfinite(w).all():
+            raise PreconditionError("genus %d terms at level %d exceed the binary64 range"
+                                    % (g, lv.level))
+        re = ph_re * w.real - ph_im * w.imag
+        im = ph_re * w.imag + ph_im * w.real
+        for p, row_re, row_im in zip(degrees, re, im):
+            out[g, p] = complex(math.fsum(row_re.tolist()), math.fsum(row_im.tolist()))
+    return out
 
 
 @dataclass(frozen=True)
@@ -61,50 +158,6 @@ class SeifertValue:
     term_count: int
 
 
-def _lattice_sum(md: ModularData, genus: int, label_idx, degree: int) -> complex:
-    """sum_lam S[0,lam]^(2-2g-n) prod_i S[label_i,lam] exp(-i pi p |lam+rho|^2/kappa).
-
-    The phase is exact (see module docstring) and at p = 0 none is
-    applied, so the terms are those of the Verlinde sum. Real and
-    imaginary parts are each summed by math.fsum.
-    """
-    s0 = md.s[0].real
-    power = 2 - 2 * genus - len(label_idx)
-    order = 2 * (md.rs.rank + 1) * md.kappa
-    re_parts, im_parts = [], []
-    for j, lam in enumerate(md.weights):
-        term = complex(s0[j]) ** power
-        for i in label_idx:
-            term *= md.s[i, j]
-        if degree:
-            e = _shifted_epsilon(lam.coords)
-            term *= cmath.exp(-2j * math.pi * (degree * _form(e, e) % order) / order)
-        re_parts.append(term.real)
-        im_parts.append(term.imag)
-    return complex(math.fsum(re_parts), math.fsum(im_parts))
-
-
-def seifert_partition(spec: SeifertSpec) -> SeifertValue:
-    if spec.level < 1:
-        raise PreconditionError("level must be >= 1")
-    if spec.genus < 0:
-        raise PreconditionError("genus must be >= 0")
-    if spec.framing not in FRAMING_CONVENTIONS:
-        raise PreconditionError("unknown framing convention %r" % spec.framing)
-    md = modular_data(spec.rs, spec.level)
-    label_idx = [md.index_of(lab) for lab in spec.labels]
-    value = _lattice_sum(md, spec.genus, label_idx, spec.degree)
-    if spec.framing == "canonical" and spec.degree != 0:
-        c = central_charge(spec.rs, spec.level)
-        sign = 1 if spec.degree > 0 else -1
-        value *= cmath.exp(-2j * math.pi * c * sign / 8)
-    if spec.include_centre_factor:
-        value /= spec.rs.centre_order
-    return SeifertValue(value=value, modulus=abs(value),
-                        phase_convention=spec.framing,
-                        term_count=len(md.weights))
-
-
 @dataclass(frozen=True)
 class ScanCell:
     genus: int
@@ -123,7 +176,8 @@ def seifert_scan(rs: RootSystem, genera, degrees, levels,
 
     The total number of lattice terms over all cells is counted before
     any cell is evaluated; exceeding the budget refuses the whole scan
-    rather than returning truncated results.
+    rather than returning truncated results. Each level's rows are built
+    once and contracted for every (genus, degree) cell.
     """
     genera = sorted(set(int(g) for g in genera))
     degrees = sorted(set(int(p) for p in degrees))
@@ -132,19 +186,34 @@ def seifert_scan(rs: RootSystem, genera, degrees, levels,
         raise PreconditionError("genus must be >= 0")
     if any(k < 1 for k in levels):
         raise PreconditionError("level must be >= 1")
-    counts = {k: len(integrable_weights(rs, k)) for k in levels}
-    total = sum(counts[k] for k in levels) * len(genera) * len(degrees)
+    if framing not in FRAMING_CONVENTIONS:
+        raise PreconditionError("unknown framing convention %r" % framing)
+    by_level = {k: _Level(rs, k) for k in levels}
+    total = sum(len(lv.weights) for lv in by_level.values()) * len(genera) * len(degrees)
     if total > budget:
         raise BudgetExceededError(
             "scan needs %d lattice terms, budget is %d" % (total, budget))
-    cells = []
-    for g in genera:
-        for p in degrees:
-            for k in levels:
-                spec = SeifertSpec(rs=rs, level=k, genus=g, degree=p, labels=labels,
-                                   framing=framing,
-                                   include_centre_factor=include_centre_factor)
-                val = seifert_partition(spec)
-                cells.append(ScanCell(genus=g, degree=p, level=k, value=val.value,
-                                      modulus=val.modulus, term_count=val.term_count))
-    return tuple(cells)
+    values = {}
+    for k, lv in by_level.items():
+        label_idx = [lv.index_of(lab) for lab in labels]
+        c = central_charge(rs, k)
+        for (g, p), value in _cells(lv, genera, degrees, label_idx).items():
+            if framing == "canonical" and p != 0:
+                value *= cmath.exp(-2j * math.pi * c * (1 if p > 0 else -1) / 8)
+            if include_centre_factor:
+                value /= rs.centre_order
+            values[g, p, k] = value
+    return tuple(ScanCell(genus=g, degree=p, level=k, value=values[g, p, k],
+                          modulus=abs(values[g, p, k]),
+                          term_count=len(by_level[k].weights))
+                 for g in genera for p in degrees for k in levels)
+
+
+def seifert_partition(spec: SeifertSpec) -> SeifertValue:
+    """One cell, through the same per-level contraction as seifert_scan."""
+    (cell,) = seifert_scan(spec.rs, [spec.genus], [spec.degree], [spec.level],
+                           labels=spec.labels, framing=spec.framing,
+                           include_centre_factor=spec.include_centre_factor,
+                           budget=math.inf)
+    return SeifertValue(value=cell.value, modulus=cell.modulus,
+                        phase_convention=spec.framing, term_count=cell.term_count)

@@ -8,17 +8,19 @@ import json
 import math
 from types import SimpleNamespace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from seifertsum import cli
+from oracles import verlinde_exact
+from seifertsum import cli, modular, verlinde
 from seifertsum.errors import IntegralityError
 from seifertsum.lie import build_root_system
 from seifertsum.modular import central_charge, s_matrix
-from seifertsum.verlinde import INTEGRALITY_TOL, verlinde_table
+from seifertsum.verlinde import _round_integral
 
 
 def run(argv, capsys):
@@ -390,6 +392,21 @@ def test_unwritable_output_is_refused_before_computing(capsys, monkeypatch):
                    "directory: '%s'\n" % (target, target))
 
 
+def test_output_naming_a_directory_is_refused_before_computing(tmp_path, capsys,
+                                                               monkeypatch):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("s_matrix ran for a report that names a directory")
+
+    monkeypatch.setattr(cli, "s_matrix", no_compute)
+    code, out, err = run(["modular", "--algebra", "A2", "--level", "20",
+                          "--output", str(tmp_path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: cannot write report %s: [Errno 21] Is a directory: "
+                   "'%s'\n" % (tmp_path, tmp_path))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_output_into_a_file_path_is_refused(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("kept")
@@ -416,16 +433,46 @@ def test_failed_report_write_leaves_no_file(tmp_path, capsys, monkeypatch):
     assert not target.exists()
 
 
-def test_integrality_failure_names_residual_threshold_and_precision(a1, capsys):
-    # A1 genus 5 level 10 (exact 129443600) reads 129443599.99999875 in binary64
+def test_integrality_failure_names_residual_threshold_and_precision(capsys, monkeypatch):
+    # 0.4 from the nearest integer with a certified error of 0.2: the exact
+    # sum could be 7 or 8, so the guard refuses it
+    def unresolved(req):
+        return mp.mpf("7.4"), 0.2, "dps=30"
+
+    monkeypatch.setattr(verlinde, "_certified_sum", unresolved)
     code, out, err = run(["verlinde", "--algebra", "A1", "--genus", "5",
                           "--levels", "10"], capsys)
     assert code == 3
     assert out == ""
-    assert "is 1.25e-06 away from the nearest integer (threshold 1e-06, binary64)" in err
+    assert ("is 0.4 away from the nearest integer (threshold 0.3 = 1/2 - "
+            "certified error 0.2, dps=30)") in err
     with pytest.raises(IntegralityError) as info:
-        verlinde_table(a1, 5, [10])
+        _round_integral(mp.mpf("7.4"), "Verlinde dimension", 0.2, "dps=30")
     exc = info.value
-    assert exc.threshold == INTEGRALITY_TOL
-    assert exc.precision == "binary64"
-    assert INTEGRALITY_TOL < exc.residual < 2e-6
+    assert exc.residual == pytest.approx(0.4)
+    assert exc.threshold == pytest.approx(0.3)
+    assert exc.precision == "dps=30"
+
+
+def test_lattice_sums_build_no_full_s(capsys, monkeypatch):
+    def full_s(*args, **kwargs):
+        raise AssertionError("a lattice sum built the full S")
+
+    monkeypatch.setattr(modular, "s_matrix", full_s)
+    monkeypatch.setattr(modular, "_CACHE", {})
+    for argv in (["verlinde", "--algebra", "A2", "--genus", "2", "--levels", "2,3,4",
+                  "--label", "1,1"],
+                 ["seifert", "--algebra", "A2", "--scan", "--genera", "0,2",
+                  "--degrees=-1,0,3", "--levels", "1,4"],
+                 ["pairings", "--algebra", "A1", "--genus", "2", "--kmin", "1",
+                  "--kmax", "8"]):
+        assert run(argv, capsys)[0] == 0
+
+
+@pytest.mark.parametrize("rank,level", [(2, 60), (3, 30)])
+def test_verlinde_past_the_full_s_budget(rank, level, capsys):
+    code, out, _ = run(["verlinde", "--algebra", "A%d" % rank, "--genus", "2",
+                        "--levels", str(level)], capsys)
+    assert code == 0
+    assert json.loads(out)["table"] == [{"k": level,
+                                         "dimension": verlinde_exact(rank, level, 2)}]

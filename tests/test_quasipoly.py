@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from oracles import verlinde_exact
 from seifertsum.errors import PreconditionError, QuasiPolynomialFitError
 from seifertsum.quasipoly import (
     QuasiPolynomial,
@@ -111,6 +112,16 @@ def test_pairing_report_with_labels(a1):
     assert rep.expected_degree is None
     assert rep.degree_matches is None
     assert all(e == 0 for e in rep.prediction_errors)
+
+
+def test_pairing_report_rank2_genus2_window_past_the_full_s_budget(a2):
+    # levels 31..35 need S matrices past the 50M-operation budget; the
+    # lattice sums read S row 0 only
+    rep = pairing_report(a2, genus=2, k_min=1, k_max=30)
+    assert rep.values == tuple(verlinde_exact(2, k, 2) for k in range(1, 31))
+    assert rep.predictions == tuple((k, verlinde_exact(2, k, 2)) for k in range(31, 36))
+    assert rep.prediction_errors == (0,) * 5
+    assert rep.degree == rep.expected_degree == 8
 
 
 def test_pairing_report_rejects_bad_windows(a1):

@@ -4,13 +4,15 @@ import cmath
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from seifertsum.errors import BudgetExceededError, PreconditionError
 from seifertsum.lie import Weight, build_root_system
-from seifertsum.modular import central_charge, modular_data
+from seifertsum.modular import central_charge, modular_data, s_matrix
 from seifertsum.seifert import (
     ScanCell,
+    _Level,
     SeifertSpec,
     seifert_partition,
     seifert_scan,
@@ -116,6 +118,8 @@ def test_preconditions(a1):
         _z(a1, 2, 1, 0, framing="twisted")
     with pytest.raises(PreconditionError):
         _z(a1, 2, 1, 0, labels=(Weight((3,)),))
+    with pytest.raises(PreconditionError, match="exceed the binary64 range"):
+        _z(a1, 100, 80, 1)  # S[0,lam]^(2-2g) reaches 1e373
 
 
 def test_scan_matches_pointwise(a1):
@@ -157,3 +161,20 @@ def test_degree_period_is_exact(rank, level, genus):
         z = _z(rs, level, genus, p).value
         for t in (1, 10**9):
             assert _z(rs, level, genus, p + t * period).value == z
+
+
+@pytest.mark.parametrize("rank,levels", [(1, (1, 4, 9)), (2, (1, 3, 5)), (3, (1, 3)),
+                                         (4, (1, 2))])
+def test_rows_agree_with_certified_s(rank, levels):
+    # the lattice sums read these rows in place of S; certified S is the oracle
+    rs = build_root_system("A", rank)
+    for k in levels:
+        md = s_matrix(rs, k)
+        lv = _Level(rs, k)
+        assert lv.weights == md.weights
+        every = range(len(lv.weights))
+        assert np.abs(lv.s0 - md.s[0]).max() <= 1e-13
+        assert np.abs(lv.label_rows(every) - md.s).max() <= 1e-13
+        assert np.abs(np.array(lv.s0_row(30), dtype=float) - md.s[0]).max() <= 1e-13
+        mp_rows = np.asarray(lv.label_rows(every, 30), dtype=complex)
+        assert np.abs(mp_rows - md.s).max() <= 1e-13
