@@ -33,7 +33,20 @@ class WallProximityError(PreconditionError):
 
 
 class CertificationError(RuntimeError):
-    """A numerical certificate (unitarity, tail bound, ...) failed."""
+    """A numerical certificate (unitarity, tail bound, ...) failed.
+
+    When the certificate is a set of residuals against one threshold,
+    residuals maps each name to its value, threshold is the bound they
+    had to meet and precision the arithmetic of the last attempt
+    ("binary64", or "dps=N" for N mpmath digits); otherwise they are None.
+    """
+
+    def __init__(self, message: str, residuals=None, threshold=None,
+                 precision=None):
+        super().__init__(message)
+        self.residuals = residuals
+        self.threshold = threshold
+        self.precision = precision
 
 
 class IntegralityError(CertificationError):
@@ -41,16 +54,14 @@ class IntegralityError(CertificationError):
 
     When the value missed the nearest integer, residual is that distance,
     threshold the largest distance accepted (1/2 less the certified error
-    of the value) and precision the arithmetic the value was computed in
-    ("binary64", or "dps=N" for N mpmath digits); otherwise they are None.
+    of the value) and precision the arithmetic the value was computed in;
+    otherwise they are None.
     """
 
     def __init__(self, message: str, residual=None, threshold=None,
                  precision=None):
-        super().__init__(message)
+        super().__init__(message, threshold=threshold, precision=precision)
         self.residual = residual
-        self.threshold = threshold
-        self.precision = precision
 
 
 class QuasiPolynomialFitError(CertificationError):

@@ -23,7 +23,8 @@ Every constructed matrix is certified: S symmetric and unitary, S^2 a
 permutation (charge conjugation) squaring to the identity, row zero real
 positive, and (S T)^3 = S^2 for the canonical T. S is assembled in
 binary64 first; a certification failure triggers one retry at RETRY_DPS
-digits (113 bits) before raising.
+digits (113 bits) before raising a CertificationError that carries the
+residuals, the tolerance and the precision of that retry.
 """
 
 from __future__ import annotations
@@ -148,28 +149,41 @@ def _s_block(rs, kappa, rows, cols, dps=None):
 
 
 def _certify(s, t_canon, tol):
-    n = s.shape[0]
-    eye = np.eye(n)
-    residuals = {}
-    residuals["unitarity"] = float(np.abs(s @ s.conj().T - eye).max())
-    residuals["symmetry"] = float(np.abs(s - s.T).max())
-    residuals["row0_imag"] = float(np.abs(s[0].imag).max())
-    residuals["row0_min"] = float(s[0].real.min())
-    c = s @ s
-    perm = [int(np.argmax(np.abs(c[i]))) for i in range(n)]
-    pmat = np.zeros((n, n))
-    for i, p in enumerate(perm):
-        pmat[i, p] = 1.0
-    residuals["conjugation_permutation"] = float(np.abs(c - pmat).max())
-    involution = all(perm[perm[i]] == i for i in range(n))
+    """Residuals of the certificate (see module docstring), ok, and the
+    charge conjugation read off S^2. Each n x n temporary is dropped once
+    its residual is taken, and the identity and the permutation matrix are
+    subtracted in place, so at most three live at once."""
+    diag = np.arange(s.shape[0])
+    x = s @ s.conj().T
+    x[diag, diag] -= 1
+    unitarity = float(np.abs(x).max())
+    del x
+    symmetry = float(np.abs(s - s.T).max())
     st = s * t_canon[None, :]
-    residuals["st_cubed"] = float(np.abs(st @ st @ st - c).max())
+    x = st @ st
+    x = x @ st
+    del st
+    c = s @ s
+    x -= c
+    st_cubed = float(np.abs(x).max())
+    del x
+    perm = np.abs(c).argmax(axis=1)
+    c[diag, perm] -= 1
+    residuals = {
+        "unitarity": unitarity,
+        "symmetry": symmetry,
+        "row0_imag": float(np.abs(s[0].imag).max()),
+        "row0_min": float(s[0].real.min()),
+        "conjugation_permutation": float(np.abs(c).max()),
+        "st_cubed": st_cubed,
+    }
+    involution = bool((perm[perm] == diag).all())
     ok = (residuals["unitarity"] < tol and residuals["symmetry"] < tol
           and residuals["row0_imag"] < tol and residuals["row0_min"] > 0
           and residuals["conjugation_permutation"] < tol and involution
           and residuals["st_cubed"] < tol)
     residuals["involution"] = involution
-    return ok, residuals, tuple(perm)
+    return ok, residuals, tuple(perm.tolist())
 
 
 def _t_diagonals(rs, level, weights):
@@ -211,8 +225,11 @@ def s_matrix(rs: RootSystem, level: int, tol: float = DEFAULT_TOL) -> ModularDat
                                t_canonical=t_canon, t_bare=t_bare,
                                conjugation=perm, precision_bits=bits,
                                certificate=residuals)
+    precision = "dps=%d" % RETRY_DPS
     raise CertificationError(
-        "modular certification failed after retry: %r" % (residuals,))
+        "modular certification failed after retry at %s (%d bits): residuals "
+        "%r against threshold %r" % (precision, bits, residuals, tol),
+        residuals=residuals, threshold=tol, precision=precision)
 
 
 _CACHE: dict = {}

@@ -6,7 +6,10 @@ multiplicities, tensor products from the Klimyk shift rule, fusion
 coefficients from an affine alcove fold of classical tensor products,
 and small-surface block counts from explicit trivalent graphs. All
 arithmetic is exact, except that verlinde_exact sums explicit Weyl-group
-S entries at 60 digits and checks the result is an integer.
+S entries at 60 digits and checks the result is an integer, and
+certify_expressions is the S certificate written as whole-matrix
+expressions, against which the in-place modular._certify is pinned bit
+for bit.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
+import numpy as np
 
 from seifertsum.lie import RootSystem, Weight, build_root_system
 
@@ -296,3 +300,29 @@ def verlinde_exact(rank: int, level: int, genus: int, labels=(), dps: int = 60) 
         if nearest < 0 or abs(total - nearest) > mp.mpf(10) ** (-dps // 3):
             raise ArithmeticError("Verlinde sum %s is not a nonnegative integer" % total)
     return nearest
+
+
+def certify_expressions(s, t_canon, tol):
+    """The S certificate as whole-matrix expressions: (ok, residuals, perm)."""
+    n = s.shape[0]
+    eye = np.eye(n)
+    residuals = {}
+    residuals["unitarity"] = float(np.abs(s @ s.conj().T - eye).max())
+    residuals["symmetry"] = float(np.abs(s - s.T).max())
+    residuals["row0_imag"] = float(np.abs(s[0].imag).max())
+    residuals["row0_min"] = float(s[0].real.min())
+    c = s @ s
+    perm = [int(np.argmax(np.abs(c[i]))) for i in range(n)]
+    pmat = np.zeros((n, n))
+    for i, p in enumerate(perm):
+        pmat[i, p] = 1.0
+    residuals["conjugation_permutation"] = float(np.abs(c - pmat).max())
+    involution = all(perm[perm[i]] == i for i in range(n))
+    st = s * t_canon[None, :]
+    residuals["st_cubed"] = float(np.abs(st @ st @ st - c).max())
+    ok = (residuals["unitarity"] < tol and residuals["symmetry"] < tol
+          and residuals["row0_imag"] < tol and residuals["row0_min"] > 0
+          and residuals["conjugation_permutation"] < tol and involution
+          and residuals["st_cubed"] < tol)
+    residuals["involution"] = involution
+    return ok, residuals, tuple(perm)

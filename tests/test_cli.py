@@ -3,9 +3,12 @@
 import contextlib
 import csv
 import errno
+import functools
 import io
 import json
 import math
+import os
+import tracemalloc
 from types import SimpleNamespace
 
 import mpmath as mp
@@ -331,15 +334,47 @@ def test_streamed_json_covers_array_edge_cases():
     assert emitted(payload) == json_oracle(payload)
 
 
-def test_modular_report_matches_json_dumps_of_its_arrays(capsys):
-    code, out, _ = run(["modular", "--algebra", "A2", "--level", "12"], capsys)
+def test_streamed_json_keeps_repeated_and_signed_values_apart():
+    # equal bits share one formatted text; -0.0/0.0 and +-5e-324 differ in bits
+    # only, and a NaN row takes the json path between two table rows
+    c = complex
+    rows = np.array([[c(0.5, 0.25), c(-0.0, 0.0), c(5e-324, -5e-324)],
+                     [c(math.nan, 0.5), c(0.5, 0.25), c(math.inf, -0.0)],
+                     [c(0.5, 0.25), c(0.0, -0.0), c(-5e-324, 5e-324)],
+                     [c(0.25, 0.5), c(0.5, 0.25), c(0.0, 0.0)]])
+    payload = {"2d": rows, "finite_rows": rows[[0, 2, 3]],
+               "row": np.array([c(0.1, 0.1), c(0.1, 0.1), c(-0.1, -0.1), c(0.1, 0.1)]),
+               "single": np.array([[c(0.1, 0.2), c(0.1, 0.2)], [c(0.2, 0.1), c(-0.0, 3.0)]],
+                                  np.complex64)}
+    out = emitted(payload)
+    assert out == json_oracle(payload)
+    values = {line.strip().rstrip(",") for line in out.splitlines()}
+    assert {"-0.0", "0.0", "5e-324", "-5e-324", "NaN", "Infinity",
+            "0.10000000149011612"} <= values
+
+
+_pooled_arrays = st.lists(_complexes, min_size=1, max_size=3).flatmap(
+    lambda pool: arrays(np.complex128, array_shapes(min_dims=1, max_dims=3, max_side=5),
+                        elements=st.sampled_from(pool)))
+
+
+@settings(max_examples=200)
+@given(st.dictionaries(st.text(max_size=3), _pooled_arrays, min_size=1, max_size=3))
+def test_streamed_json_of_arrays_drawn_from_a_small_pool(payload):
+    # a few distinct values per array, so nearly every float is a repeat
+    assert emitted(payload) == json_oracle(payload)
+
+
+@pytest.mark.parametrize("algebra, level", [("A1", 30), ("A2", 12), ("A4", 3)])
+def test_modular_report_matches_json_dumps_of_its_arrays(algebra, level, capsys):
+    code, out, _ = run(["modular", "--algebra", algebra, "--level", str(level)], capsys)
     assert code == 0
-    rs = build_root_system("A", 2)
-    md = s_matrix(rs, 12, tol=1e-9)
+    rs = build_root_system("A", int(algebra[1:]))
+    md = s_matrix(rs, level, tol=1e-9)
     expected = json_oracle({
-        "series": "A", "rank": 2, "level": 12, "kappa": md.kappa,
+        "series": "A", "rank": rs.rank, "level": level, "kappa": md.kappa,
         "weights": [list(w.coords) for w in md.weights],
-        "central_charge": central_charge(rs, 12),
+        "central_charge": central_charge(rs, level),
         "precision_bits": md.precision_bits,
         "s": md.s.tolist(), "t_canonical": md.t_canonical.tolist(),
         "t_bare": md.t_bare.tolist(), "conjugation": list(md.conjugation),
@@ -347,6 +382,27 @@ def test_modular_report_matches_json_dumps_of_its_arrays(capsys):
                         for k, v in md.certificate.items()},
     })
     assert out == expected
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_report_and_certificate_of_s_stay_within_a_few_copies_of_s():
+    md = s_matrix(build_root_system("A", 2), 20)
+
+    def emit():
+        with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+            cli._emit_json({"s": md.s}, SimpleNamespace(output=None))
+
+    assert _traced_peak(emit) <= 1.5 * md.s.nbytes
+    certify = functools.partial(modular._certify, md.s, md.t_canonical, 1e-9)
+    assert _traced_peak(certify) <= 4.5 * md.s.nbytes
 
 
 @pytest.mark.parametrize("argv", [

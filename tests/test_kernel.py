@@ -140,5 +140,14 @@ def test_integrable_weight_count_and_order(rank):
 
 def test_s_matrix_refuses_an_unreachable_tolerance(a1):
     # no binary64 or 113-bit S meets 1e-30
-    with pytest.raises(CertificationError, match="after retry"):
+    with pytest.raises(CertificationError, match="after retry") as info:
         s_matrix(a1, 3, tol=1e-30)
+    exc = info.value
+    assert exc.threshold == 1e-30
+    assert exc.precision == "dps=%d" % modular.RETRY_DPS
+    assert set(exc.residuals) == {"unitarity", "symmetry", "row0_imag", "row0_min",
+                                  "conjugation_permutation", "st_cubed", "involution"}
+    assert max(exc.residuals[k] for k in ("unitarity", "symmetry", "st_cubed")) >= 1e-30
+    message = str(exc)
+    assert "dps=34" in message and "113 bits" in message
+    assert "threshold 1e-30" in message and "'st_cubed'" in message

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import su2_s_closed
+from oracles import certify_expressions, su2_s_closed
+from seifertsum import modular
 from seifertsum.errors import PreconditionError
 from seifertsum.lie import Weight, build_root_system, casimir
 from seifertsum.modular import (
@@ -124,3 +125,15 @@ def test_matrices_are_read_only(a1):
     md = modular_data(a1, 2)
     with pytest.raises(ValueError):
         md.s[0, 0] = 0
+
+
+@pytest.mark.parametrize("rank, level", [(1, 7), (2, 12), (3, 5), (4, 3)])
+def test_certify_matches_the_expression_form_bit_for_bit(rank, level):
+    md = s_matrix(build_root_system("A", rank), level)
+    ok, residuals, perm = modular._certify(md.s, md.t_canonical, modular.DEFAULT_TOL)
+    want_ok, want_residuals, want_perm = certify_expressions(
+        md.s, md.t_canonical, modular.DEFAULT_TOL)
+    assert ok is want_ok is True
+    assert perm == want_perm
+    assert residuals == want_residuals
+    assert list(residuals) == list(want_residuals)
