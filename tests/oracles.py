@@ -9,7 +9,9 @@ arithmetic is exact, except that verlinde_exact sums explicit Weyl-group
 S entries at 60 digits and checks the result is an integer, and
 certify_expressions is the S certificate written as whole-matrix
 expressions, against which the in-place modular._certify is pinned bit
-for bit.
+for bit, and ym2_box_terms is the per-weight ym2 box loop on lie's
+integer _form and _vandermonde, against which the block kernel
+ym2._box_terms is pinned bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from functools import lru_cache
 import mpmath as mp
 import numpy as np
 
-from seifertsum.lie import RootSystem, Weight, build_root_system
+from seifertsum.lie import RootSystem, Weight, _form, _vandermonde, build_root_system
 
 
 def _ip(rs: RootSystem, u, v) -> Fraction:
@@ -326,3 +328,19 @@ def certify_expressions(s, t_canon, tol):
           and residuals["st_cubed"] < tol)
     residuals["involution"] = involution
     return ok, residuals, tuple(perm)
+
+
+def ym2_box_terms(rank: int, box: int, m: int, eps: float) -> list:
+    """The terms dim^-m exp(-eps casimir/2) of the A_rank dominant weights
+    with coordinates in 0..box, one weight at a time in product order."""
+    r1 = rank + 1
+    e_rho = _shifted_epsilon((0,) * rank)
+    m_rho = _form(e_rho, e_rho)
+    v_rho = _vandermonde(e_rho)
+    parts = []
+    for coords in itertools.product(range(box + 1), repeat=rank):
+        e = _shifted_epsilon(coords)
+        dim = _vandermonde(e) // v_rho
+        cas = (_form(e, e) - m_rho) / r1
+        parts.append(dim ** (-m) * math.exp(-eps * cas / 2))
+    return parts

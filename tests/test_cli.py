@@ -133,6 +133,15 @@ def test_ym2_csv(capsys):
     assert float(rows[2][1]) < float(rows[1][1])
 
 
+def test_ym2_profile_without_eps0_skips_the_flat_limit(capsys):
+    # the eps = 0 flat limit alone would need a 129^3 box here
+    code, out, _ = run(["ym2", "--algebra", "A3", "--genus", "2",
+                        "--epsilons", "0.5"], capsys)
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[1][:2] == ["0.5", "1.0603687675611784"]
+
+
 def test_kirillov_report(capsys):
     code, out, _ = run(["kirillov", "--algebra", "A2", "--weight", "1,2",
                         "--point", "0.3,0.4"], capsys)

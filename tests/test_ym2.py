@@ -1,15 +1,22 @@
 """Heat-kernel sums: zeta anchors, certified tails, coupling profiles."""
 
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from oracles import ym2_box_terms
+from seifertsum import ym2
 from seifertsum.errors import (
     BudgetExceededError,
+    CertificationError,
     PreconditionError,
 )
+from seifertsum.lie import _form, _shifted_epsilon, _vandermonde, build_root_system
 from seifertsum.ym2 import (
     YM2Request,
+    YM2Result,
     verlinde_ym2_crosscheck,
     ym2_epsilon_profile,
     ym2_partition,
@@ -76,6 +83,48 @@ def test_rank2_flat_sum_is_pinned(a2):
     assert abs(res.value - 4 * math.pi**6 / 2835) <= res.tail_bound
 
 
+# boxes of 4501, 4489, 4913, 6561, 3125 and 729 points: none a multiple
+# of the 4096-point block, so every partial last block is exercised
+@pytest.mark.parametrize("rank, box", [(1, 4500), (2, 66), (3, 16), (4, 8), (5, 4), (6, 2)])
+def test_box_kernel_matches_the_scalar_loop_bit_for_bit(rank, box):
+    assert (box + 1) ** rank % ym2._BLOCK
+    for m in (2, 4):
+        for eps in (0.0, 0.05, 0.5, 2.0):
+            blocks = list(ym2._box_terms(rank, box, m, eps))
+            assert all(len(b) <= ym2._BLOCK for b in blocks)
+            terms = [t for b in blocks for t in b]
+            assert terms == ym2_box_terms(rank, box, m, eps), (m, eps)
+
+
+def test_box_invariants_stay_exact_past_int64():
+    # A5 at box 16 reaches V near 1e23, so the kernel works on Python ints
+    rank, box = 5, 16
+    points = [(16, 16, 16, 16, 16), (16, 0, 16, 0, 16), (0, 16, 16, 16, 0),
+              (1, 2, 3, 4, 16), (0, 0, 0, 0, 0)]
+    flat = np.array([sum(c * (box + 1) ** (rank - 1 - j) for j, c in enumerate(p))
+                     for p in points])
+    dims, cas = ym2._box_invariants(rank, box, flat)
+    e_rho = _shifted_epsilon((0,) * rank)
+    assert _vandermonde(_shifted_epsilon(points[0])) > 2 ** 63
+    for p, d, c in zip(points, dims, cas):
+        e = _shifted_epsilon(p)
+        assert type(d) is int and type(c) is int
+        assert d == _vandermonde(e) // _vandermonde(e_rho)
+        assert c == _form(e, e) - _form(e_rho, e_rho)
+
+
+def test_box_sum_stays_within_a_block_of_memory(a2):
+    # a list holding all 66049 terms at once peaks at about 2.1 MB
+    _run(a2, 2, 0.0, target_tol=1e-3)
+    tracemalloc.start()
+    try:
+        _run(a2, 2, 0.0, target_tol=1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2e6
+
+
 def test_profile_is_decreasing_and_convex(a1):
     grid = (0.0, 0.001, 0.01, 0.1, 1.0)
     prof = ym2_epsilon_profile(a1, 2, grid)
@@ -93,6 +142,33 @@ def test_profile_rows_are_certified(a2):
         assert bound <= 1e-5
 
 
+def test_profile_sums_only_the_requested_couplings(a2, monkeypatch):
+    seen = []
+
+    def spy(req):
+        seen.append(req.epsilon)
+        return ym2_partition(req)
+
+    monkeypatch.setattr(ym2, "ym2_partition", spy)
+    prof = ym2_epsilon_profile(a2, 2, (2.0, 0.5), target_tol=1e-5)
+    assert seen == [0.5, 2.0]
+    assert prof.flat_value is None
+    assert [e for e, _, _ in prof.rows] == [0.5, 2.0]
+
+
+def test_profile_refuses_a_rising_z(a1, monkeypatch):
+    def rising(req):
+        return YM2Result(value=1.0 + req.epsilon, tail_bound=0.0, terms=1,
+                         genus=req.genus, epsilon=req.epsilon)
+
+    monkeypatch.setattr(ym2, "ym2_partition", rising)
+    with pytest.raises(CertificationError) as info:
+        ym2_epsilon_profile(a1, 2, (0.25, 0.5))
+    msg = str(info.value)
+    for text in ("eps 0.25", "Z = 1.25", "eps 0.5", "Z = 1.5"):
+        assert text in msg
+
+
 def test_growth_ratio_against_block_dimensions(a1):
     rep = verlinde_ym2_crosscheck(a1, 2, (20, 40, 80, 160, 320))
     assert rep.converged
@@ -106,6 +182,15 @@ def test_budget_errors_are_loud(a1, a2):
         _run(a1, 2, 0.0, max_terms=10)
     with pytest.raises(BudgetExceededError):
         _run(a2, 2, 0.0, target_tol=1e-10, max_terms=100)
+
+
+def test_first_box_is_checked_against_the_budget(a2):
+    # the first box, 17^2 = 289 weights, already exceeds this budget
+    with pytest.raises(BudgetExceededError):
+        _run(a2, 3, 1.0, target_tol=1e-3, max_terms=100)
+    # 17^6 = 24.1M weights against the default 2M budget
+    with pytest.raises(BudgetExceededError):
+        _run(build_root_system("A", 6), 3, 1.0)
 
 
 def test_preconditions(a1):
