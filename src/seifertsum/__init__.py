@@ -36,9 +36,7 @@ from .lie import (
     WeylElement,
     build_root_system,
     casimir,
-    shifted_norm,
     weyl_character,
-    weyl_denominator_product,
     weyl_dimension,
     weyl_group,
 )

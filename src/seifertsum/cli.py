@@ -35,6 +35,7 @@ from .crosscheck import run_crosschecks
 from .errors import CertificationError, PreconditionError
 from .genera import evaluate as evaluate_genus
 from .lie import CartanElement, Weight, build_root_system, casimir, weyl_dimension
+from .modular import DEFAULT_TOL as MODULAR_TOL
 from .modular import central_charge, s_matrix
 from .orbits import (
     dh_weyl_sum,
@@ -42,7 +43,7 @@ from .orbits import (
     orbit_from_highest_weight,
     orbit_fourier,
 )
-from .quasipoly import pairing_report
+from .quasipoly import DEFAULT_MAX_PERIOD, pairing_report
 from .seifert import (
     DEFAULT_SCAN_BUDGET,
     FRAMING_CONVENTIONS,
@@ -506,8 +507,7 @@ def _cmd_pairings(args) -> int:
     rep = pairing_report(rs, args.genus, args.kmin, args.kmax,
                          labels=tuple(lab.coords for lab in labels),
                          max_period=args.max_period,
-                         horizon=args.horizon,
-                         check_predictions=not args.no_check)
+                         horizon=args.horizon)
     out = {
         "series": rs.series,
         "rank": rs.rank,
@@ -566,7 +566,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("modular", help="certified modular matrices")
     _add_common_options(p)
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=MODULAR_TOL)
     p.set_defaults(func=_cmd_modular)
 
     p = sub.add_parser("verlinde", help="fusion dimension tables")
@@ -626,10 +626,8 @@ def build_parser() -> _Parser:
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--labels", type=_weights_type, default=())
     p.add_argument("--label", type=_weight_type, action="append", default=[])
-    p.add_argument("--max-period", type=int, default=4)
+    p.add_argument("--max-period", type=int, default=DEFAULT_MAX_PERIOD)
     p.add_argument("--horizon", type=int, default=5)
-    p.add_argument("--no-check", action="store_true",
-                   help="skip re-deriving the predicted levels")
     p.set_defaults(func=_cmd_pairings)
 
     p = sub.add_parser("crosscheck", help="consistency suites")

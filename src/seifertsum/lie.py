@@ -275,12 +275,6 @@ def casimir(rs: RootSystem, weight: Weight) -> Q:
     return Q(_form(e, e) - _form(e_rho, e_rho), rs.rank + 1)
 
 
-def shifted_norm(rs: RootSystem, weight: Weight) -> Q:
-    """<Lambda + rho, Lambda + rho>, exact rational."""
-    e = _shifted_epsilon(weight.coords)
-    return Q(_form(e, e), rs.rank + 1)
-
-
 def weyl_dimension(rs: RootSystem, weight: Weight) -> int:
     """prod_{alpha>0} <Lambda+rho, alpha> / <rho, alpha>, a Vandermonde ratio."""
     if not weight.is_dominant:
@@ -365,14 +359,6 @@ def _det(rows):
             for k in range(j + 1, n):
                 a[i][k] -= f * a[j][k]
     return det
-
-
-def weyl_denominator_product(rs: RootSystem, x: CartanElement) -> complex:
-    """prod_{alpha>0} 2 sinh(alpha(x)/2), equal to the rho alternating sum."""
-    prod = 1.0 + 0j
-    for root_fw in rs.positive_roots_fw:
-        prod *= 2 * cmath.sinh(rs.pair(root_fw, x) / 2)
-    return prod
 
 
 def is_regular(rs: RootSystem, x: CartanElement) -> bool:

@@ -19,6 +19,18 @@ up in a table of roots of unity. T is diagonal with entries
 exp(2 pi i (<L, L+2 rho>/(2 kappa) - c/24)) in the canonical framing,
 c = k dim(g)/kappa, and without the -c/24 shift in the bare framing.
 
+One level's data lives in one place (_Level): the integrable weights,
+their index, the epsilon coordinates e of L+rho, the integer norms
+M = (r+1)|L+rho|^2 = (r+1) sum e_i^2 - (sum e_i)^2, S row 0, any S
+rows, and the T diagonals. S, T, the Verlinde sums and the Seifert sums
+all read the same instance. S row 0 is the product form
+
+    S[0, L] = ((r+1) kappa^r)^(-1/2) prod_{i<j} 2 sin(pi (e_i - e_j)/kappa);
+
+every e_i - e_j lies in 1..kappa-1, so one table of kappa-1 sines serves
+every weight. Rows and row 0 come in binary64 or, at a given number of
+digits, in mpmath.
+
 Every constructed matrix is certified: S symmetric and unitary, S^2 a
 permutation (charge conjugation) squaring to the identity, row zero real
 positive, and (S T)^3 = S^2 for the canonical T. S is assembled in
@@ -37,7 +49,7 @@ import mpmath as mp
 import numpy as np
 
 from .errors import BudgetExceededError, CertificationError, PreconditionError
-from .lie import RootSystem, Weight, _det, _form, _shifted_epsilon
+from .lie import RootSystem, Weight, _det, _shifted_epsilon
 
 DEFAULT_TOL = 1e-9
 DEFAULT_BUDGET = 50_000_000
@@ -69,6 +81,100 @@ def central_charge(rs: RootSystem, level: int) -> float:
     return level * rs.dimension / (level + rs.dual_coxeter)
 
 
+# complex entries per block of the batched binary64 determinant
+_BLOCK_ENTRIES = 1 << 16
+
+
+class _Level:
+    """The integrable weights of one level and everything read over them."""
+
+    def __init__(self, rs: RootSystem, level: int):
+        self.rs = rs
+        self.level = level
+        self.kappa = level + rs.dual_coxeter
+        self.weights = integrable_weights(rs, level)
+        self._index = {w.coords: i for i, w in enumerate(self.weights)}
+        self.es = np.array([_shifted_epsilon(w.coords) for w in self.weights],
+                           dtype=np.int64)
+        # M = (r+1)|L+rho|^2, exact; the vacuum's comes first
+        self.m = (rs.rank + 1) * (self.es ** 2).sum(axis=1) - self.es.sum(axis=1) ** 2
+        i, j = np.triu_indices(rs.rank + 1, k=1)
+        self._gaps = self.es[:, i] - self.es[:, j]  # each in 1..kappa-1
+        self.s0 = self.s0_row()
+
+    def index_of(self, weight: Weight) -> int:
+        try:
+            return self._index[weight.coords]
+        except KeyError:
+            raise PreconditionError(
+                "weight %r is not integrable at level %d"
+                % (weight.coords, self.level)) from None
+
+    def s0_row(self, dps: int | None = None):
+        """S[0, L] for every weight from the sine product: a float array,
+        or with a dps a list of mpf at that many digits."""
+        r, kappa = self.rs.rank, self.kappa
+        # sin(pi d/kappa) = sin(pi min(d, kappa-d)/kappa) keeps the argument
+        # at most pi/2, where its rounding does not grow in the sine
+        folded = np.minimum(np.arange(kappa), kappa - np.arange(kappa))
+        if dps is None:
+            sines = 2 * np.sin(np.pi * folded / kappa)
+            return sines[self._gaps].prod(axis=1) / math.sqrt((r + 1) * kappa ** r)
+        with mp.workdps(dps):
+            sines = [2 * mp.sinpi(mp.mpf(d) / kappa) for d in folded.tolist()]
+            norm = 1 / mp.sqrt(mp.mpf(r + 1) * mp.mpf(kappa) ** r)
+            return [norm * mp.fprod(sines[d] for d in gaps)
+                    for gaps in self._gaps.tolist()]
+
+    def label_rows(self, label_idx, dps: int | None = None):
+        """S[L, M] for L over the given weight indices and M over every
+        weight, one (r+1)x(r+1) determinant per entry (see module docstring).
+
+        With dps None the determinants are taken by numpy in binary64, over
+        row blocks of at most _BLOCK_ENTRIES matrix entries, and a complex
+        array is returned; with a dps each one is taken by mpmath at that
+        many digits and nested lists of mpc are returned.
+        """
+        rs, kappa, cols = self.rs, self.kappa, self.es
+        rows = cols[list(label_idx)]
+        r1 = rs.rank + 1
+        order = r1 * kappa
+        row_sums = rows.sum(axis=1)
+        col_sums = cols.sum(axis=1)
+        n = len(cols)
+        if dps is None:
+            norm = (1j ** rs.num_positive_roots) / math.sqrt(float(kappa ** rs.rank * r1))
+            table = np.exp(-2j * math.pi * np.arange(order) / order)
+            out = np.empty((len(rows), n), dtype=complex)
+            block = max(1, _BLOCK_ENTRIES // (n * r1 * r1))
+            for i0 in range(0, len(rows), block):
+                part = rows[i0:i0 + block]
+                phases = (r1 * part[:, None, :, None] * cols[None, :, None, :]) % order
+                shift = (-row_sums[i0:i0 + block, None] * col_sums[None, :]) % order
+                out[i0:i0 + block] = norm * np.linalg.det(table[phases]) * table[shift]
+            return out
+        with mp.workdps(dps):
+            norm = (mp.mpc(0, 1) ** rs.num_positive_roots
+                    / mp.sqrt(mp.mpf(kappa) ** rs.rank * r1))
+            table = [mp.expjpi(mp.mpf(-2 * m) / order) for m in range(order)]
+            out = []
+            for e, e_sum in zip(rows.tolist(), row_sums.tolist()):
+                out.append([norm * _det([[table[(r1 * a * b) % order] for b in f] for a in e])
+                            * table[(-e_sum * f_sum) % order]
+                            for f, f_sum in zip(cols.tolist(), col_sums.tolist())])
+            return out
+
+    def t_diagonals(self):
+        """Diagonals of T over the weights, bare and canonical framing.
+        M - M[0] is (r+1) times the Casimir, the vacuum coming first;
+        int/int division rounds it exactly as float(casimir(...)) does."""
+        r1 = self.rs.rank + 1
+        t_bare = np.array([cmath.exp(1j * math.pi * (d / r1) / self.kappa)
+                           for d in (self.m - self.m[0]).tolist()])
+        return t_bare, t_bare * cmath.exp(
+            -2j * math.pi * central_charge(self.rs, self.level) / 24)
+
+
 @dataclass
 class ModularData:
     """Immutable S/T package for one (algebra, level) pair.
@@ -85,11 +191,10 @@ class ModularData:
     t_bare: np.ndarray
     conjugation: tuple[int, ...]
     precision_bits: int
-    certificate: dict = field(default_factory=dict)
-    _index: dict = field(default_factory=dict, repr=False)
+    certificate: dict
+    _lv: _Level = field(repr=False)
 
     def __post_init__(self):
-        self._index = {w.coords: i for i, w in enumerate(self.weights)}
         for arr in (self.s, self.t_canonical, self.t_bare):
             arr.setflags(write=False)
 
@@ -98,54 +203,7 @@ class ModularData:
         return self.level + self.rs.dual_coxeter
 
     def index_of(self, weight: Weight) -> int:
-        try:
-            return self._index[weight.coords]
-        except KeyError:
-            raise PreconditionError(
-                "weight %r is not integrable at level %d"
-                % (weight.coords, self.level)) from None
-
-
-# complex entries per block of the batched binary64 determinant
-_BLOCK_ENTRIES = 1 << 16
-
-
-def _s_block(rs, kappa, rows, cols, dps=None):
-    """S[L, M] for L over rows and M over cols, each an int64 array of the
-    epsilon coordinates of L+rho and M+rho, one (r+1)x(r+1) determinant per
-    entry (see module docstring).
-
-    With dps None the determinants are taken by numpy in binary64, over
-    row blocks of at most _BLOCK_ENTRIES matrix entries, and a complex
-    array is returned; with a dps each one is taken by mpmath at that many
-    digits and nested lists of mpc are returned.
-    """
-    r1 = rs.rank + 1
-    order = r1 * kappa
-    row_sums = rows.sum(axis=1)
-    col_sums = cols.sum(axis=1)
-    n = len(cols)
-    if dps is None:
-        norm = (1j ** rs.num_positive_roots) / math.sqrt(float(kappa ** rs.rank * r1))
-        table = np.exp(-2j * math.pi * np.arange(order) / order)
-        out = np.empty((len(rows), n), dtype=complex)
-        block = max(1, _BLOCK_ENTRIES // (n * r1 * r1))
-        for i0 in range(0, len(rows), block):
-            part = rows[i0:i0 + block]
-            phases = (r1 * part[:, None, :, None] * cols[None, :, None, :]) % order
-            shift = (-row_sums[i0:i0 + block, None] * col_sums[None, :]) % order
-            out[i0:i0 + block] = norm * np.linalg.det(table[phases]) * table[shift]
-        return out
-    with mp.workdps(dps):
-        norm = (mp.mpc(0, 1) ** rs.num_positive_roots
-                / mp.sqrt(mp.mpf(kappa) ** rs.rank * r1))
-        table = [mp.expjpi(mp.mpf(-2 * m) / order) for m in range(order)]
-        out = []
-        for e, e_sum in zip(rows.tolist(), row_sums.tolist()):
-            out.append([norm * _det([[table[(r1 * a * b) % order] for b in f] for a in e])
-                        * table[(-e_sum * f_sum) % order]
-                        for f, f_sum in zip(cols.tolist(), col_sums.tolist())])
-        return out
+        return self._lv.index_of(weight)
 
 
 def _certify(s, t_canon, tol):
@@ -186,45 +244,27 @@ def _certify(s, t_canon, tol):
     return ok, residuals, tuple(perm.tolist())
 
 
-def _t_diagonals(rs, level, weights):
-    """Diagonals of T over the given weights, bare and canonical framing.
-    The Casimir is (M - M_rho)/(r+1) from the integer M = (r+1)|L+rho|^2;
-    int/int division rounds it exactly as float(casimir(...)) does."""
-    kappa = level + rs.dual_coxeter
-    r1 = rs.rank + 1
-    e_rho = _shifted_epsilon((0,) * rs.rank)
-    m_rho = _form(e_rho, e_rho)
-    t_bare = []
-    for w in weights:
-        e = _shifted_epsilon(w.coords)
-        t_bare.append(cmath.exp(1j * math.pi * ((_form(e, e) - m_rho) / r1) / kappa))
-    t_bare = np.array(t_bare)
-    return t_bare, t_bare * cmath.exp(-2j * math.pi * central_charge(rs, level) / 24)
-
-
 def s_matrix(rs: RootSystem, level: int, tol: float = DEFAULT_TOL) -> ModularData:
     """Build and certify the modular data at the given level."""
     if level < 1:
         raise PreconditionError("level must be >= 1")
-    weights = integrable_weights(rs, level)
-    n = len(weights)
+    n = math.comb(level + rs.rank, rs.rank)  # weights, counted before they are built
     cost = n * n * (rs.rank + 1) ** 3
     if cost > DEFAULT_BUDGET:
         raise BudgetExceededError(
             "S matrix needs %d determinant operations, budget is %d"
             % (cost, DEFAULT_BUDGET))
 
-    kappa = level + rs.dual_coxeter
-    t_bare, t_canon = _t_diagonals(rs, level, weights)
-    es = np.array([_shifted_epsilon(w.coords) for w in weights], dtype=np.int64)
+    lv = _Level(rs, level)
+    t_bare, t_canon = lv.t_diagonals()
     for bits, dps in ((53, None), (113, RETRY_DPS)):
-        s = np.asarray(_s_block(rs, kappa, es, es, dps), dtype=complex)
+        s = np.asarray(lv.label_rows(range(n), dps), dtype=complex)
         ok, residuals, perm = _certify(s, t_canon, tol)
         if ok:
-            return ModularData(rs=rs, level=level, weights=weights, s=s,
+            return ModularData(rs=rs, level=level, weights=lv.weights, s=s,
                                t_canonical=t_canon, t_bare=t_bare,
                                conjugation=perm, precision_bits=bits,
-                               certificate=residuals)
+                               certificate=residuals, _lv=lv)
     precision = "dps=%d" % RETRY_DPS
     raise CertificationError(
         "modular certification failed after retry at %s (%d bits): residuals "

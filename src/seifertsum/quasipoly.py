@@ -168,14 +168,14 @@ class PairingReport:
 
 def pairing_report(rs: RootSystem, genus: int, k_min: int, k_max: int,
                    labels=(), degree_bound: int | None = None,
-                   max_period: int = DEFAULT_MAX_PERIOD, horizon: int = 5,
-                   check_predictions: bool = True) -> PairingReport:
+                   max_period: int = DEFAULT_MAX_PERIOD,
+                   horizon: int = 5) -> PairingReport:
     """Fit a level window of fusion dimensions and extrapolate past it.
 
     The window [k_min, k_max] is fitted exactly; the next `horizon`
-    levels are predicted from the fit and, when check_predictions is
-    set, re-derived independently so the report carries the actual
-    prediction errors (all zero for a sound fit).
+    levels are predicted from the fit and re-derived independently, so
+    the report carries the actual prediction errors (all zero for a
+    sound fit).
     """
     if genus < 1:
         raise PreconditionError("genus must be >= 1")
@@ -183,8 +183,9 @@ def pairing_report(rs: RootSystem, genus: int, k_min: int, k_max: int,
         raise PreconditionError("need 1 <= k_min <= k_max")
     labels = tuple(tuple(int(c) for c in lab) for lab in labels)
     label_weights = tuple(Weight(lab) for lab in labels)
+    # the degree of the unlabelled table: rank at genus 1, else (g-1) dim
+    base = rs.rank if genus == 1 else (genus - 1) * rs.dimension
     if degree_bound is None:
-        base = rs.rank if genus == 1 else (genus - 1) * rs.dimension
         degree_bound = base + len(labels) * rs.num_positive_roots
     levels = tuple(range(k_min, k_max + 1))
     usable = [k for k in levels
@@ -197,11 +198,8 @@ def pairing_report(rs: RootSystem, genus: int, k_min: int, k_max: int,
         for k in levels)
     qp = fit_quasi_polynomial(zip(levels, values), degree_bound=degree_bound,
                               max_period=max_period)
-    expected = None
-    matches = None
-    if not labels:
-        expected = rs.rank if genus == 1 else (genus - 1) * rs.dimension
-        matches = qp.degree == expected
+    expected = None if labels else base
+    matches = None if labels else qp.degree == base
     preds = []
     errors = []
     for k in range(k_max + 1, k_max + 1 + horizon):
@@ -210,11 +208,9 @@ def pairing_report(rs: RootSystem, genus: int, k_min: int, k_max: int,
             raise QuasiPolynomialFitError(
                 "prediction at level %d is not integral: %s" % (k, pred))
         preds.append((k, int(pred)))
-        if check_predictions:
-            direct = verlinde_dimension(
-                VerlindeRequest(rs=rs, level=k, genus=genus,
-                                labels=label_weights))
-            errors.append(int(pred) - direct)
+        direct = verlinde_dimension(
+            VerlindeRequest(rs=rs, level=k, genus=genus, labels=label_weights))
+        errors.append(int(pred) - direct)
     return PairingReport(genus=genus, labels=labels, levels=levels,
                          values=values, qp=qp, degree=qp.degree,
                          expected_degree=expected, degree_matches=matches,

@@ -11,19 +11,13 @@ with kappa = k + dual Coxeter number and the sum over integrable lam at
 level k. At p = 0 the phase collapses and the sum is exactly the
 Verlinde sum (see `verlinde`).
 
-The sum reads only S row 0 and one row per label, never the full S
-(_Level). Row 0 is the product form
+The sum reads only S row 0 and one row per label, never the full S,
+from the level object that also assembles S (modular._Level): row 0 from
+its sine product, a label row from the determinant kernel of S.
 
-    S[0,lam] = ((r+1) kappa^r)^(-1/2) prod_{i<j} 2 sin(pi (e_i - e_j)/kappa)
-
-in the epsilon coordinates e of lam+rho; every e_i - e_j lies in
-1..kappa-1, so one table of kappa-1 sines serves every weight. A label
-row takes one determinant per weight from the kernel that assembles S
-(modular._s_block). Both are available in binary64 and, at a given
-number of digits, in mpmath.
-
-The phase is reduced exactly: (r+1)<lam+rho, lam+rho> is the integer
-M = (r+1) sum e_i^2 - (sum e_i)^2, so the exponent is
+The phase is reduced exactly: (r+1)<lam+rho, lam+rho> is the level's
+integer norm M = (r+1) sum e_i^2 - (sum e_i)^2 in the epsilon
+coordinates e of lam+rho, so the exponent is
 -2 pi i (p M mod 2(r+1)kappa) / (2(r+1)kappa), and Z(p) is periodic in
 p with period 2(r+1)kappa bit for bit. All (genus, degree) cells of one
 level are contracted together in binary64 (_cells), and a single cell
@@ -48,61 +42,15 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
 from .errors import BudgetExceededError, PreconditionError
-from .lie import RootSystem, Weight, _form, _shifted_epsilon
-from .modular import _s_block, central_charge, integrable_weights
+from .lie import RootSystem, Weight
+from .modular import _Level, central_charge
 
 DEFAULT_SCAN_BUDGET = 10_000_000
 
 FRAMING_CONVENTIONS = ("bare", "canonical")
-
-
-class _Level:
-    """The integrable weights of one level and the S rows read over them."""
-
-    def __init__(self, rs: RootSystem, level: int):
-        self.rs = rs
-        self.level = level
-        self.kappa = level + rs.dual_coxeter
-        self.weights = integrable_weights(rs, level)
-        self.es = np.array([_shifted_epsilon(w.coords) for w in self.weights],
-                           dtype=np.int64)
-        self._index = {w.coords: i for i, w in enumerate(self.weights)}
-        i, j = np.triu_indices(rs.rank + 1, k=1)
-        self._gaps = self.es[:, i] - self.es[:, j]  # each in 1..kappa-1
-        self.s0 = self.s0_row()
-
-    def index_of(self, weight: Weight) -> int:
-        try:
-            return self._index[weight.coords]
-        except KeyError:
-            raise PreconditionError(
-                "weight %r is not integrable at level %d"
-                % (weight.coords, self.level)) from None
-
-    def s0_row(self, dps: int | None = None):
-        """S[0, lam] for every weight from the sine product: a float array,
-        or with a dps a list of mpf at that many digits."""
-        r, kappa = self.rs.rank, self.kappa
-        # sin(pi d/kappa) = sin(pi min(d, kappa-d)/kappa) keeps the argument
-        # at most pi/2, where its rounding does not grow in the sine
-        folded = np.minimum(np.arange(kappa), kappa - np.arange(kappa))
-        if dps is None:
-            sines = 2 * np.sin(np.pi * folded / kappa)
-            return sines[self._gaps].prod(axis=1) / math.sqrt((r + 1) * kappa ** r)
-        with mp.workdps(dps):
-            sines = [2 * mp.sinpi(mp.mpf(d) / kappa) for d in folded.tolist()]
-            norm = 1 / mp.sqrt(mp.mpf(r + 1) * mp.mpf(kappa) ** r)
-            return [norm * mp.fprod(sines[d] for d in gaps)
-                    for gaps in self._gaps.tolist()]
-
-    def label_rows(self, label_idx, dps: int | None = None):
-        """S[label, lam] for each label index and every weight: a complex
-        array, or with a dps nested lists of mpc."""
-        return _s_block(self.rs, self.kappa, self.es[list(label_idx)], self.es, dps)
 
 
 def _cells(lv: _Level, genera, degrees, label_idx) -> dict:
@@ -120,8 +68,8 @@ def _cells(lv: _Level, genera, degrees, label_idx) -> dict:
     """
     r1 = lv.rs.rank + 1
     order = 2 * r1 * lv.kappa
-    m = np.array([_form(e, e) % order for e in lv.es.tolist()], dtype=np.int64)
     table = np.exp(-2j * np.pi * np.arange(order) / order)
+    m = lv.m % order
     idx = np.array([p % order for p in degrees], dtype=np.int64)[:, None] * m % order
     ph_re, ph_im = table.real[idx], table.imag[idx]
     labels = np.prod(lv.label_rows(label_idx), axis=0)
@@ -176,8 +124,10 @@ def seifert_scan(rs: RootSystem, genera, degrees, levels,
 
     The total number of lattice terms over all cells is counted before
     any cell is evaluated; exceeding the budget refuses the whole scan
-    rather than returning truncated results. Each level's rows are built
-    once and contracted for every (genus, degree) cell.
+    rather than returning truncated results; the weights of a level are
+    counted, C(k + r, r), without being built. Each level's rows are then
+    built once, one level at a time, and contracted for every
+    (genus, degree) cell.
     """
     genera = sorted(set(int(g) for g in genera))
     degrees = sorted(set(int(p) for p in degrees))
@@ -188,13 +138,14 @@ def seifert_scan(rs: RootSystem, genera, degrees, levels,
         raise PreconditionError("level must be >= 1")
     if framing not in FRAMING_CONVENTIONS:
         raise PreconditionError("unknown framing convention %r" % framing)
-    by_level = {k: _Level(rs, k) for k in levels}
-    total = sum(len(lv.weights) for lv in by_level.values()) * len(genera) * len(degrees)
+    n_weights = {k: math.comb(k + rs.rank, rs.rank) for k in levels}
+    total = sum(n_weights.values()) * len(genera) * len(degrees)
     if total > budget:
         raise BudgetExceededError(
             "scan needs %d lattice terms, budget is %d" % (total, budget))
     values = {}
-    for k, lv in by_level.items():
+    for k in levels:
+        lv = _Level(rs, k)
         label_idx = [lv.index_of(lab) for lab in labels]
         c = central_charge(rs, k)
         for (g, p), value in _cells(lv, genera, degrees, label_idx).items():
@@ -205,7 +156,7 @@ def seifert_scan(rs: RootSystem, genera, degrees, levels,
             values[g, p, k] = value
     return tuple(ScanCell(genus=g, degree=p, level=k, value=values[g, p, k],
                           modulus=abs(values[g, p, k]),
-                          term_count=len(by_level[k].weights))
+                          term_count=n_weights[k])
                  for g in genera for p in degrees for k in levels)
 
 

@@ -3,7 +3,9 @@
     V_g(k; labels) = sum_lam (S[0,lam])^(2-2g) prod_i S[label_i,lam]/S[0,lam]
 
 over the integrable lam at level k: the degree-zero Seifert lattice sum,
-read from S row 0 and the label rows (seifert._Level), never the full S.
+read from S row 0 and the label rows of the level object that also
+assembles S (modular._Level), never the full S. A label outside the
+level's integrable weights is refused by name.
 
 The result must be a nonnegative integer, and the working precision is
 chosen from an error bound. Every |S[label, lam]| is at most 1, so
@@ -29,7 +31,8 @@ import numpy as np
 
 from .errors import IntegralityError, PreconditionError
 from .lie import RootSystem, Weight
-from .seifert import _cells, _Level
+from .modular import _Level
+from .seifert import _cells
 
 _EPS64 = 2.0 ** -52
 _BINARY64_DIGITS = 15  # 10^15 eps64 < 1/2
@@ -119,11 +122,7 @@ def _certified_sum(req: VerlindeRequest):
     if req.level < 1:
         raise PreconditionError("level must be >= 1")
     lv = _Level(req.rs, req.level)
-    label_idx = []
-    for lab in req.labels:
-        if not lab.is_dominant:
-            raise PreconditionError("labels must be dominant")
-        label_idx.append(lv.index_of(lab))  # validates integrability
+    label_idx = [lv.index_of(lab) for lab in req.labels]
     # digits of (R + 1) A, which bounds the error in units of eps; A is
     # summed in log space so that a sum past the binary64 range is sized too
     power = 2 - 2 * req.genus - len(label_idx)

@@ -11,7 +11,9 @@ certify_expressions is the S certificate written as whole-matrix
 expressions, against which the in-place modular._certify is pinned bit
 for bit, and ym2_box_terms is the per-weight ym2 box loop on lie's
 integer _form and _vandermonde, against which the block kernel
-ym2._box_terms is pinned bit for bit.
+ym2._box_terms is pinned bit for bit, and t_diagonals is T taken one
+weight at a time from _form, against which the level's integer norms
+(modular._Level.t_diagonals) are pinned bit for bit.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import mpmath as mp
 import numpy as np
 
 from seifertsum.lie import RootSystem, Weight, _form, _vandermonde, build_root_system
+from seifertsum.modular import central_charge
 
 
 def _ip(rs: RootSystem, u, v) -> Fraction:
@@ -259,6 +262,22 @@ def _shifted_epsilon(weight):
     for c in reversed(weight):
         out.append(out[-1] + c + 1)
     return tuple(reversed(out))
+
+
+def t_diagonals(rs, level, weights):
+    """Diagonals of T over the given weights, bare and canonical framing.
+    The Casimir is (M - M_rho)/(r+1) from the integer M = (r+1)|L+rho|^2;
+    int/int division rounds it exactly as float(casimir(...)) does."""
+    kappa = level + rs.dual_coxeter
+    r1 = rs.rank + 1
+    e_rho = _shifted_epsilon((0,) * rs.rank)
+    m_rho = _form(e_rho, e_rho)
+    t_bare = []
+    for w in weights:
+        e = _shifted_epsilon(w.coords)
+        t_bare.append(cmath.exp(1j * math.pi * ((_form(e, e) - m_rho) / r1) / kappa))
+    t_bare = np.array(t_bare)
+    return t_bare, t_bare * cmath.exp(-2j * math.pi * central_charge(rs, level) / 24)
 
 
 def verlinde_exact(rank: int, level: int, genus: int, labels=(), dps: int = 60) -> int:

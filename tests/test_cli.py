@@ -82,6 +82,9 @@ def test_usage_errors_exit_64(capsys):
     assert run(["verlinde", "--algebra", "A1", "--genus", "1"], capsys)[0] == 64
     assert run(["seifert", "--algebra", "A1", "--level", "2"], capsys)[0] == 64
     assert run(["modular", "--algebra", "XY", "--level", "2"], capsys)[0] == 64
+    # predictions are always re-derived; the switch that skipped them is gone
+    assert run(["pairings", "--algebra", "A1", "--genus", "2", "--kmin", "1",
+                "--kmax", "3", "--no-check"], capsys)[0] == 64
 
 
 def test_refusals_exit_2(capsys):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import certify_expressions, su2_s_closed
+from oracles import certify_expressions, su2_s_closed, t_diagonals
 from seifertsum import modular
 from seifertsum.errors import PreconditionError
 from seifertsum.lie import Weight, build_root_system, casimir
@@ -137,3 +137,14 @@ def test_certify_matches_the_expression_form_bit_for_bit(rank, level):
     assert perm == want_perm
     assert residuals == want_residuals
     assert list(residuals) == list(want_residuals)
+
+
+@pytest.mark.parametrize("rank, top", [(1, 20), (2, 12), (3, 6), (4, 4)])
+def test_t_from_integer_norms_matches_the_per_weight_form_bit_for_bit(rank, top):
+    rs = build_root_system("A", rank)
+    for level in range(1, top + 1):
+        lv = modular._Level(rs, level)
+        want_bare, want_canon = t_diagonals(rs, level, lv.weights)
+        bare, canon = lv.t_diagonals()
+        assert (bare == want_bare).all()
+        assert (canon == want_canon).all()

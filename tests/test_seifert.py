@@ -7,12 +7,12 @@ import math
 import numpy as np
 import pytest
 
+from seifertsum import modular
 from seifertsum.errors import BudgetExceededError, PreconditionError
 from seifertsum.lie import Weight, build_root_system
-from seifertsum.modular import central_charge, modular_data, s_matrix
+from seifertsum.modular import _Level, central_charge, modular_data, s_matrix
 from seifertsum.seifert import (
     ScanCell,
-    _Level,
     SeifertSpec,
     seifert_partition,
     seifert_scan,
@@ -135,6 +135,18 @@ def test_scan_matches_pointwise(a1):
 def test_scan_budget_is_all_or_nothing(a1):
     with pytest.raises(BudgetExceededError):
         seifert_scan(a1, genera=(0,), degrees=(0,), levels=(9,), budget=5)
+
+
+def test_budget_refusals_count_weights_without_building_them(monkeypatch):
+    def enumerate_weights(rs, level):
+        raise AssertionError("weights built before the budget check")
+
+    monkeypatch.setattr(modular, "integrable_weights", enumerate_weights)
+    with pytest.raises(BudgetExceededError):
+        s_matrix(build_root_system("A", 3), 150)
+    with pytest.raises(BudgetExceededError):
+        seifert_scan(build_root_system("A", 2), genera=(0,), degrees=(0,),
+                     levels=(2000,), budget=10)
 
 
 def test_scan_deduplicates_and_sorts(a1):

@@ -134,6 +134,11 @@ def test_preconditions(a1):
         _dim(a1, 2, 1, [Weight((5,))])  # not integrable at level 2
 
 
+def test_non_dominant_label_is_refused_by_name(a2):
+    with pytest.raises(PreconditionError, match=r"weight \(-1, 1\) is not integrable"):
+        _dim(a2, 2, 1, [Weight((-1, 1))])
+
+
 def test_table_structure(a1):
     table = verlinde_table(a1, 2, range(1, 6))
     assert table.rows == tuple((k, ((k + 2) ** 3 - (k + 2)) // 6)
