@@ -197,22 +197,23 @@ def _json_chunks(obj, depth: int):
 
 
 def _container_chunks(brackets: str, entries, depth: int):
-    """A dict or list whose entries are (key prefix, pieces of the value)
-    pairs."""
-    if not entries:
-        yield brackets
-        return
+    """A dict or list whose entries, any iterable, are (key prefix, pieces
+    of the value) pairs."""
     sep = brackets[0]
     inner = "\n" + "  " * (depth + 1)
     for prefix, chunks in entries:
         yield sep + inner + prefix
         yield from chunks
         sep = ","
-    yield "\n" + "  " * depth + brackets[1]
+    yield brackets if sep == brackets[0] else "\n" + "  " * depth + brackets[1]
 
 
 # distinct floats formatted per batch, so that few str objects are alive
 _REPR_BATCH = 4096
+# int64 keys looked up per sorted block of rows: large enough that the sorted
+# search walks the table in order, small enough that a block's index arrays
+# stay near 128 kB each
+_LOOKUP_KEYS = 1 << 14
 
 
 def _complex_array_chunks(arr: np.ndarray, depth: int):
@@ -220,14 +221,18 @@ def _complex_array_chunks(arr: np.ndarray, depth: int):
 
     The entries of S are sums read from one table of exact phases, so
     equal values are bit-equal and S holds few distinct floats (A2 k=40:
-    137,960 of 1,482,642). The sorted distinct bit patterns of the array
+    121,836 of 1,482,642). The sorted distinct bit patterns of the array
     are formatted once each with float.__repr__, which is what json
     writes for a finite float, into a fixed-width bytes table: the longest
-    repr of a double, -2.2250738585072014e-308, has 24 characters. Each
-    finite row is then one %s fill of the texts its bits find in the
-    table by binary search. Keying on bits, not on float equality, keeps
-    -0.0 and 0.0 apart. Rows holding NaN or an infinity take the json
-    path, which spells them NaN and Infinity.
+    repr of a double, -2.2250738585072014e-308, has 24 characters. The
+    rows are then taken in blocks of at most _LOOKUP_KEYS bit patterns:
+    a block's patterns are sorted, found in the table by one sorted
+    search and scattered back, so that lookups walk the table in order.
+    Each finite row is one %s fill of the texts it found, and the rows
+    stay lazy: only one block of positions is alive at a time. Keying on
+    bits, not on float equality, keeps -0.0 and 0.0 apart. Rows holding
+    NaN or an infinity take the json path, which spells them NaN and
+    Infinity.
     """
     if arr.ndim == 0 or not arr.size:
         yield from _json_chunks(arr.tolist(), depth)
@@ -251,18 +256,29 @@ def _complex_array_chunks(arr: np.ndarray, depth: int):
     template = _complex_row_template(rows.shape[1], row_depth)
     finite = np.isfinite(rows).all(axis=1)
 
-    def row_chunks(i):
+    def positions():
+        """Table positions of each row's bit patterns, a block at a time."""
+        width = bits.shape[1]
+        per_block = max(1, _LOOKUP_KEYS // width)
+        for i0 in range(0, len(bits), per_block):
+            keys = bits[i0:i0 + per_block].ravel()
+            order = keys.argsort()
+            found = np.empty_like(order)
+            found[order] = np.searchsorted(table, keys[order])
+            yield from found.reshape(-1, width)
+
+    def row_chunks(i, found):
         if finite[i]:
-            found = text[np.searchsorted(table, bits[i])]
-            yield (template % tuple(found.tolist())).decode("ascii")
+            yield (template % tuple(text[found].tolist())).decode("ascii")
         else:
             yield from _json_chunks(rows[i].tolist(), row_depth)
 
     if arr.ndim == 1:
-        yield from row_chunks(0)
+        yield from row_chunks(0, next(positions()))
     else:
         yield from _container_chunks(
-            "[]", [("", row_chunks(i)) for i in range(len(rows))], depth)
+            "[]", (("", row_chunks(i, found)) for i, found in enumerate(positions())),
+            depth)
 
 
 @functools.lru_cache(maxsize=16)

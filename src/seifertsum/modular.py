@@ -14,10 +14,14 @@ The Weyl group of A_r permutes the epsilon coordinates e of L+rho
     S[L, M] = norm * det[zeta^{(r+1) e_i f_j}] * zeta^{-(sum e)(sum f)},
     zeta = exp(-2 pi i / ((r+1) kappa)).
 
+Its last row and column are ones (e_{r+1} = f_{r+1} = 0); subtracting the
+last column from the others leaves the r x r determinant
+det[zeta^{(r+1) e_i f_j} - 1], i, j <= r, which is the one computed.
 Every exponent is an integer, reduced exactly mod (r+1) kappa and looked
-up in a table of roots of unity. T is diagonal with entries
-exp(2 pi i (<L, L+2 rho>/(2 kappa) - c/24)) in the canonical framing,
-c = k dim(g)/kappa, and without the -c/24 shift in the bare framing.
+up in a table of roots of unity or in one of those roots minus 1. T is
+diagonal with entries exp(2 pi i (<L, L+2 rho>/(2 kappa) - c/24)) in the
+canonical framing, c = k dim(g)/kappa, and without the -c/24 shift in
+the bare framing.
 
 One level's data lives in one place (_Level): the integrable weights,
 their index, the epsilon coordinates e of L+rho, the integer norms
@@ -81,7 +85,8 @@ def central_charge(rs: RootSystem, level: int) -> float:
     return level * rs.dimension / (level + rs.dual_coxeter)
 
 
-# complex entries per block of the batched binary64 determinant
+# complex entries of the r x r matrices per block of the batched binary64
+# determinant
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -128,38 +133,42 @@ class _Level:
 
     def label_rows(self, label_idx, dps: int | None = None):
         """S[L, M] for L over the given weight indices and M over every
-        weight, one (r+1)x(r+1) determinant per entry (see module docstring).
+        weight, one r x r determinant det[zeta^{(r+1) e_i f_j} - 1] per
+        entry (see module docstring).
 
         With dps None the determinants are taken by numpy in binary64, over
         row blocks of at most _BLOCK_ENTRIES matrix entries, and a complex
-        array is returned; with a dps each one is taken by mpmath at that
+        array is returned; with a dps each one is taken by lie._det at that
         many digits and nested lists of mpc are returned.
         """
-        rs, kappa, cols = self.rs, self.kappa, self.es
-        rows = cols[list(label_idx)]
-        r1 = rs.rank + 1
+        rs, kappa, r = self.rs, self.kappa, self.rs.rank
+        rows = self.es[list(label_idx)]
+        r1 = r + 1
         order = r1 * kappa
         row_sums = rows.sum(axis=1)
-        col_sums = cols.sum(axis=1)
+        col_sums = self.es.sum(axis=1)
+        rows, cols = rows[:, :r], self.es[:, :r]  # e_{r+1} = f_{r+1} = 0
         n = len(cols)
         if dps is None:
-            norm = (1j ** rs.num_positive_roots) / math.sqrt(float(kappa ** rs.rank * r1))
+            norm = (1j ** rs.num_positive_roots) / math.sqrt(float(kappa ** r * r1))
             table = np.exp(-2j * math.pi * np.arange(order) / order)
+            minus_one = table - 1
             out = np.empty((len(rows), n), dtype=complex)
-            block = max(1, _BLOCK_ENTRIES // (n * r1 * r1))
+            block = max(1, _BLOCK_ENTRIES // (n * r * r))
             for i0 in range(0, len(rows), block):
                 part = rows[i0:i0 + block]
                 phases = (r1 * part[:, None, :, None] * cols[None, :, None, :]) % order
                 shift = (-row_sums[i0:i0 + block, None] * col_sums[None, :]) % order
-                out[i0:i0 + block] = norm * np.linalg.det(table[phases]) * table[shift]
+                out[i0:i0 + block] = norm * np.linalg.det(minus_one[phases]) * table[shift]
             return out
         with mp.workdps(dps):
             norm = (mp.mpc(0, 1) ** rs.num_positive_roots
-                    / mp.sqrt(mp.mpf(kappa) ** rs.rank * r1))
+                    / mp.sqrt(mp.mpf(kappa) ** r * r1))
             table = [mp.expjpi(mp.mpf(-2 * m) / order) for m in range(order)]
+            minus_one = [t - 1 for t in table]
             out = []
             for e, e_sum in zip(rows.tolist(), row_sums.tolist()):
-                out.append([norm * _det([[table[(r1 * a * b) % order] for b in f] for a in e])
+                out.append([norm * _det([[minus_one[(r1 * a * b) % order] for b in f] for a in e])
                             * table[(-e_sum * f_sum) % order]
                             for f, f_sum in zip(cols.tolist(), col_sums.tolist())])
             return out
@@ -246,6 +255,8 @@ def _certify(s, t_canon, tol):
 
 def s_matrix(rs: RootSystem, level: int, tol: float = DEFAULT_TOL) -> ModularData:
     """Build and certify the modular data at the given level."""
+    if not 0 < tol < math.inf:  # also refuses nan
+        raise PreconditionError("tol must be a positive finite number, got %r" % (tol,))
     if level < 1:
         raise PreconditionError("level must be >= 1")
     n = math.comb(level + rs.rank, rs.rank)  # weights, counted before they are built

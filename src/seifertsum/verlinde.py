@@ -85,15 +85,19 @@ def _roundings(rs: RootSystem, power: int, n_labels: int) -> int:
     stays at most pi/2 so they do not grow, and 4 ulps of the library
     sine. S[0,lam], a product of |Delta_+| sines and a normalisation,
     so carries at most 8|Delta_+| + 4, and the power multiplies that by
-    |power| + 1. A label entry is an (r+1)x(r+1) determinant of
-    unit-modulus entries by elimination with partial pivoting: (r+1)^2
-    entries, each off by (r+1)^2 2^r roundings (pivot growth at most
-    2^r), times a cofactor of at most r^(r/2) (Hadamard), plus three
-    roundings of its phase and normalisation.
+    |power| + 1. A label entry is the r x r determinant of the entries
+    zeta^m - 1 (modular._Level.label_rows), of modulus at most 2, each
+    off by at most 16 roundings: 10 from its argument, up to 2 pi after
+    3 roundings, 4 ulps of the library exponential, and 1 in the
+    subtraction. Elimination with partial pivoting adds r^2 2^r roundings
+    to each of the r^2 entries (pivot growth at most 2^(r-1) on entries
+    of modulus 2); each entry's error reaches the determinant through a
+    cofactor of at most 2^(r-1) (r-1)^((r-1)/2) (Hadamard); and r + 2
+    roundings of the pivot product, phase and normalisation follow.
     """
-    r1 = rs.rank + 1
-    det = r1 ** 4 * 2 ** (r1 - 1) * math.ceil((r1 - 1) ** ((r1 - 1) / 2))
-    return (abs(power) + 1) * (8 * rs.num_positive_roots + 4) + n_labels * (det + 3)
+    r = rs.rank
+    det = r ** 2 * (r ** 2 * 2 ** r + 16) * 2 ** (r - 1) * math.ceil((r - 1) ** ((r - 1) / 2))
+    return (abs(power) + 1) * (8 * rs.num_positive_roots + 4) + n_labels * (det + r + 2)
 
 
 def _lattice_value(lv: _Level, genus: int, label_idx, dps: int | None = None):

@@ -97,8 +97,9 @@ def test_refusals_exit_2(capsys):
 
 
 def test_certification_failures_exit_3(capsys):
+    # no binary64 or 113-bit S meets 1e-30; a tol of 0 is refused (exit 2)
     code, _, err = run(["modular", "--algebra", "A1", "--level", "3",
-                        "--tol", "0"], capsys)
+                        "--tol", "1e-30"], capsys)
     assert code == 3
     assert "certification failed" in err
 
@@ -375,6 +376,35 @@ _pooled_arrays = st.lists(_complexes, min_size=1, max_size=3).flatmap(
 def test_streamed_json_of_arrays_drawn_from_a_small_pool(payload):
     # a few distinct values per array, so nearly every float is a repeat
     assert emitted(payload) == json_oracle(payload)
+
+
+@pytest.mark.parametrize("keys", [1, 2, 3, 5, 8])
+def test_streamed_json_lookup_blocks_end_anywhere(keys, monkeypatch):
+    # a few bit patterns per lookup block, so that each block holds one or
+    # a few rows and blocks end next to NaN and infinite rows, signed zeros
+    # and +-5e-324
+    monkeypatch.setattr(cli, "_LOOKUP_KEYS", keys)
+    c, nan, inf = complex, math.nan, math.inf
+    pool = [c(0.5, -0.0), c(-0.0, 0.0), c(5e-324, -5e-324), c(-5e-324, 0.25),
+            c(0.0, 0.1), c(1e300, -1.5)]
+    rows = np.array([[pool[(3 * i + j) % len(pool)] for j in range(3)] for i in range(9)])
+    rows[2, 1] = c(nan, 0.0)
+    rows[3, 0] = c(0.0, inf)
+    rows[6, 2] = c(-inf, nan)
+    rows[8, 0] = c(nan, nan)
+    payload = {"2d": rows, "wide": rows.reshape(3, 9), "tall": rows.reshape(27, 1),
+               "row": rows[0], "long_row": rows[[0, 1, 4]].ravel(),
+               "bad_row": rows[2], "finite": rows[[0, 1, 4, 5, 7]]}
+    assert emitted(payload) == json_oracle(payload)
+
+
+@pytest.mark.parametrize("tol", ["0", "nan", "-1", "inf"])
+def test_modular_refuses_a_tolerance_no_matrix_can_meet(tol, capsys):
+    code, out, err = run(["modular", "--algebra", "A2", "--level", "20", "--tol", tol],
+                         capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "refused: tol must be a positive finite number, got %r\n" % float(tol)
 
 
 @pytest.mark.parametrize("algebra, level", [("A1", 30), ("A2", 12), ("A4", 3)])

@@ -148,3 +148,22 @@ def test_t_from_integer_norms_matches_the_per_weight_form_bit_for_bit(rank, top)
         bare, canon = lv.t_diagonals()
         assert (bare == want_bare).all()
         assert (canon == want_canon).all()
+
+
+@pytest.mark.parametrize("tol", [0.0, math.nan, -1.0, math.inf])
+def test_s_matrix_refuses_a_tolerance_no_matrix_can_meet(tol, monkeypatch):
+    # 0, nan and -1 no residual can be below; inf certifies anything
+    def no_level(*args):
+        raise AssertionError("s_matrix built a level for tol %r" % tol)
+
+    monkeypatch.setattr(modular, "_Level", no_level)
+    with pytest.raises(PreconditionError, match="tol must be a positive finite number"):
+        s_matrix(build_root_system("A", 2), 20, tol=tol)
+
+
+@pytest.mark.parametrize("rank, level", [(2, 40), (3, 15)])
+def test_reduced_determinant_s_certifies_in_binary64(rank, level):
+    md = s_matrix(build_root_system("A", rank), level)
+    assert md.precision_bits == 53
+    assert md.certificate["unitarity"] <= 1e-14
+    assert md.certificate["symmetry"] <= 1e-14
