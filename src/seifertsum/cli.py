@@ -91,10 +91,13 @@ def _weights_type(text: str) -> tuple[tuple[int, ...], ...]:
 
 def _floats_type(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(p) for p in text.split(","))
+        values = tuple(float(p) for p in text.split(","))
+        if all(map(math.isfinite, values)):
+            return values
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            "expected comma separated numbers, got %r" % (text,))
+        pass
+    raise argparse.ArgumentTypeError(
+        "expected comma separated finite numbers, got %r" % (text,))
 
 
 def _points_type(text: str) -> tuple[tuple[float, ...], ...]:

@@ -50,18 +50,7 @@ class CertificationError(RuntimeError):
 
 
 class IntegralityError(CertificationError):
-    """A quantity that must be a nonnegative integer is not one.
-
-    When the value missed the nearest integer, residual is that distance,
-    threshold the largest distance accepted (1/2 less the certified error
-    of the value) and precision the arithmetic the value was computed in;
-    otherwise they are None.
-    """
-
-    def __init__(self, message: str, residual=None, threshold=None,
-                 precision=None):
-        super().__init__(message, threshold=threshold, precision=precision)
-        self.residual = residual
+    """A quantity that must be a nonnegative integer is not one."""
 
 
 class QuasiPolynomialFitError(CertificationError):

@@ -32,8 +32,15 @@ all read the same instance. S row 0 is the product form
     S[0, L] = ((r+1) kappa^r)^(-1/2) prod_{i<j} 2 sin(pi (e_i - e_j)/kappa);
 
 every e_i - e_j lies in 1..kappa-1, so one table of kappa-1 sines serves
-every weight. Rows and row 0 come in binary64 or, at a given number of
-digits, in mpmath.
+every weight. Row 0 is binary64 only; label rows come in binary64 or, at
+a given number of digits, in mpmath (the retry of s_matrix).
+
+Mod a prime p = 1 mod N, N = (r+1) kappa, the same formulas hold with
+zeta sent to an element z of order N (_Level.residues, for verlinde):
+S[0, L]^2 = ((r+1) kappa^r)^-1 prod_{i<j} (2 - w^d - w^-d), w = z^(r+1),
+d = e_i - e_j, with no factor 0 mod p, and S[L, M]/S[0, M] = D(L)/D(0)
+for D(L) = det[z^{(r+1) e_i f_j} - 1] z^{-(sum e)(sum f)}, f from M+rho;
+D(0) is a Vandermonde determinant of distinct roots of unity, not 0 mod p.
 
 Every constructed matrix is certified: S symmetric and unitary, S^2 a
 permutation (charge conjugation) squaring to the identity, row zero real
@@ -46,6 +53,7 @@ residuals, the tolerance and the precision of that retry.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -90,6 +98,51 @@ def central_charge(rs: RootSystem, level: int) -> float:
 _BLOCK_ENTRIES = 1 << 16
 
 
+def _pow_mod(x, e: int, p: int):
+    """x^e mod p elementwise, for int64 x in [0, p) and e >= 0; with p < 2^31
+    every product of two residues stays below 2^62."""
+    out = np.ones_like(x)
+    for bit in bin(e)[2:]:
+        out = out * out % p
+        if bit == "1":
+            out = out * x % p
+    return out
+
+
+def _roots_mod(p: int, order: int):
+    """z^m mod p for m < order, by doubling, for z = a^((p-1)/order) of order
+    exactly `order` (no z^e = 1 at a proper divisor e), a = 2, 3, ..."""
+    divisors = [e for d in range(1, math.isqrt(order) + 1) if order % d == 0
+                for e in (d, order // d) if e < order]
+    z = next(z for z in (pow(a, (p - 1) // order, p) for a in itertools.count(2))
+             if all(pow(z, e, p) != 1 for e in divisors))
+    table, m = np.ones(order, dtype=np.int64), 1
+    while m < order:
+        table[m:2 * m] = table[:min(m, order - m)] * pow(z, m, p) % p
+        m *= 2
+    return table
+
+
+def _det_mod(a, p: int):
+    """Determinants mod p < 2^31 of stacked r x r int64 matrices in [0, p),
+    as numerators and denominators not 0 mod p, by fraction-free elimination
+    (rows below a pivot are multiplied by it; a zero pivot swaps rows)."""
+    r = a.shape[-1]
+    a = a.reshape(-1, r, r).copy()
+    num, den = np.ones(len(a), dtype=np.int64), np.ones(len(a), dtype=np.int64)
+    for k in range(r):
+        first = k + (a[:, k:, k] != 0).argmax(axis=1)  # k when the column is 0
+        swap = np.flatnonzero(first != k)
+        a[swap, k], a[swap, first[swap]] = a[swap, first[swap]], a[swap, k]
+        num[swap] = p - num[swap]
+        num = num * a[:, k, k] % p  # 0 at a zero column
+        pivot = np.where(a[:, k, k] == 0, 1, a[:, k, k])
+        den = den * _pow_mod(pivot, r - 1 - k, p) % p
+        a[:, k + 1:] = (a[:, k + 1:] * pivot[:, None, None]
+                        - a[:, k + 1:, k, None] * a[:, None, k]) % p
+    return num, den
+
+
 class _Level:
     """The integrable weights of one level and everything read over them."""
 
@@ -105,7 +158,11 @@ class _Level:
         self.m = (rs.rank + 1) * (self.es ** 2).sum(axis=1) - self.es.sum(axis=1) ** 2
         i, j = np.triu_indices(rs.rank + 1, k=1)
         self._gaps = self.es[:, i] - self.es[:, j]  # each in 1..kappa-1
-        self.s0 = self.s0_row()
+        # S row 0; sin(pi min(d, kappa-d)/kappa) keeps the argument, and its rounding, small
+        folded = np.minimum(np.arange(self.kappa), self.kappa - np.arange(self.kappa))
+        sines = 2 * np.sin(np.pi * folded / self.kappa)
+        self.s0 = sines[self._gaps].prod(axis=1) / math.sqrt(
+            (rs.rank + 1) * self.kappa ** rs.rank)
 
     def index_of(self, weight: Weight) -> int:
         try:
@@ -115,21 +172,12 @@ class _Level:
                 "weight %r is not integrable at level %d"
                 % (weight.coords, self.level)) from None
 
-    def s0_row(self, dps: int | None = None):
-        """S[0, L] for every weight from the sine product: a float array,
-        or with a dps a list of mpf at that many digits."""
-        r, kappa = self.rs.rank, self.kappa
-        # sin(pi d/kappa) = sin(pi min(d, kappa-d)/kappa) keeps the argument
-        # at most pi/2, where its rounding does not grow in the sine
-        folded = np.minimum(np.arange(kappa), kappa - np.arange(kappa))
-        if dps is None:
-            sines = 2 * np.sin(np.pi * folded / kappa)
-            return sines[self._gaps].prod(axis=1) / math.sqrt((r + 1) * kappa ** r)
-        with mp.workdps(dps):
-            sines = [2 * mp.sinpi(mp.mpf(d) / kappa) for d in folded.tolist()]
-            norm = 1 / mp.sqrt(mp.mpf(r + 1) * mp.mpf(kappa) ** r)
-            return [norm * mp.fprod(sines[d] for d in gaps)
-                    for gaps in self._gaps.tolist()]
+    def _exponents(self, rows):
+        """Exponents of zeta mod (r+1) kappa in det[zeta^{(r+1) e_i f_j} - 1],
+        i, j <= r, and in zeta^{-(sum e)(sum f)}, e over rows, f over weights."""
+        r1, order = self.rs.rank + 1, (self.rs.rank + 1) * self.kappa
+        return ((r1 * rows[:, None, :-1, None] * self.es[None, :, None, :-1]) % order,
+                (-rows.sum(axis=1)[:, None] * self.es.sum(axis=1)[None, :]) % order)
 
     def label_rows(self, label_idx, dps: int | None = None):
         """S[L, M] for L over the given weight indices and M over every
@@ -141,37 +189,47 @@ class _Level:
         array is returned; with a dps each one is taken by lie._det at that
         many digits and nested lists of mpc are returned.
         """
-        rs, kappa, r = self.rs, self.kappa, self.rs.rank
+        rs, kappa, r, order = self.rs, self.kappa, self.rs.rank, (self.rs.rank + 1) * self.kappa
         rows = self.es[list(label_idx)]
-        r1 = r + 1
-        order = r1 * kappa
-        row_sums = rows.sum(axis=1)
-        col_sums = self.es.sum(axis=1)
-        rows, cols = rows[:, :r], self.es[:, :r]  # e_{r+1} = f_{r+1} = 0
-        n = len(cols)
         if dps is None:
-            norm = (1j ** rs.num_positive_roots) / math.sqrt(float(kappa ** r * r1))
+            norm = (1j ** rs.num_positive_roots) / math.sqrt(float(kappa ** r * (r + 1)))
             table = np.exp(-2j * math.pi * np.arange(order) / order)
             minus_one = table - 1
-            out = np.empty((len(rows), n), dtype=complex)
-            block = max(1, _BLOCK_ENTRIES // (n * r * r))
+            out = np.empty((len(rows), len(self.es)), dtype=complex)
+            block = max(1, _BLOCK_ENTRIES // (len(self.es) * r * r))
             for i0 in range(0, len(rows), block):
-                part = rows[i0:i0 + block]
-                phases = (r1 * part[:, None, :, None] * cols[None, :, None, :]) % order
-                shift = (-row_sums[i0:i0 + block, None] * col_sums[None, :]) % order
+                phases, shift = self._exponents(rows[i0:i0 + block])
                 out[i0:i0 + block] = norm * np.linalg.det(minus_one[phases]) * table[shift]
             return out
         with mp.workdps(dps):
-            norm = (mp.mpc(0, 1) ** rs.num_positive_roots
-                    / mp.sqrt(mp.mpf(kappa) ** r * r1))
+            norm = mp.mpc(0, 1) ** rs.num_positive_roots / mp.sqrt(mp.mpf(kappa) ** r * (r + 1))
             table = [mp.expjpi(mp.mpf(-2 * m) / order) for m in range(order)]
             minus_one = [t - 1 for t in table]
-            out = []
-            for e, e_sum in zip(rows.tolist(), row_sums.tolist()):
-                out.append([norm * _det([[minus_one[(r1 * a * b) % order] for b in f] for a in e])
-                            * table[(-e_sum * f_sum) % order]
-                            for f, f_sum in zip(cols.tolist(), col_sums.tolist())])
-            return out
+            return [[norm * _det([[minus_one[x] for x in row] for row in entry]) * table[s]
+                     for entry, s in zip(phases.tolist(), shift.tolist())]
+                    for phases, shift in zip(*self._exponents(rows))]
+
+    def residues(self, p: int, power: int, label_idx):
+        """The Verlinde terms (S[0,M]^2)^power prod_L S[L,M]/S[0,M], L over
+        label_idx, as int64 residues mod a prime p = 1 mod (r+1) kappa below
+        2^31, for every weight M (see module docstring)."""
+        r, r1, kappa = self.rs.rank, self.rs.rank + 1, self.kappa
+        z = _roots_mod(p, r1 * kappa)
+        # the factor 2 - w^d - w^-d of each gap d, raised before the product
+        d = r1 * np.arange(kappa)
+        factors = _pow_mod((2 - z[d] - z[-d]) % p, abs(power), p)
+        s0 = np.ones(len(self.es), dtype=np.int64)
+        for gaps in self._gaps.T:
+            s0 = s0 * factors[gaps] % p
+        norm = pow(r1 * kappa ** r, -power, p)  # ((r+1) kappa^r)^-power
+        num, den = (s0 * norm % p, np.ones_like(s0)) if power >= 0 else (np.full_like(s0, norm), s0)
+        if label_idx:  # D(L)/D(0) as top_L bottom_0 / (bottom_L top_0)
+            phases, shift = self._exponents(self.es[[0, *label_idx]])
+            top, bottom = (x.reshape(shift.shape) for x in _det_mod((z[phases] - 1) % p, p))
+            top = top * z[shift] % p
+            for t, b in zip(top[1:], bottom[1:]):
+                num, den = num * t % p * bottom[0] % p, den * b % p * top[0] % p
+        return num * _pow_mod(den, p - 2, p) % p
 
     def t_diagonals(self):
         """Diagonals of T over the weights, bare and canonical framing.

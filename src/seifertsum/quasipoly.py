@@ -181,6 +181,8 @@ def pairing_report(rs: RootSystem, genus: int, k_min: int, k_max: int,
         raise PreconditionError("genus must be >= 1")
     if k_min < 1 or k_max < k_min:
         raise PreconditionError("need 1 <= k_min <= k_max")
+    if horizon < 1:
+        raise PreconditionError("horizon must be >= 1, got %d" % horizon)
     labels = tuple(tuple(int(c) for c in lab) for lab in labels)
     label_weights = tuple(Weight(lab) for lab in labels)
     # the degree of the unlabelled table: rank at genus 1, else (g-1) dim

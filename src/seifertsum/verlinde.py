@@ -3,22 +3,22 @@
     V_g(k; labels) = sum_lam (S[0,lam])^(2-2g) prod_i S[label_i,lam]/S[0,lam]
 
 over the integrable lam at level k: the degree-zero Seifert lattice sum,
-read from S row 0 and the label rows of the level object that also
-assembles S (modular._Level), never the full S. A label outside the
-level's integrable weights is refused by name.
+read from the level object that also assembles S (modular._Level), never
+the full S. A label outside the level's integrable weights is refused by
+name.
 
-The result must be a nonnegative integer, and the working precision is
-chosen from an error bound. Every |S[label, lam]| is at most 1, so
-A = sum_lam S[0,lam]^(2-2g-n) bounds sum |term|, and the sum carries an
-error of at most (R A + |V|) eps at unit roundoff eps, with R counting
-the roundings of one term (_roundings). The sum is taken in binary64
-when (R + 1) A has at most 15 digits, so that this bound is below 1/2.
-When it has more, or the bound plus the distance to the nearest integer
-is not below 1/2, the sum is taken in mpmath at digits((R + 1) A) +
-_GUARD_DIGITS digits. A value is rounded only when its bound plus its
-distance to the nearest integer is below 1/2, so that nearest integer
-is the only one the exact sum can be; anything else is a hard error,
-not a silent rounding.
+V is computed exactly. Every factor of a term lies in the cyclotomic
+field Q(zeta), zeta of order N = (r+1) kappa, with only primes dividing N
+in denominators (Coste-Gannon, Phys. Lett. B 323 (1994)), so for a prime
+p = 1 mod N the ring map sending zeta to an element of order N in F_p
+sends the terms (modular._Level.residues) to residues that sum to V mod p.
+As |S[label, lam]| <= 1, A = sum_lam S[0,lam]^(2-2g-n) bounds |V|; it is
+sized from the binary64 S row 0 with a 2-bit margin. Primes p = 1 mod N
+below 2^31, largest first, are taken until their product exceeds 2A + 1,
+and V is the symmetric residue of the Chinese remainder theorem. One more
+prime is a witness: a residue that disagrees with it, or a negative V,
+raises IntegralityError. verlinde_sum is the binary64 sum, the degree-zero
+Seifert cell.
 """
 
 from __future__ import annotations
@@ -26,17 +26,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
 from .errors import IntegralityError, PreconditionError
 from .lie import RootSystem, Weight
 from .modular import _Level
 from .seifert import _cells
-
-_EPS64 = 2.0 ** -52
-_BINARY64_DIGITS = 15  # 10^15 eps64 < 1/2
-_GUARD_DIGITS = 3
 
 
 @dataclass(frozen=True)
@@ -55,116 +50,68 @@ class VerlindeTable:
     monotone_nondecreasing: bool | None = None
 
 
-def _distance(value):
-    """|value - nearest integer| and that integer, for complex or mpc."""
-    nearest = int(mp.nint(value.real, prec=0))  # exact at any precision
-    return abs(value - nearest), nearest
-
-
-def _round_integral(value, context: str, error=0.0, precision: str = "binary64") -> int:
-    """The nearest integer to value, when value carries at most `error`
-    and the distance to that integer plus `error` is below 1/2."""
-    residual, nearest = _distance(value)
-    if residual + error >= 0.5:
-        threshold = 0.5 - error
-        raise IntegralityError(
-            "%s = %s is %.3g away from the nearest integer (threshold %.3g = "
-            "1/2 - certified error %.3g, %s)"
-            % (context, mp.nstr(value, 25), residual, threshold, error, precision),
-            residual=float(residual), threshold=float(threshold), precision=precision)
-    if nearest < 0:
-        raise IntegralityError("%s rounded to the negative integer %d"
-                               % (context, nearest))
-    return nearest
-
-
-def _roundings(rs: RootSystem, power: int, n_labels: int) -> int:
-    """R: a term's error in units of eps, relative to S[0,lam]^power.
-
-    A table sine carries at most 7 roundings: 3 in its argument, which
-    stays at most pi/2 so they do not grow, and 4 ulps of the library
-    sine. S[0,lam], a product of |Delta_+| sines and a normalisation,
-    so carries at most 8|Delta_+| + 4, and the power multiplies that by
-    |power| + 1. A label entry is the r x r determinant of the entries
-    zeta^m - 1 (modular._Level.label_rows), of modulus at most 2, each
-    off by at most 16 roundings: 10 from its argument, up to 2 pi after
-    3 roundings, 4 ulps of the library exponential, and 1 in the
-    subtraction. Elimination with partial pivoting adds r^2 2^r roundings
-    to each of the r^2 entries (pivot growth at most 2^(r-1) on entries
-    of modulus 2); each entry's error reaches the determinant through a
-    cofactor of at most 2^(r-1) (r-1)^((r-1)/2) (Hadamard); and r + 2
-    roundings of the pivot product, phase and normalisation follow.
-    """
-    r = rs.rank
-    det = r ** 2 * (r ** 2 * 2 ** r + 16) * 2 ** (r - 1) * math.ceil((r - 1) ** ((r - 1) / 2))
-    return (abs(power) + 1) * (8 * rs.num_positive_roots + 4) + n_labels * (det + r + 2)
-
-
-def _lattice_value(lv: _Level, genus: int, label_idx, dps: int | None = None):
-    """(V, bound on its error): the lattice sum in binary64, or with a dps
-    in mpmath at that many digits."""
-    power = 2 - 2 * genus - len(label_idx)
-    if dps is None:
-        value = _cells(lv, [genus], [0], label_idx)[genus, 0]
-        total, eps = math.fsum((lv.s0 ** power).tolist()), _EPS64
-    else:
-        with mp.workdps(dps):
-            mags = [s ** power for s in lv.s0_row(dps)]
-            terms = mags
-            for row in lv.label_rows(label_idx, dps):
-                terms = [t * s for t, s in zip(terms, row)]
-            value, total, eps = mp.fsum(terms), mp.fsum(mags), +mp.eps
-    return value, (_roundings(lv.rs, power, len(label_idx)) * total + abs(value)) * eps
-
-
-def _certified_sum(req: VerlindeRequest):
-    """(V, bound on its error, precision name) at the first precision,
-    binary64 or the mpmath digits its bound asks for, whose bound plus
-    distance to the nearest integer is below 1/2."""
+def _level(req: VerlindeRequest):
+    """The level object of a request and the weight indices of its labels."""
     if req.genus < 0:
         raise PreconditionError("genus must be >= 0")
     if req.level < 1:
         raise PreconditionError("level must be >= 1")
     lv = _Level(req.rs, req.level)
-    label_idx = [lv.index_of(lab) for lab in req.labels]
-    # digits of (R + 1) A, which bounds the error in units of eps; A is
-    # summed in log space so that a sum past the binary64 range is sized too
-    power = 2 - 2 * req.genus - len(label_idx)
-    logs = power * np.log10(lv.s0)
-    top = logs.max()
-    digits = math.ceil(math.log10(_roundings(req.rs, power, len(label_idx)) + 1) + top
-                       + math.log10(math.fsum((10.0 ** (logs - top)).tolist())))
-    if digits <= _BINARY64_DIGITS:
-        value, error = _lattice_value(lv, req.genus, label_idx)
-        if _distance(value)[0] + error < 0.5:
-            return value, error, "binary64"
-    dps = digits + _GUARD_DIGITS
-    value, error = _lattice_value(lv, req.genus, label_idx, dps)
-    return value, error, "dps=%d" % dps
+    return lv, [lv.index_of(lab) for lab in req.labels]
+
+
+def _primes(order: int):
+    """The primes p = 1 mod order in (31, 2^31), largest first: trial
+    division by the odd primes below 32 and a base-2 Fermat test, which
+    every even p fails, reject most composites cheaply; Miller-Rabin with
+    bases 2, 3, 5, 7, deterministic below 3.2e9, decides."""
+    for p in range((2 ** 31 - 2) // order * order + 1, max(order, 31), -order):
+        s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = 2^s d with d odd
+        if all(p % q for q in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)) and pow(2, p - 1, p) == 1 and all(
+                any(pow(a, (p - 1) >> i, p) == p - 1 for i in range(1, s + 1))
+                or pow(a, (p - 1) >> s, p) == 1 for a in (2, 3, 5, 7)):
+            yield p
 
 
 def verlinde_sum(req: VerlindeRequest) -> complex:
-    """The complex weight sum, before integrality enforcement, at the
-    precision verlinde_dimension rounds it at."""
-    return complex(_certified_sum(req)[0])
+    """The complex weight sum in binary64: the degree-zero cell of
+    seifert._cells. verlinde_dimension does not read it."""
+    lv, label_idx = _level(req)
+    return _cells(lv, [req.genus], [0], label_idx)[req.genus, 0]
 
 
 def verlinde_dimension(req: VerlindeRequest) -> int:
-    value, error, precision = _certified_sum(req)
-    return _round_integral(value, "Verlinde dimension", error, precision)
+    lv, label_idx = _level(req)
+    # A <= 2^bits: A is summed in log space, so that an A past the binary64
+    # range is sized too, and 2 bits cover the roundings of that sum
+    logs = (2 - 2 * req.genus - len(label_idx)) * np.log2(lv.s0)
+    top = logs.max()
+    bits = math.ceil(top + math.log2(math.fsum((2.0 ** (logs - top)).tolist()))) + 2
+    value, modulus, used = 0, 1, []
+    for p in _primes((lv.rs.rank + 1) * lv.kappa):
+        residue = int(lv.residues(p, 1 - req.genus, label_idx).sum()) % p
+        if modulus >> (bits + 1):  # an odd modulus >= 2^(bits+1) exceeds 2A + 1
+            if value % p != residue or value < 0:
+                raise IntegralityError(
+                    "Verlinde dimension %d from primes %s is not a nonnegative integer "
+                    "or fails witness prime %d: residue expected %d, got %d"
+                    % (value, used, p, value % p, residue))
+            return value
+        value += modulus * ((residue - value) * pow(modulus, -1, p) % p)
+        modulus *= p
+        used.append(p)
+        value -= modulus if value > modulus // 2 else 0  # the symmetric residue
+    raise PreconditionError("the primes p = 1 mod (r+1) kappa below 2^31 do not "
+                            "determine the Verlinde dimension at level %d" % req.level)
 
 
 def verlinde_table(rs: RootSystem, genus: int, levels, labels: tuple[Weight, ...] = ()) -> VerlindeTable:
     levels = list(levels)
     if not levels or any(k < 1 for k in levels):
         raise PreconditionError("levels must be >= 1")
-    rows = []
-    for k in levels:
-        dim = verlinde_dimension(VerlindeRequest(rs=rs, level=k, genus=genus,
-                                                 labels=tuple(labels)))
-        rows.append((k, dim))
-    monotone = None
-    if not labels:
-        monotone = all(b[1] >= a[1] for a, b in zip(rows, rows[1:]))
-    return VerlindeTable(genus=genus, labels=tuple(labels), rows=tuple(rows),
+    rows = tuple((k, verlinde_dimension(VerlindeRequest(rs=rs, level=k, genus=genus,
+                                                        labels=tuple(labels))))
+                 for k in levels)
+    monotone = None if labels else all(b[1] >= a[1] for a, b in zip(rows, rows[1:]))
+    return VerlindeTable(genus=genus, labels=tuple(labels), rows=rows,
                          monotone_nondecreasing=monotone)

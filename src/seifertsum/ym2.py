@@ -136,8 +136,8 @@ def ym2_partition(req: YM2Request) -> YM2Result:
     rs = req.rs
     if req.genus < 2:
         raise PreconditionError("genus must be >= 2, the sum diverges below that")
-    if req.epsilon < 0:
-        raise PreconditionError("epsilon must be >= 0")
+    if not 0 <= req.epsilon < math.inf:  # also refuses nan
+        raise PreconditionError("epsilon must be a finite number >= 0")
     if not (req.target_tol > 0):
         raise PreconditionError("target_tol must be positive")
     m = 2 * req.genus - 2
@@ -156,8 +156,8 @@ def ym2_partition(req: YM2Request) -> YM2Result:
         box *= 2
     value = math.fsum(itertools.chain.from_iterable(
         _box_terms(rs.rank, box, m, req.epsilon)))
-    if value <= 0:
-        raise CertificationError("partition sum must be positive")
+    if not value > 0:  # also catches nan
+        raise CertificationError("partition sum must be positive, got %r" % (value,))
     return YM2Result(value=value, tail_bound=_box_tail_bound(rs.rank, m, req.epsilon, box),
                      terms=(box + 1) ** rs.rank, genus=req.genus, epsilon=req.epsilon)
 

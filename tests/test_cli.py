@@ -8,10 +8,10 @@ import io
 import json
 import math
 import os
+import re
 import tracemalloc
 from types import SimpleNamespace
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,11 +19,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from oracles import verlinde_exact
-from seifertsum import cli, modular, verlinde
-from seifertsum.errors import IntegralityError
+from seifertsum import cli, modular
 from seifertsum.lie import build_root_system
 from seifertsum.modular import central_charge, s_matrix
-from seifertsum.verlinde import _round_integral
 
 
 def run(argv, capsys):
@@ -531,25 +529,32 @@ def test_failed_report_write_leaves_no_file(tmp_path, capsys, monkeypatch):
     assert not target.exists()
 
 
-def test_integrality_failure_names_residual_threshold_and_precision(capsys, monkeypatch):
-    # 0.4 from the nearest integer with a certified error of 0.2: the exact
-    # sum could be 7 or 8, so the guard refuses it
-    def unresolved(req):
-        return mp.mpf("7.4"), 0.2, "dps=30"
+def test_integrality_failure_names_primes_value_and_witness(capsys, monkeypatch):
+    # one term of the first prime's residues is off by one, so the value the
+    # Chinese remainder theorem rebuilds fails the witness prime
+    true_residues = modular._Level.residues
+    calls = []
 
-    monkeypatch.setattr(verlinde, "_certified_sum", unresolved)
+    def off_by_one(lv, p, power, label_idx):
+        terms = true_residues(lv, p, power, label_idx)
+        calls.append(p)
+        if len(calls) == 1:
+            terms[0] = (terms[0] + 1) % p
+        return terms
+
+    monkeypatch.setattr(modular._Level, "residues", off_by_one)
     code, out, err = run(["verlinde", "--algebra", "A1", "--genus", "5",
                           "--levels", "10"], capsys)
     assert code == 3
     assert out == ""
-    assert ("is 0.4 away from the nearest integer (threshold 0.3 = 1/2 - "
-            "certified error 0.2, dps=30)") in err
-    with pytest.raises(IntegralityError) as info:
-        _round_integral(mp.mpf("7.4"), "Verlinde dimension", 0.2, "dps=30")
-    exc = info.value
-    assert exc.residual == pytest.approx(0.4)
-    assert exc.threshold == pytest.approx(0.3)
-    assert exc.precision == "dps=30"
+    found = re.fullmatch(r"certification failed: Verlinde dimension (-?\d+) from primes "
+                         r"(\[[\d, ]+\]) is not a nonnegative integer or fails witness "
+                         r"prime (\d+): residue expected (\d+), got (\d+)\n", err)
+    assert found, err
+    value, primes, witness, expected, got = found.groups()
+    assert primes == str(calls[:-1]) and int(witness) == calls[-1]
+    assert int(expected) == int(value) % calls[-1] != int(got)
+    assert int(got) == 129443600 % calls[-1]
 
 
 def test_lattice_sums_build_no_full_s(capsys, monkeypatch):
@@ -574,3 +579,26 @@ def test_verlinde_past_the_full_s_budget(rank, level, capsys):
     assert code == 0
     assert json.loads(out)["table"] == [{"k": level,
                                          "dimension": verlinde_exact(rank, level, 2)}]
+
+
+@pytest.mark.parametrize("argv", [
+    ["kirillov", "--algebra", "A1", "--weight", "1", "--point", "nan"],
+    ["kirillov", "--algebra", "A1", "--weight", "1", "--points", "0.5;inf"],
+    ["genera", "--algebra", "A1", "--which", "j", "--points", "nan"],
+    ["ym2", "--algebra", "A2", "--genus", "2", "--epsilons", "inf", "--tol", "1e-3"],
+    ["ym2", "--algebra", "A2", "--genus", "2", "--epsilons", "0.5,-inf"],
+    ["ym2", "--algebra", "A2", "--genus", "2", "--epsilons", "nan"],
+])
+def test_non_finite_numbers_are_malformed(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 64
+    assert out == ""
+    assert "expected comma separated finite numbers" in err
+
+
+@pytest.mark.parametrize("horizon", ["0", "-1"])
+def test_pairings_refuse_an_empty_horizon(horizon, capsys):
+    code, out, err = run(["pairings", "--algebra", "A1", "--genus", "2", "--kmin", "1",
+                          "--kmax", "8", "--horizon", horizon], capsys)
+    assert (code, out) == (2, "")
+    assert err == "refused: horizon must be >= 1, got %s\n" % horizon

@@ -167,3 +167,36 @@ def test_reduced_determinant_s_certifies_in_binary64(rank, level):
     assert md.precision_bits == 53
     assert md.certificate["unitarity"] <= 1e-14
     assert md.certificate["symmetry"] <= 1e-14
+
+
+def _exact_det(rows):
+    """Integer determinant by cofactor expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-1) ** j * rows[0][j] * _exact_det([row[:j] + row[j + 1:] for row in rows[1:]])
+               for j in range(len(rows)))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 5])
+def test_modular_determinants_match_exact_ones(r):
+    # entries mostly 0 or 1, so that zero pivots, row swaps and singular
+    # matrices all occur, next to entries near p
+    p = 2147483497
+    rng = np.random.default_rng(r)
+    a = rng.choice(np.array([0, 0, 1, 2, p - 1, p - 2, 12345]), size=(400, r, r))
+    num, den = modular._det_mod(a, p)
+    assert (den % p != 0).all()
+    for m, top, bottom in zip(a.tolist(), num.tolist(), den.tolist()):
+        assert top * pow(bottom, -1, p) % p == _exact_det(m) % p
+    assert num.tolist().count(0) > 10  # singular matrices
+    if r > 1:  # and regular ones that needed a row swap
+        assert any(m[0][0] == 0 and _exact_det(m) % p for m in a.tolist())
+
+
+@pytest.mark.parametrize("p,order", [(7, 6), (2147483497, 24), (2139621397, 400004)])
+def test_root_table_has_exact_order(p, order):
+    assert p % order == 1
+    table = modular._roots_mod(p, order)
+    z = int(table[1])
+    assert table[0] == 1 and len(np.unique(table)) == order
+    assert (table[1:] == table[:-1] * z % p).all() and pow(z, order, p) == 1

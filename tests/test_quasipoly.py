@@ -131,3 +131,10 @@ def test_pairing_report_rejects_bad_windows(a1):
         pairing_report(a1, genus=2, k_min=5, k_max=1)
     with pytest.raises(PreconditionError):
         pairing_report(a1, genus=1, k_min=1, k_max=8, labels=((3,),))
+
+
+@pytest.mark.parametrize("horizon", [0, -1])
+def test_pairing_report_refuses_an_empty_horizon(a1, horizon):
+    # the predictions re-derived past the window are the fit's check
+    with pytest.raises(PreconditionError, match="horizon must be >= 1"):
+        pairing_report(a1, genus=2, k_min=1, k_max=8, horizon=horizon)

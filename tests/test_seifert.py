@@ -187,6 +187,5 @@ def test_rows_agree_with_certified_s(rank, levels):
         every = range(len(lv.weights))
         assert np.abs(lv.s0 - md.s[0]).max() <= 1e-13
         assert np.abs(lv.label_rows(every) - md.s).max() <= 1e-13
-        assert np.abs(np.array(lv.s0_row(30), dtype=float) - md.s[0]).max() <= 1e-13
         mp_rows = np.asarray(lv.label_rows(every, 30), dtype=complex)
         assert np.abs(mp_rows - md.s).max() <= 1e-13

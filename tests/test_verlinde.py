@@ -1,9 +1,11 @@
 """Block-space dimensions against an independent fusion-rule oracle."""
 
 import itertools
+import math
 
 import pytest
-from mpmath import iv
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     blocks_genus1,
@@ -12,13 +14,12 @@ from oracles import (
     fusion_coefficients,
     verlinde_exact,
 )
+from seifertsum import verlinde
 from seifertsum.errors import IntegralityError, PreconditionError
-from seifertsum.lie import Weight, _shifted_epsilon, build_root_system
-from seifertsum.modular import integrable_weights
+from seifertsum.lie import Weight, build_root_system
+from seifertsum.modular import _Level, integrable_weights
 from seifertsum.verlinde import (
     VerlindeRequest,
-    _certified_sum,
-    _round_integral,
     verlinde_dimension,
     verlinde_sum,
     verlinde_table,
@@ -117,12 +118,111 @@ def test_raw_sum_is_nearly_real(a1):
     assert abs(value.imag) < 1e-9
 
 
-def test_rounding_guard():
-    with pytest.raises(IntegralityError):
-        _round_integral(0.5 + 0j, "test value")
-    with pytest.raises(IntegralityError):
-        _round_integral(-1.0 + 0j, "test value")
-    assert _round_integral(3.0 + 1e-12j, "test value") == 3
+_MAX_LEVEL = {1: 12, 2: 6, 3: 3}
+
+
+@st.composite
+def _cells(draw):
+    rank = draw(st.integers(1, 3))
+    level = draw(st.integers(1, _MAX_LEVEL[rank]))
+    weights = [w.coords for w in integrable_weights(build_root_system("A", rank), level)]
+    labels = draw(st.lists(st.sampled_from(weights), max_size=2))
+    return rank, level, draw(st.integers(0, 4)), tuple(labels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cells())
+def test_dimension_matches_the_weyl_sum_oracle(cell):
+    rank, level, genus, labels = cell
+    rs = build_root_system("A", rank)
+    assert _dim(rs, level, genus, [Weight(lab) for lab in labels]) == verlinde_exact(
+        rank, level, genus, labels)
+
+
+@pytest.mark.parametrize("level", [1, 2, 1000, 200000])
+def test_rank1_genus2_is_binomial_to_the_frontier(a1, level):
+    assert _dim(a1, level, 2) == math.comb(level + 3, 3)
+
+
+@pytest.mark.parametrize("rank,genus,level,labels,exact", [
+    (2, 3, 15, ((1, 1),), 458392504320),
+    (2, 1, 6, ((1, 0), (0, 1)), 63),
+    (2, 0, 5, ((1, 0),) * 3, 1),
+    (3, 2, 4, ((1, 0, 1), (0, 2, 0)), 83840),
+    (5, 1, 4, ((1, 0, 0, 0, 0), (0, 0, 0, 0, 1)), 336),
+])
+def test_labelled_dimensions_are_exact(rank, genus, level, labels, exact):
+    assert verlinde_exact(rank, level, genus, labels) == exact
+    assert _dim(build_root_system("A", rank), level, genus,
+                [Weight(lab) for lab in labels]) == exact
+
+
+def test_labelled_dimension_at_the_frontier(a2):
+    # 45,451 weights; no oracle reaches it, and the pin was taken from this path
+    assert _dim(a2, 300, 2, [Weight((1, 1))]) == 28186499346148364
+
+
+def _patched_residues(monkeypatch, change):
+    """Replace the first term of every residue vector by change(call
+    number, p, that term), reduced mod p; return the primes called."""
+    true_residues = _Level.residues
+    calls = []
+
+    def patched(lv, p, power, label_idx):
+        terms = true_residues(lv, p, power, label_idx)
+        calls.append(p)
+        terms[0] = change(len(calls), p, terms[0]) % p
+        return terms
+
+    monkeypatch.setattr(_Level, "residues", patched)
+    return calls
+
+
+def test_witness_mismatch_is_refused(a1, monkeypatch):
+    # one residue off by one: the reconstructed value fails the witness prime
+    calls = _patched_residues(monkeypatch, lambda i, p, res: res + (i == 1))
+    with pytest.raises(IntegralityError, match=r"fails witness prime (\d+): residue "
+                                               r"expected \d+, got \d+") as info:
+        _dim(a1, 10, 5)
+    assert len(calls) >= 2
+    assert "fails witness prime %d" % calls[-1] in str(info.value)
+    assert "from primes %s" % calls[:-1] in str(info.value)
+
+
+def test_negative_value_is_refused(a1, monkeypatch):
+    # every residue moved by -2V: the primes and the witness agree on -V
+    _patched_residues(monkeypatch, lambda i, p, res: res - 2 * 129443600)
+    with pytest.raises(IntegralityError, match=r"dimension -129443600 from primes \[\d+(?:, \d+)*\] "
+                                               r"is not a nonnegative integer or fails "
+                                               r"witness prime \d+: residue expected "
+                                               r"(\d+), got \1$"):
+        _dim(a1, 10, 5)
+
+
+def test_primes_run_out_for_a_large_cyclotomic_order(a1, monkeypatch):
+    # no prime p = 1 mod N lies below 2^31 when N is past it
+    monkeypatch.setattr(verlinde, "_primes", lambda order: iter(()))
+    with pytest.raises(PreconditionError, match="do not determine"):
+        _dim(a1, 3, 2)
+
+
+def test_primes_are_every_prime_1_mod_the_order_from_the_top():
+    sieve = bytearray([1]) * 46341  # past sqrt(2^31)
+    sieve[:2] = b"\0\0"
+    for q in range(2, 216):
+        if sieve[q]:
+            sieve[q * q::q] = bytearray(len(sieve[q * q::q]))
+    small = [q for q in range(len(sieve)) if sieve[q]]
+
+    def is_prime(n):
+        return all(n % q for q in small if q * q <= n)
+
+    assert list(verlinde._primes(2 ** 30)) == []  # 2^30 + 1 = 5^2 * 13 * 41 * 61 * 1321
+    for order in (6, 15, 400004, 999999, 12345678):  # odd orders give even candidates
+        primes = list(itertools.islice(verlinde._primes(order), 5))
+        top = (2 ** 31 - 2) // order * order + 1
+        assert top + order >= 2 ** 31 and primes[0] < 2 ** 31
+        assert [p for p in range(top, primes[-1] - 1, -order) if is_prime(p)] == primes
 
 
 def test_preconditions(a1):
@@ -173,68 +273,6 @@ def test_levels_past_binary64_are_exact(rank, genus, levels):
     rs = build_root_system("A", rank)
     for k in levels:
         assert _dim(rs, k, genus) == verlinde_exact(rank, k, genus)
-
-
-def _interval_sum(rs, level, genus, labels, dps):
-    """An mpmath.iv enclosure of the Verlinde sum: each term at dps digits,
-    row 0 from the sine product, label entries as explicit Weyl sums, and
-    the terms added at dps + 20 digits."""
-    n = rs.rank + 1
-    kappa = level + n
-    order = n * kappa
-    iv.dps = dps
-    zeta = [iv.mpc(iv.cos(2 * iv.pi * x / order), -iv.sin(2 * iv.pi * x / order))
-            for x in range(order)]
-    # sin(pi d/kappa) = sin(pi (kappa-d)/kappa), and the smaller argument
-    # keeps the enclosure narrow
-    sines = [2 * iv.sin(iv.pi * min(d, kappa - d) / kappa) for d in range(kappa)]
-    norm = 1 / iv.sqrt(iv.mpf(n) * iv.mpf(kappa) ** rs.rank)
-    phase = iv.mpc(*[(1, 0), (0, 1), (-1, 0), (0, -1)][rs.num_positive_roots % 4])
-    perms = [(perm, (-1) ** sum(perm[a] > perm[b]
-                                for a in range(n) for b in range(a + 1, n)))
-             for perm in itertools.permutations(range(n))]
-    total = iv.mpc(0)
-    for w in integrable_weights(rs, level):
-        m = _shifted_epsilon(w.coords)
-        term = norm
-        for i in range(n):
-            for j in range(i + 1, n):
-                term *= sines[m[i] - m[j]]
-        term = iv.mpc(term ** (2 - 2 * genus - len(labels)))
-        for lab in labels:
-            e = _shifted_epsilon(lab.coords)
-            entry = iv.mpc(0)
-            for perm, sign in perms:
-                x = n * sum(e[perm[i]] * m[i] for i in range(n)) - sum(e) * sum(m)
-                entry += sign * zeta[x % order]
-            term *= entry * norm * phase
-        iv.dps = dps + 20
-        total += term
-        iv.dps = dps
-    return total
-
-
-@pytest.mark.parametrize("rank,genus,level,labels", [
-    (1, 8, 13, ()),
-    (2, 3, 34, ()),
-    (2, 3, 15, ((1, 1),)),
-])
-def test_error_bound_covers_an_interval_enclosure(rank, genus, level, labels):
-    rs = build_root_system("A", rank)
-    labels = tuple(Weight(lab) for lab in labels)
-    value, error, precision = _certified_sum(
-        VerlindeRequest(rs=rs, level=level, genus=genus, labels=labels))
-    assert precision.startswith("dps=")
-    dps = int(precision[len("dps="):])
-    saved = iv.prec
-    try:
-        enclosure = _interval_sum(rs, level, genus, labels, dps)
-        iv.dps = dps + 20  # compare the mp value at its full precision
-        assert value.real in enclosure.real
-        assert value.imag in enclosure.imag
-    finally:
-        iv.prec = saved
-    assert error >= max(enclosure.real.delta, enclosure.imag.delta) / 2
 
 
 def test_dimension_past_the_binary64_range(a1):

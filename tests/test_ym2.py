@@ -212,3 +212,18 @@ def test_result_metadata(a1):
     res = _run(a1, 3, 0.0)
     assert res.genus == 3 and res.epsilon == 0.0
     assert res.terms >= 64
+
+
+@pytest.mark.parametrize("eps", [math.inf, math.nan])
+def test_non_finite_epsilon_is_refused(a2, eps):
+    # inf used to sum to nan, which passed the positivity check
+    with pytest.raises(PreconditionError, match="epsilon must be a finite number"):
+        _run(a2, 2, eps, target_tol=1e-3)
+    with pytest.raises(PreconditionError, match="epsilon must be a finite number"):
+        ym2_epsilon_profile(a2, 2, [0.5, eps], target_tol=1e-3)
+
+
+def test_a_nan_sum_fails_the_positivity_check(a2, monkeypatch):
+    monkeypatch.setattr(ym2, "_box_terms", lambda *args: [[math.nan]])
+    with pytest.raises(CertificationError, match="must be positive, got nan"):
+        _run(a2, 2, 1.0, target_tol=1e-3)
