@@ -295,15 +295,10 @@ def _complex_row_template(length: int, depth: int) -> bytes:
 
 
 def _root_system(args):
-    series, rank = ("A", None)
-    algebra = getattr(args, "algebra", None)
-    if algebra is not None:
-        if isinstance(algebra, str):  # config files carry the raw spelling
-            algebra = _algebra_type(algebra)
-        series, rank = algebra
-    if getattr(args, "series", None) is not None:
+    series, rank = args.algebra or ("A", None)
+    if args.series is not None:
         series = args.series
-    if getattr(args, "rank", None) is not None:
+    if args.rank is not None:
         rank = args.rank
     if rank is None:
         raise PreconditionError(
@@ -311,15 +306,8 @@ def _root_system(args):
     return build_root_system(series, rank)
 
 
-def _as_weight(coords) -> Weight:
-    return Weight(tuple(int(c) for c in coords))
-
-
 def _labels_from(args) -> tuple[Weight, ...]:
-    merged = list(getattr(args, "labels", ()) or ())
-    for single in getattr(args, "label", ()) or ():
-        merged.append(single)
-    return tuple(_as_weight(c) for c in merged)
+    return tuple(map(Weight, [*(args.labels or ()), *(args.label or ())]))
 
 
 def _cmd_lie(args) -> int:
@@ -335,7 +323,7 @@ def _cmd_lie(args) -> int:
         "cartan_matrix": [list(row) for row in rs.cartan],
     }
     if args.weight is not None:
-        w = _as_weight(args.weight)
+        w = Weight(args.weight)
         if len(w.coords) != rs.rank:
             raise PreconditionError("weight has %d coordinates, rank is %d"
                                     % (len(w.coords), rs.rank))
@@ -449,7 +437,7 @@ def _cmd_seifert(args) -> int:
 
 def _cmd_kirillov(args) -> int:
     rs = _root_system(args)
-    w = _as_weight(args.weight)
+    w = Weight(args.weight)
     points = list(args.points or ())
     if args.point is not None:
         points.append(args.point)
@@ -658,14 +646,24 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _config_text(value) -> str:
+    """A config value as its flag's text: ',' inside a weight or point, ';' between them."""
+    if not isinstance(value, list):
+        return str(value)
+    return (";" if any(isinstance(v, list) for v in value) else ",").join(map(_config_text, value))
+
+
 def _apply_config(parser: _Parser, config: dict) -> None:
+    # argparse runs an option's type only on a string default, so a typed
+    # option's value goes in as its flag's text (an appended --label as it is)
     for action in parser._subparsers._group_actions:
         for sp in action.choices.values():
             for arg in sp._actions:
                 if arg.dest in config:
-                    arg.required = False
-            dests = {a.dest for a in sp._actions}
-            sp.set_defaults(**{k: v for k, v in config.items() if k in dests})
+                    arg.required, value = False, config[arg.dest]
+                    if arg.type and value is not None and not isinstance(arg, argparse._AppendAction):
+                        value = _config_text(value)
+                    sp.set_defaults(**{arg.dest: value})
 
 
 def main(argv=None) -> int:

@@ -31,7 +31,7 @@ from .orbits import (
 )
 from .quasipoly import pairing_report
 from .seifert import SeifertSpec, seifert_partition
-from .verlinde import VerlindeRequest, verlinde_dimension, verlinde_sum
+from .verlinde import VerlindeRequest, verlinde_dimension
 from .ym2 import YM2Request, verlinde_ym2_crosscheck, ym2_epsilon_profile, ym2_partition
 
 
@@ -137,7 +137,7 @@ def _check_degree_zero_reduction(rng):
     for series, rank, level, genus in (("A", 1, 4, 2), ("A", 2, 3, 1)):
         rs = build_root_system(series, rank)
         z = seifert_partition(SeifertSpec(rs=rs, level=level, genus=genus, degree=0))
-        v = verlinde_sum(VerlindeRequest(rs=rs, level=level, genus=genus))
+        v = verlinde_dimension(VerlindeRequest(rs=rs, level=level, genus=genus))
         worst = max(worst, abs(z.value - v))
     return worst, "degree-zero fibration sum against fusion dimension"
 

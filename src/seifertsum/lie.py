@@ -14,9 +14,11 @@ Conventions, fixed once for the whole package:
 * Lattice pairings are integer forms in the epsilon coordinates e, f
   (below): (r+1)<a, b> = (r+1) sum e_i f_i - (sum e)(sum f) (_form), and
   prod_{alpha>0} <mu, alpha> = prod_{i<j} (e_i - e_j) (_vandermonde).
-  Fractions appear only at the API (ip, casimir, ...). Only
-  transcendental evaluation (characters, genus functions) uses floating
-  point, binary64 first with an mpmath fallback near non-regular points.
+  Weight sets are integer arrays, one row each (_epsilon_norms), and
+  Weight objects are made on demand. Fractions appear only at the API
+  (ip, casimir, ...). Only transcendental evaluation (characters, genus
+  functions) uses floating point, binary64 first with an mpmath fallback
+  near non-regular points.
 
 Every Weyl alternating sum at a Cartan point goes through one kernel,
 _alternating_sum (modular assembles S from the same determinant form,
@@ -52,6 +54,7 @@ from fractions import Fraction as Q
 from typing import Sequence
 
 import mpmath as mp
+import numpy as np
 
 from .errors import (
     PreconditionError,
@@ -298,6 +301,16 @@ def _epsilon_coords(lam_fw: Sequence[int]) -> tuple[int, ...]:
 def _shifted_epsilon(lam_fw: Sequence[int]) -> tuple[int, ...]:
     """Epsilon coordinates of lam + rho."""
     return _epsilon_coords([c + 1 for c in lam_fw])
+
+
+def _epsilon_norms(shifted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_shifted_epsilon and M = _form(e, e) = (r+1)|lam+rho|^2 of the rows
+    lam+rho of an (n, r) int64 (or exact object) array, in its dtype."""
+    n, r = shifted.shape
+    e = np.zeros((n, r + 1), dtype=shifted.dtype)
+    e[:, :r] = np.cumsum(shifted[:, ::-1], axis=1)[:, ::-1]
+    s = e.sum(axis=1)
+    return e, (r + 1) * (e * e).sum(axis=1) - s * s
 
 
 def _form(e: Sequence[int], f: Sequence[int]) -> int:

@@ -23,11 +23,12 @@ diagonal with entries exp(2 pi i (<L, L+2 rho>/(2 kappa) - c/24)) in the
 canonical framing, c = k dim(g)/kappa, and without the -c/24 shift in
 the bare framing.
 
-One level's data lives in one place (_Level): the integrable weights,
-their index, the epsilon coordinates e of L+rho, the integer norms
-M = (r+1)|L+rho|^2 = (r+1) sum e_i^2 - (sum e_i)^2, S row 0, any S
-rows, and the T diagonals. S, T, the Verlinde sums and the Seifert sums
-all read the same instance. S row 0 is the product form
+One level's data lives in one place (_Level): the integrable weights as
+one (n, r) int64 array (Weight objects only on demand; a label is found
+by its row), the epsilon coordinates e of L+rho, the integer norms
+M = (r+1)|L+rho|^2 = (r+1) sum e_i^2 - (sum e_i)^2 (lie._epsilon_norms),
+S row 0, any S rows, and the T diagonals. S, T, the Verlinde sums and
+the Seifert sums all read the same instance. S row 0 is the product form
 
     S[0, L] = ((r+1) kappa^r)^(-1/2) prod_{i<j} 2 sin(pi (e_i - e_j)/kappa);
 
@@ -53,6 +54,7 @@ residuals, the tolerance and the precision of that retry.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -61,7 +63,7 @@ import mpmath as mp
 import numpy as np
 
 from .errors import BudgetExceededError, CertificationError, PreconditionError
-from .lie import RootSystem, Weight, _det, _shifted_epsilon
+from .lie import RootSystem, Weight, _det, _epsilon_norms
 
 DEFAULT_TOL = 1e-9
 DEFAULT_BUDGET = 50_000_000
@@ -69,24 +71,22 @@ RETRY_DPS = 34  # about 113-bit software floats
 
 
 def integrable_weights(rs: RootSystem, level: int) -> tuple[Weight, ...]:
-    """Dominant weights with <Lambda, theta> <= k, lexicographic order.
+    """Dominant weights with <Lambda, theta> <= k (for A_r, coordinate sum
+    at most k) in lexicographic order: one Weight per row of _weight_array."""
+    return tuple(map(Weight, _weight_array(rs.rank, level).tolist()))
 
-    For A_r the level <Lambda, theta> is the sum of the coordinates, so
-    these are the coordinate tuples with sum at most k.
-    """
+
+def _weight_array(rank: int, level: int) -> np.ndarray:
+    """The int64 rows >= 0 of length rank and sum <= level, lexicographic: each
+    coordinate repeats every row of sum s level - s + 1 times, appending 0..level - s."""
     if level < 0:
         raise PreconditionError("level must be >= 0")
-    return tuple(Weight(c) for c in _bounded_tuples(rs.rank, level))
-
-
-def _bounded_tuples(length: int, total: int):
-    """Nonnegative integer tuples with sum <= total, lexicographic."""
-    if length == 0:
-        yield ()
-        return
-    for head in range(total + 1):
-        for tail in _bounded_tuples(length - 1, total - head):
-            yield (head,) + tail
+    rows = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(rank):
+        reps = level + 1 - rows.sum(axis=1)
+        ramp = np.arange(reps.sum()) - np.repeat(reps.cumsum() - reps, reps)
+        rows = np.column_stack((np.repeat(rows, reps, axis=0), ramp))
+    return rows
 
 
 def central_charge(rs: RootSystem, level: int) -> float:
@@ -150,12 +150,9 @@ class _Level:
         self.rs = rs
         self.level = level
         self.kappa = level + rs.dual_coxeter
-        self.weights = integrable_weights(rs, level)
-        self._index = {w.coords: i for i, w in enumerate(self.weights)}
-        self.es = np.array([_shifted_epsilon(w.coords) for w in self.weights],
-                           dtype=np.int64)
+        self.coords = _weight_array(rs.rank, level)
         # M = (r+1)|L+rho|^2, exact; the vacuum's comes first
-        self.m = (rs.rank + 1) * (self.es ** 2).sum(axis=1) - self.es.sum(axis=1) ** 2
+        self.es, self.m = _epsilon_norms(self.coords + 1)
         i, j = np.triu_indices(rs.rank + 1, k=1)
         self._gaps = self.es[:, i] - self.es[:, j]  # each in 1..kappa-1
         # S row 0; sin(pi min(d, kappa-d)/kappa) keeps the argument, and its rounding, small
@@ -164,13 +161,16 @@ class _Level:
         self.s0 = sines[self._gaps].prod(axis=1) / math.sqrt(
             (rs.rank + 1) * self.kappa ** rs.rank)
 
+    @functools.cached_property
+    def weights(self) -> tuple[Weight, ...]:  # one per row of coords, on first read
+        return integrable_weights(self.rs, self.level)
+
     def index_of(self, weight: Weight) -> int:
-        try:
-            return self._index[weight.coords]
-        except KeyError:
-            raise PreconditionError(
-                "weight %r is not integrable at level %d"
-                % (weight.coords, self.level)) from None
+        if len(weight.coords) == self.rs.rank:
+            for i in np.flatnonzero((self.coords == weight.coords).all(axis=1)):
+                return int(i)
+        raise PreconditionError(
+            "weight %r is not integrable at level %d" % (weight.coords, self.level))
 
     def _exponents(self, rows):
         """Exponents of zeta mod (r+1) kappa in det[zeta^{(r+1) e_i f_j} - 1],
@@ -252,7 +252,6 @@ class ModularData:
 
     rs: RootSystem
     level: int
-    weights: tuple[Weight, ...]
     s: np.ndarray
     t_canonical: np.ndarray
     t_bare: np.ndarray
@@ -268,6 +267,10 @@ class ModularData:
     @property
     def kappa(self) -> int:
         return self.level + self.rs.dual_coxeter
+
+    @property
+    def weights(self) -> tuple[Weight, ...]:
+        return self._lv.weights
 
     def index_of(self, weight: Weight) -> int:
         return self._lv.index_of(weight)
@@ -330,7 +333,7 @@ def s_matrix(rs: RootSystem, level: int, tol: float = DEFAULT_TOL) -> ModularDat
         s = np.asarray(lv.label_rows(range(n), dps), dtype=complex)
         ok, residuals, perm = _certify(s, t_canon, tol)
         if ok:
-            return ModularData(rs=rs, level=level, weights=lv.weights, s=s,
+            return ModularData(rs=rs, level=level, s=s,
                                t_canonical=t_canon, t_bare=t_bare,
                                conjugation=perm, precision_bits=bits,
                                certificate=residuals, _lv=lv)

@@ -22,13 +22,13 @@ certified truncation bound:
 
 The box is summed by _box_terms in blocks of at most _BLOCK points, taken
 in itertools.product order (last coordinate fastest). Each block turns
-flat indices into the epsilon coordinates of Lambda+rho (reverse
-cumulative sums) and reads, as integer arrays, the Vandermonde product
-V = prod_{i<j} (e_i - e_j), so dim Lambda = V // V(rho), and
-M = (r+1)|Lambda+rho|^2 = (r+1) sum e^2 - (sum e)^2 of lie._form, so
-casimir(Lambda) = (M - M_rho)/(r+1). The arrays are int64 when the largest
-value in the box, (L+1)^(r(r+1)/2) V(rho) for V, is below 2^63, and hold
-exact Python ints (dtype=object) otherwise; A5 at L = 16 has V near 1e23.
+flat indices into the rows Lambda+rho, takes their epsilon coordinates e
+and M = (r+1)|Lambda+rho|^2 from lie._epsilon_norms (as modular's levels
+do), so casimir(Lambda) = (M - M_rho)/(r+1), and multiplies out
+V = prod_{i<j} (e_i - e_j) in place, so dim Lambda = V // V(rho). Each
+of V and M is int64 when its largest value in the box, (L+1)^(r(r+1)/2) V(rho)
+for V, is below 2^63, and exact Python ints (dtype=object) otherwise;
+A5 at L = 16 has V near 1e23, while M stays small.
 The two floating point steps, dim^-m and exp(-eps casimir/2), stay scalar
 libm calls on the .tolist() values: numpy's vectorised pow and exp are
 not guaranteed to round as libm does, and scalar calls keep every term
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, CertificationError, PreconditionError
-from .lie import RootSystem, _form, _shifted_epsilon, _vandermonde
+from .lie import RootSystem, _epsilon_norms, _form, _shifted_epsilon, _vandermonde
 from .verlinde import VerlindeRequest, verlinde_dimension
 
 DEFAULT_TOL = 1e-10
@@ -104,21 +104,17 @@ def _box_invariants(rank: int, box: int, flat: np.ndarray) -> tuple[list[int], l
     side = box + 1
     e_rho = _shifted_epsilon((0,) * rank)
     v_rho = _vandermonde(e_rho)
-    # the largest V in the box, and a bound on (r+1) sum e^2 and (sum e)^2
-    # from e_i <= e_1 <= rank * side
-    big = max(side ** (rank * r1 // 2) * v_rho, (r1 * rank * side) ** 2)
-    dtype = np.int64 if big < 2 ** 63 else object
     strides = np.array([side ** k for k in range(rank - 1, -1, -1)])
     lam = flat[:, None] // strides % side + 1  # coordinates of Lambda+rho
-    e = np.zeros((len(flat), r1), dtype=dtype)
-    e[:, :rank] = np.cumsum(lam[:, ::-1], axis=1)[:, ::-1]
-    v = np.ones(len(flat), dtype=dtype)
+    # e_i <= e_1 <= rank * side bounds (r+1) sum e^2 and (sum e)^2, and the
+    # largest V in the box is side^(r(r+1)/2) V(rho)
+    e, m = _epsilon_norms(lam if (r1 * rank * side) ** 2 < 2 ** 63 else lam.astype(object))
+    e = e.astype(np.int64 if side ** (rank * r1 // 2) * v_rho < 2 ** 63 else object, copy=False)
+    v = np.ones(len(flat), dtype=e.dtype)
     for i in range(rank):
         for j in range(i + 1, r1):
             v *= e[:, i] - e[:, j]
-    s = e.sum(axis=1)
-    return ((v // v_rho).tolist(),
-            (r1 * (e * e).sum(axis=1) - s * s - _form(e_rho, e_rho)).tolist())
+    return (v // v_rho).tolist(), (m - _form(e_rho, e_rho)).tolist()
 
 
 def _box_terms(rank: int, box: int, m: int, eps: float):

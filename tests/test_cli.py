@@ -213,6 +213,21 @@ def test_config_file_defaults_and_overrides(tmp_path, capsys):
     assert json.loads(out)["table"] == [{"k": 3, "dimension": 4}]
 
 
+def test_config_values_go_through_the_option_types(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for argv, config, flag in (
+            (["genera", "--algebra", "A1", "--which", "j"], '{"points": [[NaN]]}', "--points"),
+            (["kirillov", "--algebra", "A1", "--weight", "1"], '{"point": [NaN]}', "--point")):
+        cfg.write_text(config)
+        code, out, err = run(argv + ["--config", str(cfg)], capsys)
+        assert (code, out) == (64, "")
+        assert "argument %s: expected comma separated finite numbers" % flag in err
+    cfg.write_text(json.dumps({"points": [[0.5]]}))
+    genera = ["genera", "--algebra", "A1", "--which", "j"]
+    code, out, _ = run(genera + ["--config", str(cfg)], capsys)
+    assert code == 0 and out == run(genera + ["--points", "0.5"], capsys)[1]
+
+
 def test_config_file_errors(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert run(["verlinde", "--config", str(missing), "--algebra", "A1",

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from seifertsum import crosscheck
 from seifertsum.crosscheck import run_crosschecks
 from seifertsum.errors import PreconditionError
 
@@ -46,3 +47,11 @@ def test_every_check_reports_a_residual():
     for check in report.checks:
         assert check.residual >= 0
         assert check.elapsed >= 0
+
+
+def test_degree_zero_reduction_compares_with_the_exact_dimension(monkeypatch):
+    exact = crosscheck.verlinde_dimension
+    monkeypatch.setattr(crosscheck, "verlinde_dimension", lambda req: exact(req) + 1)
+    (check,) = [c for c in run_crosschecks("quick").checks
+                if c.name == "degree-zero-reduction"]
+    assert not check.passed and check.residual > 0.5

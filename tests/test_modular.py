@@ -1,21 +1,27 @@
 """Modular matrices: closed forms, certification, conjugation."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from oracles import certify_expressions, su2_s_closed, t_diagonals
-from seifertsum import modular
+from seifertsum import lie, modular
 from seifertsum.errors import PreconditionError
 from seifertsum.lie import Weight, build_root_system, casimir
 from seifertsum.modular import (
+    _Level,
+    _weight_array,
     central_charge,
     integrable_weights,
     modular_data,
     s_matrix,
 )
+from seifertsum.quasipoly import pairing_report
+from seifertsum.seifert import seifert_scan
+from seifertsum.verlinde import VerlindeRequest, verlinde_dimension
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4, 5, 6])
@@ -38,6 +44,48 @@ def test_integrable_weights_are_sorted_and_start_at_vacuum(a2):
     ws = integrable_weights(a2, 2)
     assert ws[0].coords == (0, 0)
     assert list(ws) == sorted(ws, key=lambda w: w.coords)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+def test_weight_array_is_the_lexicographic_bounded_tuples(rank):
+    for level in range(9):
+        want = [t for t in itertools.product(range(level + 1), repeat=rank)
+                if sum(t) <= level]
+        got = _weight_array(rank, level)
+        assert got.dtype == np.int64 and got.shape == (len(want), rank)
+        assert [tuple(row) for row in got.tolist()] == want
+
+
+@pytest.mark.parametrize("rank,level", [(1, 50), (2, 12), (3, 6)])
+def test_index_of_finds_every_weight(rank, level):
+    lv = _Level(build_root_system("A", rank), level)
+    for i, w in enumerate(integrable_weights(lv.rs, level)):
+        assert lv.index_of(w) == i
+
+
+@pytest.mark.parametrize("coords", [(-1, 2), (1, 1, 0), (1,), (3, 2)])
+def test_index_of_refuses_what_is_not_integrable(coords, a2):
+    # a negative coordinate, the wrong length twice, and a sum above k = 4
+    with pytest.raises(PreconditionError, match="not integrable at level 4"):
+        _Level(a2, 4).index_of(Weight(coords))
+
+
+def test_lattice_sums_build_no_weight_per_weight(monkeypatch):
+    # only labels (and rho) become Weight objects; the levels stay arrays
+    built = []
+    post_init = lie.Weight.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    a1, a2 = build_root_system("A", 1), build_root_system("A", 2)
+    label = Weight((1, 1))
+    monkeypatch.setattr(lie.Weight, "__post_init__", counting)
+    verlinde_dimension(VerlindeRequest(rs=a2, level=30, genus=2, labels=(label,)))
+    seifert_scan(a1, genera=(0, 1, 2), degrees=(-1, 0, 3), levels=range(1, 41))
+    pairing_report(a1, genus=2, k_min=1, k_max=12)
+    assert len(built) <= 2, [w.coords for w in built]
 
 
 def test_central_charges(a1, a2):

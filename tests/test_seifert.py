@@ -142,6 +142,7 @@ def test_budget_refusals_count_weights_without_building_them(monkeypatch):
         raise AssertionError("weights built before the budget check")
 
     monkeypatch.setattr(modular, "integrable_weights", enumerate_weights)
+    monkeypatch.setattr(modular, "_weight_array", enumerate_weights)
     with pytest.raises(BudgetExceededError):
         s_matrix(build_root_system("A", 3), 150)
     with pytest.raises(BudgetExceededError):

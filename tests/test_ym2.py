@@ -113,6 +113,15 @@ def test_box_invariants_stay_exact_past_int64():
         assert c == _form(e, e) - _form(e_rho, e_rho)
 
 
+def test_box_norms_stay_exact_past_int64_on_their_own():
+    # at rank 1 the norm M = e_1^2 passes 2^63 long before V = e_1 does
+    box = 2 ** 40
+    dims, cas = ym2._box_invariants(1, box, np.array([0, box - 1, box]))
+    assert dims == [1, box, box + 1]
+    assert cas == [0, box ** 2 - 1, (box + 1) ** 2 - 1]
+    assert all(type(c) is int for c in dims + cas) and cas[-1] > 2 ** 63
+
+
 def test_box_sum_stays_within_a_block_of_memory(a2):
     # a list holding all 66049 terms at once peaks at about 2.1 MB
     _run(a2, 2, 0.0, target_tol=1e-3)
