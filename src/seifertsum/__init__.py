@@ -6,87 +6,54 @@ functions and coadjoint orbit transforms, those feed certified modular
 matrices, and the modular matrices feed fusion dimensions, fibred
 partition sums, flat-space heat kernel limits and the exact
 quasi-polynomial structure of dimension tables.
+
+Importing the package loads none of its modules: each name in __all__, a
+module or a public name of one, is resolved on first access
+(`seifertsum.verlinde_table` or `from seifertsum import verlinde_table`
+loads `verlinde` and what it imports, and nothing else).
 """
 
-from .crosscheck import CheckResult, SuiteReport, run_crosschecks
-from .errors import (
-    BudgetExceededError,
-    CertificationError,
-    DegenerateOrbitError,
-    IntegralityError,
-    PreconditionError,
-    QuasiPolynomialFitError,
-    UnsupportedAlgebraError,
-    WallProximityError,
-    WeylGroupTooLargeError,
-)
-from .genera import (
-    GenusValue,
-    a_hat_function,
-    j_function,
-    j_inverse_sqrt,
-    partial_euler_product,
-    todd_function,
-    wall_distance,
-)
-from .lie import (
-    CartanElement,
-    RootSystem,
-    Weight,
-    WeylElement,
-    build_root_system,
-    casimir,
-    weyl_character,
-    weyl_dimension,
-    weyl_group,
-)
-from .modular import (
-    ModularData,
-    central_charge,
-    integrable_weights,
-    modular_data,
-    s_matrix,
-)
-from .orbits import (
-    CoadjointOrbit,
-    dh_weyl_sum,
-    kirillov_check,
-    orbit_fourier,
-    orbit_from_highest_weight,
-    quantum_character_point,
-    su2_orbit_quadrature,
-    wilson_weight,
-)
-from .quasipoly import (
-    PairingReport,
-    QuasiPolynomial,
-    fit_quasi_polynomial,
-    pairing_report,
-)
-from .seifert import (
-    ScanCell,
-    SeifertSpec,
-    SeifertValue,
-    seifert_partition,
-    seifert_scan,
-)
-from .verlinde import (
-    VerlindeRequest,
-    VerlindeTable,
-    verlinde_dimension,
-    verlinde_sum,
-    verlinde_table,
-)
-from .ym2 import (
-    CrosscheckReport,
-    EpsilonProfile,
-    YM2Request,
-    YM2Result,
-    verlinde_ym2_crosscheck,
-    ym2_epsilon_profile,
-    ym2_partition,
-)
+import importlib
+
+_EXPORTS = {  # module: the public names it defines
+    "crosscheck": ("CheckResult", "SuiteReport", "run_crosschecks"),
+    "errors": ("BudgetExceededError", "CertificationError", "DegenerateOrbitError",
+               "IntegralityError", "PreconditionError", "QuasiPolynomialFitError",
+               "UnsupportedAlgebraError", "WallProximityError", "WeylGroupTooLargeError"),
+    "genera": ("GenusValue", "a_hat_function", "j_function", "j_inverse_sqrt",
+               "partial_euler_product", "todd_function", "wall_distance"),
+    "lie": ("CartanElement", "RootSystem", "Weight", "WeylElement", "build_root_system",
+            "casimir", "weyl_character", "weyl_dimension", "weyl_group"),
+    "modular": ("ModularData", "central_charge", "integrable_weights", "modular_data",
+                "s_matrix"),
+    "orbits": ("CoadjointOrbit", "dh_weyl_sum", "kirillov_check", "orbit_fourier",
+               "orbit_from_highest_weight", "quantum_character_point",
+               "su2_orbit_quadrature", "wilson_weight"),
+    "quasipoly": ("PairingReport", "QuasiPolynomial", "fit_quasi_polynomial",
+                  "pairing_report"),
+    "seifert": ("ScanCell", "SeifertSpec", "SeifertValue", "seifert_partition",
+                "seifert_scan"),
+    "verlinde": ("VerlindeRequest", "VerlindeTable", "verlinde_dimension", "verlinde_sum",
+                 "verlinde_table"),
+    "ym2": ("CrosscheckReport", "EpsilonProfile", "YM2Request", "YM2Result",
+            "verlinde_ym2_crosscheck", "ym2_epsilon_profile", "ym2_partition"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted([*_EXPORTS, *_OWNER])
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module("." + name, __name__)
+    if name in _OWNER:
+        value = getattr(importlib.import_module("." + _OWNER[name], __name__), name)
+        globals()[name] = value
+        return value
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

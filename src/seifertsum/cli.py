@@ -31,28 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .crosscheck import run_crosschecks
-from .errors import CertificationError, PreconditionError
-from .genera import evaluate as evaluate_genus
-from .lie import CartanElement, Weight, build_root_system, casimir, weyl_dimension
-from .modular import DEFAULT_TOL as MODULAR_TOL
-from .modular import central_charge, s_matrix
-from .orbits import (
-    dh_weyl_sum,
-    kirillov_check,
-    orbit_from_highest_weight,
-    orbit_fourier,
-)
-from .quasipoly import DEFAULT_MAX_PERIOD, pairing_report
-from .seifert import (
-    DEFAULT_SCAN_BUDGET,
-    FRAMING_CONVENTIONS,
-    SeifertSpec,
-    seifert_partition,
-    seifert_scan,
-)
-from .verlinde import verlinde_table
-from .ym2 import DEFAULT_MAX_TERMS, DEFAULT_TOL, ym2_epsilon_profile
+from .errors import FRAMING_CONVENTIONS, CertificationError, PreconditionError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -294,7 +273,15 @@ def _complex_row_template(length: int, depth: int) -> bytes:
             + "\n" + "  " * depth + "]").encode("ascii")
 
 
+def _given(**kwargs) -> dict:
+    """The options given on the command line or in the config; an option
+    left out is left to the library's default."""
+    return {name: value for name, value in kwargs.items() if value is not None}
+
+
 def _root_system(args):
+    from .lie import build_root_system
+
     series, rank = args.algebra or ("A", None)
     if args.series is not None:
         series = args.series
@@ -306,11 +293,15 @@ def _root_system(args):
     return build_root_system(series, rank)
 
 
-def _labels_from(args) -> tuple[Weight, ...]:
+def _labels_from(args) -> tuple:
+    from .lie import Weight
+
     return tuple(map(Weight, [*(args.labels or ()), *(args.label or ())]))
 
 
 def _cmd_lie(args) -> int:
+    from .lie import Weight, casimir, weyl_dimension
+
     rs = _root_system(args)
     out = {
         "series": rs.series,
@@ -338,10 +329,12 @@ def _cmd_lie(args) -> int:
 
 
 def _cmd_modular(args) -> int:
+    from .modular import central_charge, s_matrix
+
     rs = _root_system(args)
     # s_matrix rather than the modular_data cache: a process writes one
     # report, so a cached copy would never be read again
-    md = s_matrix(rs, args.level, tol=args.tol)
+    md = s_matrix(rs, args.level, **_given(tol=args.tol))
     out = {
         "series": rs.series,
         "rank": rs.rank,
@@ -362,6 +355,8 @@ def _cmd_modular(args) -> int:
 
 
 def _cmd_verlinde(args) -> int:
+    from .verlinde import verlinde_table
+
     rs = _root_system(args)
     labels = _labels_from(args)
     table = verlinde_table(rs, args.genus, args.levels, labels=labels)
@@ -378,9 +373,12 @@ def _cmd_verlinde(args) -> int:
 
 
 def _cmd_seifert(args) -> int:
+    from .seifert import SeifertSpec, seifert_partition, seifert_scan
+
     rs = _root_system(args)
     labels = _labels_from(args)
-    conventions = {"framing": args.framing,
+    framing = args.framing or SeifertSpec.framing
+    conventions = {"framing": framing,
                    "centre_factor": bool(args.centre_factor)}
     if args.scan:
         missing = [flag for flag, values in (("--genera", args.genera),
@@ -390,9 +388,9 @@ def _cmd_seifert(args) -> int:
             sys.stderr.write("seifert: error: --scan needs %s\n" % ", ".join(missing))
             return 64
         cells = seifert_scan(rs, args.genera, args.degrees, args.levels,
-                             labels=labels, framing=args.framing,
+                             labels=labels, framing=framing,
                              include_centre_factor=args.centre_factor,
-                             budget=args.budget)
+                             **_given(budget=args.budget))
         out = {
             "series": rs.series,
             "rank": rs.rank,
@@ -415,7 +413,7 @@ def _cmd_seifert(args) -> int:
         return 64
     spec = SeifertSpec(rs=rs, level=args.level, genus=args.genus,
                        degree=args.degree, labels=labels,
-                       framing=args.framing,
+                       framing=framing,
                        include_centre_factor=args.centre_factor)
     val = seifert_partition(spec)
     out = {
@@ -436,6 +434,9 @@ def _cmd_seifert(args) -> int:
 
 
 def _cmd_kirillov(args) -> int:
+    from .lie import CartanElement, Weight
+    from .orbits import dh_weyl_sum, kirillov_check, orbit_fourier, orbit_from_highest_weight
+
     rs = _root_system(args)
     w = Weight(args.weight)
     points = list(args.points or ())
@@ -475,6 +476,9 @@ def _cmd_kirillov(args) -> int:
 
 
 def _cmd_genera(args) -> int:
+    from .genera import evaluate
+    from .lie import CartanElement
+
     rs = _root_system(args)
     if not args.points:
         sys.stderr.write("genera: error: --points names no point\n")
@@ -488,7 +492,7 @@ def _cmd_genera(args) -> int:
             raise PreconditionError("point has %d coordinates, rank is %d"
                                     % (len(point), rs.rank))
         x = CartanElement(tuple(complex(c) for c in point))
-        gv = evaluate_genus(rs, args.which, x, args.genus, args.c1)
+        gv = evaluate(rs, args.which, x, args.genus, **_given(c1_part=args.c1))
         writer.writerow([repr(float(c)) for c in point]
                         + [repr(gv.value.real), repr(gv.value.imag)])
     _write_report([buf.getvalue()], args)
@@ -496,9 +500,11 @@ def _cmd_genera(args) -> int:
 
 
 def _cmd_ym2(args) -> int:
+    from .ym2 import ym2_epsilon_profile
+
     rs = _root_system(args)
     prof = ym2_epsilon_profile(rs, args.genus, args.epsilons,
-                               target_tol=args.tol, max_terms=args.max_terms)
+                               **_given(target_tol=args.tol, max_terms=args.max_terms))
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["epsilon", "Z", "tail_bound"])
@@ -509,12 +515,13 @@ def _cmd_ym2(args) -> int:
 
 
 def _cmd_pairings(args) -> int:
+    from .quasipoly import pairing_report
+
     rs = _root_system(args)
     labels = _labels_from(args)
     rep = pairing_report(rs, args.genus, args.kmin, args.kmax,
                          labels=tuple(lab.coords for lab in labels),
-                         max_period=args.max_period,
-                         horizon=args.horizon)
+                         **_given(max_period=args.max_period, horizon=args.horizon))
     out = {
         "series": rs.series,
         "rank": rs.rank,
@@ -538,7 +545,9 @@ def _cmd_pairings(args) -> int:
 
 
 def _cmd_crosscheck(args) -> int:
-    report = run_crosschecks(mode=args.suite, seed=args.seed)
+    from .crosscheck import run_crosschecks
+
+    report = run_crosschecks(**_given(mode=args.suite, seed=args.seed))
     for check in report.checks:
         sys.stderr.write("%-32s %s  residual=%g\n"
                          % (check.name, "PASS" if check.passed else "FAIL",
@@ -573,7 +582,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("modular", help="certified modular matrices")
     _add_common_options(p)
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--tol", type=float, default=MODULAR_TOL)
+    p.add_argument("--tol", type=float, default=None)
     p.set_defaults(func=_cmd_modular)
 
     p = sub.add_parser("verlinde", help="fusion dimension tables")
@@ -592,14 +601,14 @@ def build_parser() -> _Parser:
     p.add_argument("--degree", type=int, default=None)
     p.add_argument("--labels", type=_weights_type, default=())
     p.add_argument("--label", type=_weight_type, action="append", default=[])
-    p.add_argument("--framing", choices=FRAMING_CONVENTIONS, default="bare")
+    p.add_argument("--framing", choices=FRAMING_CONVENTIONS, default=None)
     p.add_argument("--centre-factor", action="store_true")
     p.add_argument("--scan", action="store_true",
                    help="evaluate a grid instead of a single point")
     p.add_argument("--genera", type=_ints_type, default=())
     p.add_argument("--degrees", type=_ints_type, default=())
     p.add_argument("--levels", type=_ints_type, default=())
-    p.add_argument("--budget", type=int, default=DEFAULT_SCAN_BUDGET)
+    p.add_argument("--budget", type=int, default=None)
     p.set_defaults(func=_cmd_seifert)
 
     p = sub.add_parser("kirillov", help="orbit transforms at sample points")
@@ -613,7 +622,7 @@ def build_parser() -> _Parser:
     _add_common_options(p)
     p.add_argument("--which", choices=("j", "ahat", "todd"), required=True)
     p.add_argument("--genus", type=int, default=0)
-    p.add_argument("--c1", type=float, default=0.0,
+    p.add_argument("--c1", type=float, default=None,
                    help="degree pairing in the exponential factor")
     p.add_argument("--points", type=_points_type, required=True)
     p.set_defaults(func=_cmd_genera)
@@ -622,8 +631,8 @@ def build_parser() -> _Parser:
     _add_common_options(p)
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--epsilons", type=_floats_type, required=True)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS)
+    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--max-terms", type=int, default=None)
     p.set_defaults(func=_cmd_ym2)
 
     p = sub.add_parser("pairings", help="quasi-polynomial level structure")
@@ -633,14 +642,14 @@ def build_parser() -> _Parser:
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--labels", type=_weights_type, default=())
     p.add_argument("--label", type=_weight_type, action="append", default=[])
-    p.add_argument("--max-period", type=int, default=DEFAULT_MAX_PERIOD)
-    p.add_argument("--horizon", type=int, default=5)
+    p.add_argument("--max-period", type=int, default=None)
+    p.add_argument("--horizon", type=int, default=None)
     p.set_defaults(func=_cmd_pairings)
 
     p = sub.add_parser("crosscheck", help="consistency suites")
     _add_common_options(p, algebra=False)
-    p.add_argument("--suite", choices=("quick", "full"), default="quick")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--suite", choices=("quick", "full"), default=None)
+    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_crosscheck)
 
     return parser
@@ -653,17 +662,25 @@ def _config_text(value) -> str:
     return (";" if any(isinstance(v, list) for v in value) else ",").join(map(_config_text, value))
 
 
-def _apply_config(parser: _Parser, config: dict) -> None:
+def _apply_config(parser: _Parser, config: dict, argv) -> None:
+    """Preload the options of the subcommand in argv from config."""
     # argparse runs an option's type only on a string default, so a typed
-    # option's value goes in as its flag's text (an appended --label as it is)
-    for action in parser._subparsers._group_actions:
-        for sp in action.choices.values():
-            for arg in sp._actions:
-                if arg.dest in config:
-                    arg.required, value = False, config[arg.dest]
-                    if arg.type and value is not None and not isinstance(arg, argparse._AppendAction):
-                        value = _config_text(value)
-                    sp.set_defaults(**{arg.dest: value})
+    # option's value goes in as its flag's text; a string default breaks the
+    # append action, so an appended --label's items are typed here instead
+    (choices,) = (action.choices for action in parser._subparsers._group_actions)
+    sp = choices.get(next((a for a in argv if not a.startswith("-")), None))
+    for arg in sp._actions if sp else ():
+        if arg.dest in config:
+            arg.required, value = False, config[arg.dest]
+            if isinstance(arg, argparse._AppendAction) and value is not None:
+                items = value if isinstance(value, list) else [value]
+                try:
+                    value = [arg.type(_config_text(item)) for item in items]
+                except argparse.ArgumentTypeError as exc:
+                    sp.error(str(argparse.ArgumentError(arg, str(exc))))
+            elif arg.type and value is not None:
+                value = _config_text(value)
+            sp.set_defaults(**{arg.dest: value})
 
 
 def main(argv=None) -> int:
@@ -685,9 +702,9 @@ def main(argv=None) -> int:
             sys.stderr.write("error: config must be a JSON object\n")
             return 2
     parser = build_parser()
-    if config:
-        _apply_config(parser, config)
     try:
+        if config:
+            _apply_config(parser, config, argv)
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 64

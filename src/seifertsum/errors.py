@@ -7,6 +7,10 @@ CertificationError covers numerical certificates that failed to hold
 
 from __future__ import annotations
 
+# the framing names seifert sums accept; here so that the CLI can offer them
+# as choices without loading seifert
+FRAMING_CONVENTIONS = ("bare", "canonical")
+
 
 class PreconditionError(ValueError):
     """An input violates a documented precondition."""

@@ -53,7 +53,6 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Sequence
 
-import mpmath as mp
 import numpy as np
 
 from .errors import (
@@ -343,6 +342,8 @@ def _alternating_sum(rs: RootSystem, lam_fw: Sequence[int], x, dps: int | None =
     if dps is None:
         pts = (0j,) + tuple(complex(c) for c in coords) + (0j,)
         return _det([[cmath.exp(ej * (b - a)) for ej in e] for a, b in zip(pts, pts[1:])])
+    import mpmath as mp
+
     with mp.workdps(dps):
         pts = [mp.mpc(0)] + [mp.mpc(c) for c in coords] + [mp.mpc(0)]
         return _det([[mp.exp(ej * (b - a)) for ej in e] for a, b in zip(pts, pts[1:])])
@@ -403,6 +404,8 @@ def richardson_limit(values: Sequence[complex]) -> complex:
 def _limit_eval(rs: RootSystem, lam_fw, x: CartanElement, kernel) -> complex:
     """Richardson limit of kernel(rs, lam_fw, x + t*delta, _FALLBACK_DPS)
     along the rho direction."""
+    import mpmath as mp
+
     # the rho point: alpha(delta) = <alpha, rho> >= 1 for every positive root
     delta = rs.cartan_point(rs.rho.coords).coords
     with mp.workdps(_FALLBACK_DPS):

@@ -59,7 +59,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-import mpmath as mp
 import numpy as np
 
 from .errors import BudgetExceededError, CertificationError, PreconditionError
@@ -107,6 +106,23 @@ def _pow_mod(x, e: int, p: int):
         if bit == "1":
             out = out * x % p
     return out
+
+
+def _inverse_mod(x, p: int):
+    """Inverses mod p < 2^31 of int64 x in [0, p), by a product tree: pairwise
+    products up to the root, one pow at the root, and each child's inverse
+    down as its parent's inverse times its sibling. A zero in x makes the
+    root 0, which pow refuses with ValueError."""
+    tree = [x]
+    while len(tree[-1]) > 1:
+        if len(tree[-1]) % 2:
+            tree[-1] = np.append(tree[-1], 1)
+        tree.append(tree[-1][0::2] * tree[-1][1::2] % p)
+    inv = np.array([pow(int(tree.pop()[0]), -1, p)], dtype=np.int64)
+    for level in reversed(tree):
+        siblings = level.reshape(-1, 2)[:, ::-1].ravel()
+        inv = np.repeat(inv[:len(level) // 2], 2) * siblings % p
+    return inv[:len(x)]
 
 
 def _roots_mod(p: int, order: int):
@@ -201,6 +217,8 @@ class _Level:
                 phases, shift = self._exponents(rows[i0:i0 + block])
                 out[i0:i0 + block] = norm * np.linalg.det(minus_one[phases]) * table[shift]
             return out
+        import mpmath as mp
+
         with mp.workdps(dps):
             norm = mp.mpc(0, 1) ** rs.num_positive_roots / mp.sqrt(mp.mpf(kappa) ** r * (r + 1))
             table = [mp.expjpi(mp.mpf(-2 * m) / order) for m in range(order)]
@@ -229,7 +247,7 @@ class _Level:
             top = top * z[shift] % p
             for t, b in zip(top[1:], bottom[1:]):
                 num, den = num * t % p * bottom[0] % p, den * b % p * top[0] % p
-        return num * _pow_mod(den, p - 2, p) % p
+        return num * _inverse_mod(den, p) % p
 
     def t_diagonals(self):
         """Diagonals of T over the weights, bare and canonical framing.

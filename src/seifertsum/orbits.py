@@ -37,7 +37,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
 from .errors import DegenerateOrbitError, PreconditionError, WallProximityError
@@ -51,7 +50,6 @@ from .lie import (
     _limit_eval,
     is_regular,
 )
-from .modular import modular_data
 
 
 @dataclass(frozen=True)
@@ -86,7 +84,9 @@ def _orbit_fourier_sum(rs: RootSystem, lam_fw, x_coords, dps: int | None = None)
 
 def _times_orbit_factors(rs: RootSystem, total, x_coords, dps: int | None = None):
     """total * prod_{alpha>0} sin(a/2)/(a sinh(a/2)), a = alpha(x)."""
-    fn = cmath if dps is None else mp
+    fn = cmath
+    if dps is not None:
+        import mpmath as fn
     for root_fw in rs.positive_roots_fw:
         a = sum(m * c for m, c in zip(root_fw, x_coords))
         total *= fn.sin(a / 2) / (a * fn.sinh(a / 2))
@@ -141,6 +141,8 @@ def _identity_gap(rs: RootSystem, lam_fw, x_coords, dps: int):
     """chi - j^(-1/2) * orbit transform in mpmath at dps digits, with one
     Lambda+rho determinant A: chi = A / A_rho and the transform is
     A * prod sin(a/2)/(a sinh(a/2))."""
+    import mpmath as mp
+
     alt = _alternating_sum(rs, lam_fw, x_coords, dps)
     chi = alt / _alternating_sum(rs, rs.rho.coords, x_coords, dps)
     of = _times_orbit_factors(rs, alt, x_coords, dps)
@@ -167,6 +169,8 @@ def kirillov_check(rs: RootSystem, weight: Weight, x: CartanElement) -> float:
             "point within %g of a singular wall of j^(-1/2)" % WALL_MARGIN)
     lam_fw = tuple(c + 1 for c in weight.coords)
     if is_regular(rs, x):
+        import mpmath as mp
+
         with mp.workdps(_RESIDUAL_DPS):
             xs = tuple(mp.mpc(c) for c in x.coords)
             return float(abs(_identity_gap(rs, lam_fw, xs, _RESIDUAL_DPS)))
@@ -189,6 +193,8 @@ def quantum_character_point(rs: RootSystem, lam_sum: Weight, level: int) -> Cart
 
 def wilson_weight(rs: RootSystem, label: Weight, lam_sum: Weight, level: int) -> complex:
     """S[label, lam]/S[0, lam], the fibre Wilson line factor."""
+    from .modular import modular_data
+
     md = modular_data(rs, level)
     i = md.index_of(label)
     j = md.index_of(lam_sum)

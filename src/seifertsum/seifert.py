@@ -44,13 +44,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError, PreconditionError
+from .errors import FRAMING_CONVENTIONS, BudgetExceededError, PreconditionError
 from .lie import RootSystem, Weight
 from .modular import _Level, central_charge
 
 DEFAULT_SCAN_BUDGET = 10_000_000
-
-FRAMING_CONVENTIONS = ("bare", "canonical")
 
 
 def _cells(lv: _Level, genera, degrees, label_idx) -> dict:

@@ -51,7 +51,6 @@ import numpy as np
 
 from .errors import BudgetExceededError, CertificationError, PreconditionError
 from .lie import RootSystem, _epsilon_norms, _form, _shifted_epsilon, _vandermonde
-from .verlinde import VerlindeRequest, verlinde_dimension
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_TERMS = 2_000_000
@@ -217,6 +216,8 @@ def verlinde_ym2_crosscheck(rs: RootSystem, genus: int, levels) -> CrosscheckRep
     its increments. Only the trend is asserted, never an absolute
     constant, since the limiting normalisation is convention bound.
     """
+    from .verlinde import VerlindeRequest, verlinde_dimension
+
     ks = sorted(set(int(k) for k in levels))
     if len(ks) < 4:
         raise PreconditionError("need at least 4 increasing levels")

@@ -228,6 +228,22 @@ def test_config_values_go_through_the_option_types(tmp_path, capsys):
     assert code == 0 and out == run(genera + ["--points", "0.5"], capsys)[1]
 
 
+def test_config_labels_go_through_the_weight_type(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    verlinde = ["verlinde", "--algebra", "A1", "--genus", "1", "--levels", "2"]
+    for config, text in (('{"label": [[NaN]]}', "'nan'"), ('{"label": [[1.5]]}', "'1.5'")):
+        cfg.write_text(config)
+        code, out, err = run(verlinde + ["--config", str(cfg)], capsys)
+        assert (code, out) == (64, "")
+        assert err.endswith("argument --label: weight must be comma separated "
+                            "integers, got %s\n" % text)
+    cfg.write_text(json.dumps({"label": [[1, 0]]}))
+    a2 = ["verlinde", "--algebra", "A2", "--genus", "1", "--levels", "2"]
+    code, out, _ = run(a2 + ["--config", str(cfg)], capsys)
+    assert code == 0 and out == run(a2 + ["--label", "1,0"], capsys)[1]
+    assert json.loads(out)["labels"] == [[1, 0]]
+
+
 def test_config_file_errors(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert run(["verlinde", "--config", str(missing), "--algebra", "A1",
@@ -493,7 +509,7 @@ def test_unwritable_output_is_refused_before_computing(capsys, monkeypatch):
     def no_compute(*args, **kwargs):
         raise AssertionError("s_matrix ran for an unwritable report")
 
-    monkeypatch.setattr(cli, "s_matrix", no_compute)
+    monkeypatch.setattr(modular, "s_matrix", no_compute)
     target = "/no/such/dir/r.json"
     code, out, err = run(["modular", "--algebra", "A2", "--level", "40",
                           "--output", target], capsys)
@@ -508,7 +524,7 @@ def test_output_naming_a_directory_is_refused_before_computing(tmp_path, capsys,
     def no_compute(*args, **kwargs):
         raise AssertionError("s_matrix ran for a report that names a directory")
 
-    monkeypatch.setattr(cli, "s_matrix", no_compute)
+    monkeypatch.setattr(modular, "s_matrix", no_compute)
     code, out, err = run(["modular", "--algebra", "A2", "--level", "20",
                           "--output", str(tmp_path)], capsys)
     assert code == 2

@@ -1,0 +1,63 @@
+"""The import boundary: each CLI call loads only the modules it runs, and
+the package root resolves its public names on first access."""
+
+import importlib
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import seifertsum
+
+SRC = str(Path(seifertsum.__file__).resolve().parents[1])
+
+
+def loaded_after(code: str) -> set[str]:
+    """The seifertsum modules, and mpmath, loaded after `code` runs in a
+    fresh interpreter."""
+    report = ("import sys\nprint(*sorted(m for m in sys.modules "
+              "if m == 'mpmath' or m.startswith('seifertsum.')))")
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code + "\n" + report], check=True,
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_importing_the_cli_loads_no_subcommand_module():
+    assert loaded_after("import seifertsum.cli") == {"seifertsum.cli", "seifertsum.errors"}
+
+
+def test_a_ym2_call_loads_only_lie_and_ym2():
+    code = "from seifertsum import cli\nassert cli.main(%r) == 0" % (
+        ["ym2", "--algebra", "A1", "--genus", "2", "--epsilons", "0"],)
+    assert loaded_after(code) == {"seifertsum.cli", "seifertsum.errors",
+                                  "seifertsum.lie", "seifertsum.ym2"}
+
+
+def test_kirillov_loads_mpmath_for_its_residual():
+    code = "from seifertsum import cli\nassert cli.main(%r) == 0" % (
+        ["kirillov", "--algebra", "A1", "--weight", "1", "--point", "0.5"],)
+    loaded = loaded_after(code)
+    assert {"mpmath", "seifertsum.orbits"} <= loaded
+    assert not loaded & {"seifertsum.modular", "seifertsum.verlinde", "seifertsum.crosscheck"}
+
+
+def test_every_exported_name_is_the_object_of_its_module():
+    modules = {info.name for info in pkgutil.iter_modules(seifertsum.__path__)}
+    for name in seifertsum.__all__:
+        obj = getattr(seifertsum, name)
+        if name in modules:
+            assert obj is importlib.import_module("seifertsum." + name)
+        else:
+            assert obj.__module__.startswith("seifertsum.")
+            assert getattr(importlib.import_module(obj.__module__), name) is obj
+    assert set(seifertsum.__all__) <= set(dir(seifertsum))
+    assert modules - set(seifertsum.__all__) == {"cli"}
+
+
+def test_star_import_and_unknown_names():
+    namespace = {}
+    exec("from seifertsum import *", namespace)
+    assert {name for name in namespace if name != "__builtins__"} == set(seifertsum.__all__)
+    assert not hasattr(seifertsum, "no_such_name")

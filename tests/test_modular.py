@@ -248,3 +248,21 @@ def test_root_table_has_exact_order(p, order):
     z = int(table[1])
     assert table[0] == 1 and len(np.unique(table)) == order
     assert (table[1:] == table[:-1] * z % p).all() and pow(z, order, p) == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 1000])
+def test_batch_inverse_matches_pow(n):
+    p = 2147483497
+    rng = np.random.default_rng(n)
+    x = rng.integers(1, p, size=n, dtype=np.int64)
+    x[:2] = [1, p - 1][:n]  # the extremes of the residues
+    assert modular._inverse_mod(x, p).tolist() == [pow(v, -1, p) for v in x.tolist()]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 1000])
+def test_batch_inverse_refuses_a_zero(n):
+    p = 2147483497
+    x = np.arange(1, n + 1, dtype=np.int64)
+    x[n // 2] = 0
+    with pytest.raises(ValueError, match="not invertible"):
+        modular._inverse_mod(x, p)
