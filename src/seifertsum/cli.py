@@ -632,7 +632,9 @@ def build_parser() -> _Parser:
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--epsilons", type=_floats_type, required=True)
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--max-terms", type=int, default=None)
+    p.add_argument("--max-terms", type=int, default=None,
+                   help="budget of summed points: outer points of the closed-form "
+                        "eps = 0 sum, dominant weights of the box otherwise")
     p.set_defaults(func=_cmd_ym2)
 
     p = sub.add_parser("pairings", help="quasi-polynomial level structure")

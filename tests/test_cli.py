@@ -136,12 +136,29 @@ def test_ym2_csv(capsys):
 
 
 def test_ym2_profile_without_eps0_skips_the_flat_limit(capsys):
-    # the eps = 0 flat limit alone would need a 129^3 box here
+    # the eps = 0 flat limit is never summed when eps = 0 is not asked for
     code, out, _ = run(["ym2", "--algebra", "A3", "--genus", "2",
                         "--epsilons", "0.5"], capsys)
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[1][:2] == ["0.5", "1.0603687675611784"]
+
+
+def test_ym2_rank2_flat_limit_at_the_default_tol(capsys):
+    # refused before: its box would have held 8193^2 weights
+    code, out, _ = run(["ym2", "--algebra", "A2", "--genus", "2", "--epsilons", "0"], capsys)
+    assert code == 0
+    (_, z, bound), = list(csv.reader(io.StringIO(out)))[1:]
+    assert float(bound) <= 1e-10
+    assert abs(float(z) - 4 * math.pi**6 / 2835) <= float(bound)
+
+
+def test_ym2_rank3_flat_limit_at_the_default_tol(capsys):
+    # refused before even at tol 1e-4, whose box would have held 129^3 weights
+    code, out, _ = run(["ym2", "--algebra", "A3", "--genus", "2", "--epsilons", "0"], capsys)
+    assert code == 0
+    (_, z, bound), = list(csv.reader(io.StringIO(out)))[1:]
+    assert float(bound) <= 1e-10 and float(z) > 1
 
 
 def test_kirillov_report(capsys):

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import seifertsum
 
 SRC = str(Path(seifertsum.__file__).resolve().parents[1])
@@ -28,9 +30,13 @@ def test_importing_the_cli_loads_no_subcommand_module():
     assert loaded_after("import seifertsum.cli") == {"seifertsum.cli", "seifertsum.errors"}
 
 
-def test_a_ym2_call_loads_only_lie_and_ym2():
-    code = "from seifertsum import cli\nassert cli.main(%r) == 0" % (
-        ["ym2", "--algebra", "A1", "--genus", "2", "--epsilons", "0"],)
+# the flat A2 sum computes zeta(k) itself: mpmath would cost ym2 about 4 MB of RSS
+@pytest.mark.parametrize("argv", [
+    ["ym2", "--algebra", "A1", "--genus", "2", "--epsilons", "0"],
+    ["ym2", "--algebra", "A2", "--genus", "2", "--epsilons", "0"],
+], ids=["A1", "A2-flat"])
+def test_a_ym2_call_loads_only_lie_and_ym2(argv):
+    code = "from seifertsum import cli\nassert cli.main(%r) == 0" % (argv,)
     assert loaded_after(code) == {"seifertsum.cli", "seifertsum.errors",
                                   "seifertsum.lie", "seifertsum.ym2"}
 

@@ -1,8 +1,12 @@
 """Heat-kernel sums: zeta anchors, certified tails, coupling profiles."""
 
+import itertools
 import math
+import time
 import tracemalloc
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,6 +19,7 @@ from seifertsum.errors import (
 )
 from seifertsum.lie import _form, _shifted_epsilon, _vandermonde, build_root_system
 from seifertsum.ym2 import (
+    DEFAULT_TOL,
     YM2Request,
     YM2Result,
     verlinde_ym2_crosscheck,
@@ -75,11 +80,12 @@ def test_rank2_flat_sum_against_brute_force(a2):
 
 
 def test_rank2_flat_sum_is_pinned(a2):
-    # the integer box sum must reproduce these bits exactly; the
-    # Mordell-Tornheim value 4 T(2,2,2) = 4 pi^6 / 2835 lies inside the bound
+    # the flat sum over 164 outer points, the last coordinate in closed
+    # form, must reproduce these bits exactly; the Mordell-Tornheim value
+    # 4 T(2,2,2) = 4 pi^6 / 2835 lies inside the bound
     res = _run(a2, 2, 0.0, target_tol=1e-6)
-    assert repr(res.value) == "1.356457164470393"
-    assert res.terms == 66049
+    assert repr(res.value) == "1.3564569381212024"
+    assert res.terms == 164
     assert abs(res.value - 4 * math.pi**6 / 2835) <= res.tail_bound
 
 
@@ -123,11 +129,11 @@ def test_box_norms_stay_exact_past_int64_on_their_own():
 
 
 def test_box_sum_stays_within_a_block_of_memory(a2):
-    # a list holding all 66049 terms at once peaks at about 2.1 MB
-    _run(a2, 2, 0.0, target_tol=1e-3)
+    # a 257^2 box: a list holding all 66049 terms at once peaks at about 2.1 MB
+    _run(a2, 2, 0.5, target_tol=1e-3)
     tracemalloc.start()
     try:
-        _run(a2, 2, 0.0, target_tol=1e-6)
+        assert _run(a2, 2, 0.001, target_tol=1e-8).terms == 66049
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -187,9 +193,10 @@ def test_growth_ratio_against_block_dimensions(a1):
 
 
 def test_budget_errors_are_loud(a1, a2):
-    with pytest.raises(BudgetExceededError):
-        _run(a1, 2, 0.0, max_terms=10)
-    with pytest.raises(BudgetExceededError):
+    # a rank-1 flat sum has no outer points to budget; a rank-1 box has
+    with pytest.raises(BudgetExceededError, match=r"box of at least 17\^1 dominant weights"):
+        _run(a1, 2, 0.5, max_terms=10)
+    with pytest.raises(BudgetExceededError, match=r"needs 3527\^1 outer points, budget 100"):
         _run(a2, 2, 0.0, target_tol=1e-10, max_terms=100)
 
 
@@ -220,7 +227,7 @@ def test_preconditions(a1):
 def test_result_metadata(a1):
     res = _run(a1, 3, 0.0)
     assert res.genus == 3 and res.epsilon == 0.0
-    assert res.terms >= 64
+    assert res.terms == 1  # rank 1 has the single empty outer point
 
 
 @pytest.mark.parametrize("eps", [math.inf, math.nan])
@@ -236,3 +243,109 @@ def test_a_nan_sum_fails_the_positivity_check(a2, monkeypatch):
     monkeypatch.setattr(ym2, "_box_terms", lambda *args: [[math.nan]])
     with pytest.raises(CertificationError, match="must be positive, got nan"):
         _run(a2, 2, 1.0, target_tol=1e-3)
+
+
+# Z_g(0) for A2 is 2^m T(m, m, m), m = 2g - 2, with Mordell's closed form
+# for even s, T(s,s,s) = (4/3) sum_{j<=s/2} C(2s-2j-1, s-1) zeta(2j) zeta(3s-2j),
+# evaluated with mpmath at 40 digits. It gives 4 pi^6/2835 at g = 2 and
+# Witten's 19/41513472000 at g = 3, and meets the box sums at g >= 6.
+A2_FLAT = {
+    2: "1.356457415979265519619357", 3: "1.026784212342228425846359",
+    4: "1.002792560547090033501768", 5: "1.000306103576229548823690",
+    6: "1.000033904390383976005603", 7: "1.000003764288216721511605",
+    8: "1.000000418176085638854255", 9: "1.000000046461858944992037",
+    10: "1.000000005162369333741096",
+}
+
+
+def _encloses(res, reference) -> bool:
+    return abs(Fraction(res.value) - Fraction(reference)) <= Fraction(res.tail_bound)
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4, 5, 6])
+def test_rank1_flat_bound_encloses_zeta_from_bernoulli_numbers(a1, genus):
+    n = genus - 1  # zeta(2n) = |B_2n| (2 pi)^2n / (2 (2n)!)
+    with mpmath.workdps(40):
+        exact = mpmath.nstr(abs(mpmath.bernoulli(2 * n)) * (2 * mpmath.pi) ** (2 * n)
+                            / (2 * mpmath.factorial(2 * n)), 35)
+    res = _run(a1, genus, 0.0)
+    assert res.tail_bound <= DEFAULT_TOL
+    assert _encloses(res, exact)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-12])
+@pytest.mark.parametrize("genus", range(2, 11))
+def test_rank2_flat_bound_encloses_the_reference(a2, genus, tol):
+    res = _run(a2, genus, 0.0, target_tol=tol)
+    assert res.tail_bound <= tol
+    assert _encloses(res, A2_FLAT[genus])
+
+
+def test_flat_sum_falls_back_to_the_box_where_rounding_needs_it(a2, monkeypatch):
+    boxes = []
+    box_terms = ym2._box_terms
+    monkeypatch.setattr(ym2, "_box_terms", lambda *args: boxes.append(args) or box_terms(*args))
+    assert _run(a2, 2, 0.0).terms == 3527 and boxes == []
+    # at g = 10 the partial fractions cancel past any useful bound, while
+    # the first box's tail is far below tol
+    assert ym2._flat_sum(2, 18, DEFAULT_TOL, 10 ** 6) is None
+    res = _run(a2, 10, 0.0)
+    assert boxes == [(2, 16, 18, 0.0)] and res.terms == 17 ** 2
+    assert _encloses(res, A2_FLAT[10])
+
+
+def test_a_tol_below_the_rounding_bound_is_refused(a2):
+    with pytest.raises(CertificationError, match="tol 1e-16 is below the bound"):
+        _run(a2, 10, 0.0, target_tol=1e-16)
+
+
+def test_rank3_flat_sum_against_a_brute_force_box(a3):
+    # the box sum is a lower bound on Z, short of it by at most its tail bound
+    res = _run(a3, 2, 0.0, target_tol=1e-6)
+    assert res.tail_bound <= 1e-6
+    box = 64
+    brute = math.fsum(itertools.chain.from_iterable(ym2._box_terms(3, box, 2, 0.0)))
+    assert brute - res.tail_bound <= res.value
+    assert res.value <= brute + ym2._box_tail_bound(3, 2, 0.0, box) + res.tail_bound
+
+
+@pytest.mark.parametrize("rank, genus, leading", [
+    (1, 2, Fraction(1, 6)), (1, 3, Fraction(1, 180)),
+    (2, 2, Fraction(1, 20160)), (2, 3, Fraction(19, 41513472000)),
+    (3, 2, Fraction(23, 653837184000)),
+], ids=["A1-g2", "A1-g3", "A2-g2", "A2-g3", "A3-g2"])
+def test_witten_volume_identity(rank, genus, leading):
+    # the leading coefficient of the Verlinde polynomial V_g(k) (the exact
+    # pairings fits) is |Z(G)| (r+1)^(g-1) V(rho)^(2-2g) (2 pi)^(-(2g-2)|Delta+|)
+    # times the flat sum
+    rs = build_root_system("A", rank)
+    res = _run(rs, genus, 0.0)
+    v_rho = _vandermonde(_shifted_epsilon((0,) * rank))
+    with mpmath.workdps(40):
+        pref = (mpmath.mpf(rank + 1) ** genus / mpmath.mpf(v_rho) ** (2 * genus - 2)
+                / (2 * mpmath.pi) ** ((2 * genus - 2) * len(rs.positive_roots)))
+        exact = mpmath.mpf(leading.numerator) / leading.denominator
+        assert abs(pref * mpmath.mpf(res.value) - exact) <= pref * res.tail_bound
+
+
+def test_zeta_remainder_is_below_the_unit_roundoff():
+    for k in range(2, 80):
+        value, remainder = ym2._zeta(k)
+        assert remainder <= Fraction(1.02e-18) and remainder < 2 ** -53
+        with mpmath.workdps(40):
+            assert float(value) == float(mpmath.zeta(k))
+
+
+@pytest.mark.parametrize("rank, genus, tol, seconds", [
+    (2, 2, 1e-10, 0.05), (2, 2, 1e-12, 0.05), (3, 2, DEFAULT_TOL, 1.0)],
+    ids=["A2-1e-10", "A2-1e-12", "A3-default"])
+def test_flat_sums_are_fast(rank, genus, tol, seconds):
+    rs = build_root_system("A", rank)
+    _run(rs, genus, 0.0, target_tol=tol)  # warm up
+    elapsed = []
+    for _ in range(3):  # the fastest of three, as the machine may be shared
+        start = time.perf_counter()
+        res = _run(rs, genus, 0.0, target_tol=tol)
+        elapsed.append(time.perf_counter() - start)
+    assert min(elapsed) < seconds
+    assert res.tail_bound <= tol
