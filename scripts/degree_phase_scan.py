@@ -13,7 +13,7 @@ import cmath
 
 from seifertsum.lie import build_root_system
 from seifertsum.modular import central_charge
-from seifertsum.seifert import SeifertSpec, seifert_partition
+from seifertsum.seifert import seifert_scan
 
 # below this modulus Z is zero to rounding and its phase is noise
 ZERO_MODULUS = 1e-12
@@ -32,16 +32,16 @@ def main():
     print("# A%d level %d genus %d, c = %.6f"
           % (args.rank, args.level, args.genus, c))
     print("%5s  %14s  %10s  %10s" % ("p", "|Z|", "arg bare", "arg canon"))
-    for p in range(-args.pmax, args.pmax + 1):
-        zb = seifert_partition(SeifertSpec(rs, args.level, args.genus, p))
-        zc = seifert_partition(SeifertSpec(rs, args.level, args.genus, p,
-                                           framing="canonical"))
+    degrees = range(-args.pmax, args.pmax + 1)
+    bare, canonical = (seifert_scan(rs, [args.genus], degrees, [args.level], framing=f)
+                       for f in ("bare", "canonical"))
+    for zb, zc in zip(bare, canonical):
         assert abs(zb.modulus - zc.modulus) < 1e-12 * max(1.0, zb.modulus)
         if zb.modulus < ZERO_MODULUS:
             phases = ("undef", "undef")
         else:
             phases = ("%.6f" % cmath.phase(zb.value), "%.6f" % cmath.phase(zc.value))
-        print("%5d  %14.9f  %10s  %10s" % ((p, zb.modulus) + phases))
+        print("%5d  %14.9f  %10s  %10s" % ((zb.degree, zb.modulus) + phases))
 
 
 if __name__ == "__main__":

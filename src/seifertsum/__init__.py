@@ -20,8 +20,8 @@ _EXPORTS = {  # module: the public names it defines
     "errors": ("BudgetExceededError", "CertificationError", "DegenerateOrbitError",
                "IntegralityError", "PreconditionError", "QuasiPolynomialFitError",
                "UnsupportedAlgebraError", "WallProximityError", "WeylGroupTooLargeError"),
-    "genera": ("GenusValue", "a_hat_function", "j_function", "j_inverse_sqrt",
-               "partial_euler_product", "todd_function", "wall_distance"),
+    "genera": ("a_hat_function", "j_function", "j_inverse_sqrt", "partial_euler_product",
+               "todd_function", "wall_distance"),
     "lie": ("CartanElement", "RootSystem", "Weight", "WeylElement", "build_root_system",
             "casimir", "weyl_character", "weyl_dimension", "weyl_group"),
     "modular": ("ModularData", "central_charge", "integrable_weights", "modular_data",
@@ -31,12 +31,10 @@ _EXPORTS = {  # module: the public names it defines
                "su2_orbit_quadrature", "wilson_weight"),
     "quasipoly": ("PairingReport", "QuasiPolynomial", "fit_quasi_polynomial",
                   "pairing_report"),
-    "seifert": ("ScanCell", "SeifertSpec", "SeifertValue", "seifert_partition",
-                "seifert_scan"),
-    "verlinde": ("VerlindeRequest", "VerlindeTable", "verlinde_dimension", "verlinde_sum",
-                 "verlinde_table"),
-    "ym2": ("CrosscheckReport", "EpsilonProfile", "YM2Request", "YM2Result",
-            "verlinde_ym2_crosscheck", "ym2_epsilon_profile", "ym2_partition"),
+    "seifert": ("ScanCell", "seifert_scan"),
+    "verlinde": ("VerlindeTable", "verlinde_dimension", "verlinde_table"),
+    "ym2": ("CrosscheckReport", "EpsilonProfile", "YM2Result", "verlinde_ym2_crosscheck",
+            "ym2_epsilon_profile", "ym2_partition"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -373,61 +373,37 @@ def _cmd_verlinde(args) -> int:
 
 
 def _cmd_seifert(args) -> int:
-    from .seifert import SeifertSpec, seifert_partition, seifert_scan
+    from .seifert import seifert_scan
 
     rs = _root_system(args)
     labels = _labels_from(args)
-    framing = args.framing or SeifertSpec.framing
-    conventions = {"framing": framing,
-                   "centre_factor": bool(args.centre_factor)}
     if args.scan:
-        missing = [flag for flag, values in (("--genera", args.genera),
-                                             ("--degrees", args.degrees),
-                                             ("--levels", args.levels)) if not values]
+        grid = args.genera, args.degrees, args.levels
+        missing = [flag for flag, values in zip(("--genera", "--degrees", "--levels"), grid)
+                   if not values]
         if missing:
             sys.stderr.write("seifert: error: --scan needs %s\n" % ", ".join(missing))
             return 64
-        cells = seifert_scan(rs, args.genera, args.degrees, args.levels,
-                             labels=labels, framing=framing,
-                             include_centre_factor=args.centre_factor,
-                             **_given(budget=args.budget))
-        out = {
-            "series": rs.series,
-            "rank": rs.rank,
-            "conventions": conventions,
-            "labels": [list(lab.coords) for lab in labels],
-            "cells": [
-                {"genus": c.genus, "degree": c.degree, "level": c.level,
-                 "value_re": float(c.value.real),
-                 "value_im": float(c.value.imag),
-                 "modulus": c.modulus, "terms": c.term_count}
-                for c in cells
-            ],
-        }
-        _emit_json(out, args)
-        return 0
-    if args.level is None or args.genus is None or args.degree is None:
+        budget = _given(budget=args.budget)
+    elif args.level is None or args.genus is None or args.degree is None:
         sys.stderr.write(
             "seifert: error: --level, --genus and --degree are required "
             "unless --scan is given\n")
         return 64
-    spec = SeifertSpec(rs=rs, level=args.level, genus=args.genus,
-                       degree=args.degree, labels=labels,
-                       framing=framing,
-                       include_centre_factor=args.centre_factor)
-    val = seifert_partition(spec)
+    else:  # one cell is the one-cell scan
+        grid, budget = ([args.genus], [args.degree], [args.level]), {"budget": math.inf}
+    framing = args.framing or "bare"
+    cells = [{"genus": c.genus, "degree": c.degree, "level": c.level,
+              "value_re": float(c.value.real), "value_im": float(c.value.imag),
+              "modulus": c.modulus, "terms": c.term_count}
+             for c in seifert_scan(rs, *grid, labels=labels, framing=framing,
+                                   include_centre_factor=args.centre_factor, **budget)]
     out = {
         "series": rs.series,
         "rank": rs.rank,
-        "level": args.level,
-        "genus": args.genus,
-        "degree": args.degree,
+        "conventions": {"framing": framing, "centre_factor": bool(args.centre_factor)},
         "labels": [list(lab.coords) for lab in labels],
-        "conventions": conventions,
-        "value_re": float(val.value.real),
-        "value_im": float(val.value.imag),
-        "modulus": val.modulus,
-        "terms": val.term_count,
+        **({"cells": cells} if args.scan else cells[0]),
     }
     _emit_json(out, args)
     return 0
@@ -492,9 +468,9 @@ def _cmd_genera(args) -> int:
             raise PreconditionError("point has %d coordinates, rank is %d"
                                     % (len(point), rs.rank))
         x = CartanElement(tuple(complex(c) for c in point))
-        gv = evaluate(rs, args.which, x, args.genus, **_given(c1_part=args.c1))
+        value = evaluate(rs, args.which, x, args.genus, **_given(c1_part=args.c1))
         writer.writerow([repr(float(c)) for c in point]
-                        + [repr(gv.value.real), repr(gv.value.imag)])
+                        + [repr(value.real), repr(value.imag)])
     _write_report([buf.getvalue()], args)
     return 0
 
@@ -518,9 +494,7 @@ def _cmd_pairings(args) -> int:
     from .quasipoly import pairing_report
 
     rs = _root_system(args)
-    labels = _labels_from(args)
-    rep = pairing_report(rs, args.genus, args.kmin, args.kmax,
-                         labels=tuple(lab.coords for lab in labels),
+    rep = pairing_report(rs, args.genus, args.kmin, args.kmax, labels=_labels_from(args),
                          **_given(max_period=args.max_period, horizon=args.horizon))
     out = {
         "series": rs.series,

@@ -30,9 +30,9 @@ from .orbits import (
     wilson_weight,
 )
 from .quasipoly import pairing_report
-from .seifert import SeifertSpec, seifert_partition
-from .verlinde import VerlindeRequest, verlinde_dimension
-from .ym2 import YM2Request, verlinde_ym2_crosscheck, ym2_epsilon_profile, ym2_partition
+from .seifert import seifert_scan
+from .verlinde import verlinde_dimension
+from .ym2 import verlinde_ym2_crosscheck, ym2_epsilon_profile, ym2_partition
 
 
 @dataclass(frozen=True)
@@ -136,30 +136,25 @@ def _check_degree_zero_reduction(rng):
     worst = 0.0
     for series, rank, level, genus in (("A", 1, 4, 2), ("A", 2, 3, 1)):
         rs = build_root_system(series, rank)
-        z = seifert_partition(SeifertSpec(rs=rs, level=level, genus=genus, degree=0))
-        v = verlinde_dimension(VerlindeRequest(rs=rs, level=level, genus=genus))
+        (z,) = seifert_scan(rs, [genus], [0], [level])
+        v = verlinde_dimension(rs, level, genus)
         worst = max(worst, abs(z.value - v))
     return worst, "degree-zero fibration sum against fusion dimension"
 
 
 def _check_sphere_anchor(rng):
     worst = 0.0
-    for level in (1, 2, 3):
-        rs = build_root_system("A", 1)
-        md = modular_data(rs, level)
-        z = seifert_partition(
-            SeifertSpec(rs=rs, level=level, genus=0, degree=1))
+    rs = build_root_system("A", 1)
+    for z in seifert_scan(rs, [0], [1], (1, 2, 3)):
+        md = modular_data(rs, z.level)
         worst = max(worst, abs(z.modulus - float(np.abs(md.s[0, 0]))))
     return worst, "degree-one sphere bundle modulus against S[0,0]"
 
 
 def _check_orientation_conjugation(rng):
     rs = build_root_system("A", 1)
-    worst = 0.0
-    for degree in (1, 2, 5):
-        zp = seifert_partition(SeifertSpec(rs=rs, level=3, genus=1, degree=degree))
-        zm = seifert_partition(SeifertSpec(rs=rs, level=3, genus=1, degree=-degree))
-        worst = max(worst, abs(zp.value - zm.value.conjugate()))
+    z = {c.degree: c.value for c in seifert_scan(rs, [1], (-5, -2, -1, 1, 2, 5), [3])}
+    worst = max(abs(z[p] - z[-p].conjugate()) for p in (1, 2, 5))
     return worst, "degree reversal conjugates the bare sum"
 
 
@@ -168,7 +163,7 @@ def _check_verlinde_integer_table(rng):
     frozen = {1: 9, 2: 45, 3: 166, 4: 504}
     worst = 0
     for level, expected in frozen.items():
-        got = verlinde_dimension(VerlindeRequest(rs=rs, level=level, genus=2))
+        got = verlinde_dimension(rs, level, 2)
         worst = max(worst, abs(got - expected))
     return float(worst), "rank-2 genus-2 dimensions against frozen integers"
 
@@ -179,8 +174,7 @@ def _check_flat_zeta_anchors(rng):
                (1, 4): math.pi ** 6 / 945, (2, 2): 4 * math.pi ** 6 / 2835}
     worst = 0.0
     for (rank, genus), target in anchors.items():
-        res = ym2_partition(YM2Request(rs=build_root_system("A", rank), genus=genus,
-                                       epsilon=0.0))
+        res = ym2_partition(build_root_system("A", rank), genus, 0.0)
         worst = max(worst, abs(res.value - target))
     return worst, "flat-coupling heat kernel sums against zeta values"
 
@@ -199,23 +193,43 @@ def _check_verlinde_gluing(rng):
     rs = build_root_system("A", 2)
     level = 2
     md = modular_data(rs, level)
-    total = verlinde_dimension(VerlindeRequest(rs=rs, level=level, genus=2))
+    total = verlinde_dimension(rs, level, 2)
     glued = 0
     for i, lam in enumerate(md.weights):
-        left = verlinde_dimension(
-            VerlindeRequest(rs=rs, level=level, genus=1, labels=(lam,)))
-        lam_bar = md.weights[md.conjugation[i]]
-        right = verlinde_dimension(
-            VerlindeRequest(rs=rs, level=level, genus=1, labels=(lam_bar,)))
+        left = verlinde_dimension(rs, level, 1, (lam,))
+        right = verlinde_dimension(rs, level, 1, (md.weights[md.conjugation[i]],))
         glued += left * right
     return float(abs(total - glued)), "factorisation over a separating curve"
 
 
 def _check_epsilon_profile(rng):
+    # Each row of the A1 genus-2 profile against a reference summed apart from
+    # the box code: pi^2/6 at eps = 0, else theta(eps) = sum_{n<=1000} n^-2
+    # exp(-eps (n^2-1)/4) (dim n, casimir (n^2-1)/2), whose terms past n = 1000
+    # are below exp(-31000). pi^2/6 takes 5 roundings (pi twice through the
+    # square, pow within one ulp, the division). A theta term takes 5 (pow and
+    # exp within one ulp each, the product) and fsum one more, and the rounded
+    # argument x moves exp by a factor of at most exp(x u). Rows have their own
+    # bounds, so each gap is measured in units of its row's bound plus the
+    # reference's rounding, against a threshold of 1.
+    u = 2.0 ** -53
+    g5, g6 = 5 * u / (1 - 5 * u), 6 * u / (1 - 6 * u)
     rs = build_root_system("A", 1)
     prof = ym2_epsilon_profile(rs, genus=2, epsilons=(0.0, 0.125, 0.25, 0.5, 1.0))
-    return abs(prof.rows[1][1] - prof.flat_value), \
-        "deviation from the flat limit shrinks with the coupling"
+    worst = 0.0
+    for eps, z, bound in prof.rows:
+        if eps == 0:
+            ref = math.pi ** 2 / 6
+            slack = g5 * ref
+        else:
+            xs = [eps * (n * n - 1) / 4 for n in range(1, 1001)]
+            terms = [n ** -2 * math.exp(-x) for n, x in enumerate(xs, 1)]
+            ref = math.fsum(terms)
+            slack = g6 * ref + (1 + g6) * math.fsum(
+                t * math.expm1(x * u) for t, x in zip(terms, xs))
+        worst = max(worst, abs(z - ref) / (bound + slack))
+    return worst, "profile rows against pi^2/6 and theta(eps), in units of " \
+        "each row's bound plus the reference's rounding"
 
 
 def _check_wilson_character_point(rng):
@@ -256,7 +270,7 @@ _FULL_EXTRA = (
     ("flat-zeta-anchors", _check_flat_zeta_anchors, 1e-9),
     ("quasipolynomial-extrapolation", _check_quasipolynomial_extrapolation, 0.0),
     ("verlinde-gluing", _check_verlinde_gluing, 0.0),
-    ("epsilon-profile-monotone", _check_epsilon_profile, math.inf),
+    ("epsilon-profile-monotone", _check_epsilon_profile, 1.0),
     ("wilson-character-point", _check_wilson_character_point, 1e-8),
     ("verlinde-ym2-trend", _check_verlinde_ym2_trend, 1e-2),
 )

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,13 +31,6 @@ from .errors import PreconditionError, WallProximityError
 from .lie import CartanElement, RootSystem
 
 WALL_MARGIN = 1e-6
-
-
-@dataclass(frozen=True)
-class GenusValue:
-    value: complex
-    genus_exponent: int
-    point: tuple[complex, ...]
 
 
 def _sinc_half(z: complex) -> complex:
@@ -139,17 +131,12 @@ def partial_euler_product(rs: RootSystem, x: CartanElement, n_terms: int) -> com
 
 
 def evaluate(rs: RootSystem, which: str, x: CartanElement, genus: int,
-             c1_part: complex = 0.0) -> GenusValue:
+             c1_part: complex = 0.0) -> complex:
     """Uniform entry point used by the CLI grid evaluator."""
     if which == "j":
-        val = j_function(rs, x)
-        expo = 1
-    elif which == "ahat":
-        val = a_hat_function(rs, x, genus)
-        expo = 2 * genus - 2
-    elif which == "todd":
-        val = todd_function(rs, x, genus, c1_part)
-        expo = 1 - genus
-    else:
-        raise PreconditionError("unknown genus function %r" % which)
-    return GenusValue(value=val, genus_exponent=expo, point=x.coords)
+        return j_function(rs, x)
+    if which == "ahat":
+        return a_hat_function(rs, x, genus)
+    if which == "todd":
+        return todd_function(rs, x, genus, c1_part)
+    raise PreconditionError("unknown genus function %r" % which)

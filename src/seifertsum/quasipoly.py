@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .errors import PreconditionError, QuasiPolynomialFitError
 from .lie import RootSystem, Weight
-from .verlinde import VerlindeRequest, verlinde_dimension
+from .verlinde import verlinde_dimension
 
 DEFAULT_MAX_PERIOD = 4
 
@@ -167,7 +167,7 @@ class PairingReport:
 
 
 def pairing_report(rs: RootSystem, genus: int, k_min: int, k_max: int,
-                   labels=(), degree_bound: int | None = None,
+                   labels: tuple[Weight, ...] = (), degree_bound: int | None = None,
                    max_period: int = DEFAULT_MAX_PERIOD,
                    horizon: int = 5) -> PairingReport:
     """Fit a level window of fusion dimensions and extrapolate past it.
@@ -183,21 +183,16 @@ def pairing_report(rs: RootSystem, genus: int, k_min: int, k_max: int,
         raise PreconditionError("need 1 <= k_min <= k_max")
     if horizon < 1:
         raise PreconditionError("horizon must be >= 1, got %d" % horizon)
-    labels = tuple(tuple(int(c) for c in lab) for lab in labels)
-    label_weights = tuple(Weight(lab) for lab in labels)
+    labels = tuple(labels)
     # the degree of the unlabelled table: rank at genus 1, else (g-1) dim
     base = rs.rank if genus == 1 else (genus - 1) * rs.dimension
     if degree_bound is None:
         degree_bound = base + len(labels) * rs.num_positive_roots
     levels = tuple(range(k_min, k_max + 1))
-    usable = [k for k in levels
-              if all(rs.level_of(lab) <= k for lab in label_weights)]
-    if len(usable) != len(levels):
+    if any(rs.level_of(lab) > k_min for lab in labels):
         raise PreconditionError(
             "labels must be integrable at every level of the window")
-    values = tuple(verlinde_dimension(
-        VerlindeRequest(rs=rs, level=k, genus=genus, labels=label_weights))
-        for k in levels)
+    values = tuple(verlinde_dimension(rs, k, genus, labels) for k in levels)
     qp = fit_quasi_polynomial(zip(levels, values), degree_bound=degree_bound,
                               max_period=max_period)
     expected = None if labels else base
@@ -210,11 +205,10 @@ def pairing_report(rs: RootSystem, genus: int, k_min: int, k_max: int,
             raise QuasiPolynomialFitError(
                 "prediction at level %d is not integral: %s" % (k, pred))
         preds.append((k, int(pred)))
-        direct = verlinde_dimension(
-            VerlindeRequest(rs=rs, level=k, genus=genus, labels=label_weights))
+        direct = verlinde_dimension(rs, k, genus, labels)
         errors.append(int(pred) - direct)
-    return PairingReport(genus=genus, labels=labels, levels=levels,
-                         values=values, qp=qp, degree=qp.degree,
+    return PairingReport(genus=genus, labels=tuple(lab.coords for lab in labels),
+                         levels=levels, values=values, qp=qp, degree=qp.degree,
                          expected_degree=expected, degree_matches=matches,
                          leading_by_class=qp.leading_by_class(),
                          predictions=tuple(preds),

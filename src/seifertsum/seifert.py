@@ -8,8 +8,8 @@ path integral onto the weight lattice gives the finite sum
             * exp(-i pi p <lam+rho, lam+rho> / kappa)
 
 with kappa = k + dual Coxeter number and the sum over integrable lam at
-level k. At p = 0 the phase collapses and the sum is exactly the
-Verlinde sum (see `verlinde`).
+level k. At p = 0 the phase collapses and the sum is the Verlinde sum,
+which `verlinde` computes exactly.
 
 The sum reads only S row 0 and one row per label, never the full S,
 from the level object that also assembles S (modular._Level): row 0 from
@@ -20,9 +20,10 @@ integer norm M = (r+1) sum e_i^2 - (sum e_i)^2 in the epsilon
 coordinates e of lam+rho, so the exponent is
 -2 pi i (p M mod 2(r+1)kappa) / (2(r+1)kappa), and Z(p) is periodic in
 p with period 2(r+1)kappa bit for bit. All (genus, degree) cells of one
-level are contracted together in binary64 (_cells), and a single cell
-goes through the same contraction, so it equals the scan cell bit for bit.
-A genus whose terms overflow binary64 is refused.
+level are contracted together in binary64 (_cells), and a cell's value
+does not depend on the other cells of its scan, so one cell is the scan
+`(cell,) = seifert_scan(rs, [g], [p], [k], budget=math.inf)`. A genus
+whose terms overflow binary64 is refused.
 The overall normalisation N is pure convention:
 
 * framing "bare" applies no extra phase; "canonical" multiplies by
@@ -86,25 +87,6 @@ def _cells(lv: _Level, genera, degrees, label_idx) -> dict:
 
 
 @dataclass(frozen=True)
-class SeifertSpec:
-    rs: RootSystem
-    level: int
-    genus: int
-    degree: int
-    labels: tuple[Weight, ...] = ()
-    framing: str = "bare"
-    include_centre_factor: bool = False
-
-
-@dataclass(frozen=True)
-class SeifertValue:
-    value: complex
-    modulus: float
-    phase_convention: str
-    term_count: int
-
-
-@dataclass(frozen=True)
 class ScanCell:
     genus: int
     degree: int
@@ -156,13 +138,3 @@ def seifert_scan(rs: RootSystem, genera, degrees, levels,
                           modulus=abs(values[g, p, k]),
                           term_count=n_weights[k])
                  for g in genera for p in degrees for k in levels)
-
-
-def seifert_partition(spec: SeifertSpec) -> SeifertValue:
-    """One cell, through the same per-level contraction as seifert_scan."""
-    (cell,) = seifert_scan(spec.rs, [spec.genus], [spec.degree], [spec.level],
-                           labels=spec.labels, framing=spec.framing,
-                           include_centre_factor=spec.include_centre_factor,
-                           budget=math.inf)
-    return SeifertValue(value=cell.value, modulus=cell.modulus,
-                        phase_convention=spec.framing, term_count=cell.term_count)

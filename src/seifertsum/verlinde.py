@@ -3,9 +3,10 @@
     V_g(k; labels) = sum_lam (S[0,lam])^(2-2g) prod_i S[label_i,lam]/S[0,lam]
 
 over the integrable lam at level k: the degree-zero Seifert lattice sum,
-read from the level object that also assembles S (modular._Level), never
-the full S. A label outside the level's integrable weights is refused by
-name.
+whose binary64 value is the degree-0 cell of `seifert.seifert_scan`. It
+is read from the level object that also assembles S (modular._Level),
+never the full S, so this module loads `modular` and not `seifert`. A
+label outside the level's integrable weights is refused by name.
 
 V is computed exactly. Every factor of a term lies in the cyclotomic
 field Q(zeta), zeta of order N = (r+1) kappa, with only primes dividing N
@@ -17,8 +18,7 @@ sized from the binary64 S row 0 with a 2-bit margin. Primes p = 1 mod N
 below 2^31, largest first, are taken until their product exceeds 2A + 1,
 and V is the symmetric residue of the Chinese remainder theorem. One more
 prime is a witness: a residue that disagrees with it, or a negative V,
-raises IntegralityError. verlinde_sum is the binary64 sum, the degree-zero
-Seifert cell.
+raises IntegralityError.
 """
 
 from __future__ import annotations
@@ -31,15 +31,6 @@ import numpy as np
 from .errors import IntegralityError, PreconditionError
 from .lie import RootSystem, Weight
 from .modular import _Level
-from .seifert import _cells
-
-
-@dataclass(frozen=True)
-class VerlindeRequest:
-    rs: RootSystem
-    level: int
-    genus: int
-    labels: tuple[Weight, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -48,16 +39,6 @@ class VerlindeTable:
     labels: tuple[Weight, ...]
     rows: tuple[tuple[int, int], ...]  # (level, dimension)
     monotone_nondecreasing: bool | None = None
-
-
-def _level(req: VerlindeRequest):
-    """The level object of a request and the weight indices of its labels."""
-    if req.genus < 0:
-        raise PreconditionError("genus must be >= 0")
-    if req.level < 1:
-        raise PreconditionError("level must be >= 1")
-    lv = _Level(req.rs, req.level)
-    return lv, [lv.index_of(lab) for lab in req.labels]
 
 
 def _primes(order: int):
@@ -73,23 +54,23 @@ def _primes(order: int):
             yield p
 
 
-def verlinde_sum(req: VerlindeRequest) -> complex:
-    """The complex weight sum in binary64: the degree-zero cell of
-    seifert._cells. verlinde_dimension does not read it."""
-    lv, label_idx = _level(req)
-    return _cells(lv, [req.genus], [0], label_idx)[req.genus, 0]
-
-
-def verlinde_dimension(req: VerlindeRequest) -> int:
-    lv, label_idx = _level(req)
+def verlinde_dimension(rs: RootSystem, level: int, genus: int,
+                       labels: tuple[Weight, ...] = ()) -> int:
+    """V_g(k; labels), exactly (module docstring)."""
+    if genus < 0:
+        raise PreconditionError("genus must be >= 0")
+    if level < 1:
+        raise PreconditionError("level must be >= 1")
+    lv = _Level(rs, level)
+    label_idx = [lv.index_of(lab) for lab in labels]
     # A <= 2^bits: A is summed in log space, so that an A past the binary64
     # range is sized too, and 2 bits cover the roundings of that sum
-    logs = (2 - 2 * req.genus - len(label_idx)) * np.log2(lv.s0)
+    logs = (2 - 2 * genus - len(label_idx)) * np.log2(lv.s0)
     top = logs.max()
     bits = math.ceil(top + math.log2(math.fsum((2.0 ** (logs - top)).tolist()))) + 2
     value, modulus, used = 0, 1, []
     for p in _primes((lv.rs.rank + 1) * lv.kappa):
-        residue = int(lv.residues(p, 1 - req.genus, label_idx).sum()) % p
+        residue = int(lv.residues(p, 1 - genus, label_idx).sum()) % p
         if modulus >> (bits + 1):  # an odd modulus >= 2^(bits+1) exceeds 2A + 1
             if value % p != residue or value < 0:
                 raise IntegralityError(
@@ -102,16 +83,14 @@ def verlinde_dimension(req: VerlindeRequest) -> int:
         used.append(p)
         value -= modulus if value > modulus // 2 else 0  # the symmetric residue
     raise PreconditionError("the primes p = 1 mod (r+1) kappa below 2^31 do not "
-                            "determine the Verlinde dimension at level %d" % req.level)
+                            "determine the Verlinde dimension at level %d" % level)
 
 
 def verlinde_table(rs: RootSystem, genus: int, levels, labels: tuple[Weight, ...] = ()) -> VerlindeTable:
     levels = list(levels)
     if not levels or any(k < 1 for k in levels):
         raise PreconditionError("levels must be >= 1")
-    rows = tuple((k, verlinde_dimension(VerlindeRequest(rs=rs, level=k, genus=genus,
-                                                        labels=tuple(labels))))
-                 for k in levels)
+    rows = tuple((k, verlinde_dimension(rs, k, genus, tuple(labels))) for k in levels)
     monotone = None if labels else all(b[1] >= a[1] for a, b in zip(rows, rows[1:]))
     return VerlindeTable(genus=genus, labels=tuple(labels), rows=rows,
                          monotone_nondecreasing=monotone)

@@ -63,10 +63,8 @@ Flat limit (eps = 0): the last coordinate in closed form.
   times the result.
 * Fallback. The flat sum stops as soon as tail(L) plus the rounding bound
   spent so far exceeds tol, and Z is then summed over the box below, whose
-  tail is tiny exactly where m is large. The box's own rounding, at most
-  gamma_{m+3} Z (dim^-m from an exact int with libm's pow within one ulp,
-  then one fsum), is added to its tail bound at eps = 0. The choice rests
-  only on these computed bounds.
+  tail is tiny exactly where m is large, with the box's rounding bound
+  below. The choice rests only on these computed bounds.
 
 Box (eps > 0, and the flat fallback): dominant weights are enumerated in the
 box max coord <= L and the tail is bounded by dim(Lambda) >=
@@ -92,6 +90,18 @@ libm calls on the .tolist() values: numpy's vectorised pow and exp are
 not guaranteed to round as libm does, and scalar calls keep every term
 bit-identical to the per-weight formula. math.fsum rounds the sum
 correctly, so Z does not depend on the order of the terms either.
+
+The box's rounding is bounded at every eps. A term dim^-m exp(-eps (c/r1)/2),
+with c = (r+1) casimir, takes at most m + 5 roundings: dim goes to binary64
+once, which the power turns into m; pow and exp are within one ulp, two
+each; their product is one more. Its argument x = eps casimir/2 takes two
+(the division c/r1 and the product with eps; /2 is exact), so exp is off by
+a factor of at most exp(x gamma_2) beyond its own ulp. Casimir grows with
+every coordinate, so x is largest at the box's far corner, x_max. With the
+fsum of the total, the computed Z is within rel Z_box of the exact box sum,
+rel = gamma_(m+6) + eta (1 + gamma_(m+6)) and eta = expm1(x_max gamma_2),
+and rel/(1 - rel) Z is added to the tail bound. A bound above tol is
+refused.
 
 The term budget counts outer points on the flat path and box points on
 the box, and is checked before any term is summed; a refusal names the
@@ -120,15 +130,6 @@ _U = 2.0 ** -53
 # B_2 .. B_14: Euler-Maclaurin corrections for zeta, the last one bounds the remainder
 _BERNOULLI = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
               Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6))
-
-
-@dataclass(frozen=True)
-class YM2Request:
-    rs: RootSystem
-    genus: int
-    epsilon: float
-    target_tol: float = DEFAULT_TOL
-    max_terms: int = DEFAULT_MAX_TERMS
 
 
 @dataclass(frozen=True)
@@ -340,43 +341,47 @@ def _box_terms(rank: int, box: int, m: int, eps: float):
         yield [d ** (-m) * math.exp(-eps * (c / r1) / 2) for d, c in zip(dims, cas)]
 
 
-def ym2_partition(req: YM2Request) -> YM2Result:
+def ym2_partition(rs: RootSystem, genus: int, epsilon: float,
+                  target_tol: float = DEFAULT_TOL,
+                  max_terms: int = DEFAULT_MAX_TERMS) -> YM2Result:
     """Certified evaluation of Z_g(eps)."""
-    rs = req.rs
-    if req.genus < 2:
+    if genus < 2:
         raise PreconditionError("genus must be >= 2, the sum diverges below that")
-    if not 0 <= req.epsilon < math.inf:  # also refuses nan
+    if not 0 <= epsilon < math.inf:  # also refuses nan
         raise PreconditionError("epsilon must be a finite number >= 0")
-    if not (req.target_tol > 0):
+    if not (target_tol > 0):
         raise PreconditionError("target_tol must be positive")
-    m = 2 * req.genus - 2
-    flat = _flat_sum(rs.rank, m, req.target_tol, req.max_terms) if req.epsilon == 0 else None
+    m = 2 * genus - 2
+    flat = _flat_sum(rs.rank, m, target_tol, max_terms) if epsilon == 0 else None
     if flat is not None:
         value, bound, terms = flat
     else:
         box = 16
         while True:
-            if (box + 1) ** rs.rank > req.max_terms:
+            if (box + 1) ** rs.rank > max_terms:
                 raise BudgetExceededError(
                     "certifying tol %g needs a box of at least %d^%d dominant "
                     "weights, budget %d; raise max_terms or relax target_tol"
-                    % (req.target_tol, box + 1, rs.rank, req.max_terms))
-            if _box_tail_bound(rs.rank, m, req.epsilon, box) <= req.target_tol:
+                    % (target_tol, box + 1, rs.rank, max_terms))
+            if _box_tail_bound(rs.rank, m, epsilon, box) <= target_tol:
                 break
             box *= 2
+        terms = (box + 1) ** rs.rank
         value = math.fsum(itertools.chain.from_iterable(
-            _box_terms(rs.rank, box, m, req.epsilon)))
-        bound, terms = _box_tail_bound(rs.rank, m, req.epsilon, box), (box + 1) ** rs.rank
-        if req.epsilon == 0:
-            bound += _gamma(m + 3) * value
-            if bound > req.target_tol:
-                raise CertificationError(
-                    "tol %g is below the bound %g on the box sum's tail and rounding"
-                    % (req.target_tol, bound))
+            _box_terms(rs.rank, box, m, epsilon)))
+        # rounding (module docstring), with the Casimir of the far corner
+        corner = _box_invariants(rs.rank, box, np.array([terms - 1]))[1][0]
+        eta = math.expm1(epsilon * (corner / (rs.rank + 1)) / 2 * _gamma(2))
+        rel = _gamma(m + 6) + eta * (1 + _gamma(m + 6))
+        bound = _box_tail_bound(rs.rank, m, epsilon, box) + rel / (1 - rel) * value
+        if bound > target_tol:
+            raise CertificationError(
+                "tol %g is below the bound %g on the box sum's tail and rounding"
+                % (target_tol, bound))
     if not value > 0:  # also catches nan
         raise CertificationError("partition sum must be positive, got %r" % (value,))
     return YM2Result(value=value, tail_bound=bound, terms=terms,
-                     genus=req.genus, epsilon=req.epsilon)
+                     genus=genus, epsilon=epsilon)
 
 
 @dataclass(frozen=True)
@@ -403,9 +408,7 @@ def ym2_epsilon_profile(rs: RootSystem, genus: int, epsilons,
         raise PreconditionError("epsilon must be >= 0")
     rows = []
     for e in eps_list:
-        res = ym2_partition(YM2Request(rs=rs, genus=genus, epsilon=e,
-                                       target_tol=target_tol,
-                                       max_terms=max_terms))
+        res = ym2_partition(rs, genus, e, target_tol, max_terms)
         rows.append((e, res.value, res.tail_bound))
     slack = 4 * target_tol
     for (e1, z1, _), (e2, z2, _) in zip(rows, rows[1:]):
@@ -442,7 +445,7 @@ def verlinde_ym2_crosscheck(rs: RootSystem, genus: int, levels) -> CrosscheckRep
     formula; 1/pi^2 for A1 at g = 2). Only the trend is asserted here: the
     increments of the sequence must shrink.
     """
-    from .verlinde import VerlindeRequest, verlinde_dimension
+    from .verlinde import verlinde_dimension
 
     ks = sorted(set(int(k) for k in levels))
     if len(ks) < 4:
@@ -450,10 +453,10 @@ def verlinde_ym2_crosscheck(rs: RootSystem, genus: int, levels) -> CrosscheckRep
     if genus < 2:
         raise PreconditionError("genus must be >= 2")
     d_exp = (genus - 1) * rs.dimension
-    flat = ym2_partition(YM2Request(rs=rs, genus=genus, epsilon=0.0))
+    flat = ym2_partition(rs, genus, 0.0)
     scaled = []
     for k in ks:
-        v = verlinde_dimension(VerlindeRequest(rs=rs, level=k, genus=genus))
+        v = verlinde_dimension(rs, k, genus)
         kappa = k + rs.dual_coxeter
         scaled.append(v / kappa ** d_exp / flat.value)
     first_gap = abs(scaled[1] - scaled[0])

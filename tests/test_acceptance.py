@@ -22,19 +22,20 @@ from seifertsum.orbits import (
     su2_orbit_quadrature,
 )
 from seifertsum.quasipoly import pairing_report
-from seifertsum.seifert import SeifertSpec, seifert_partition
-from seifertsum.verlinde import (
-    VerlindeRequest,
-    verlinde_dimension,
-    verlinde_sum,
-)
-from seifertsum.ym2 import YM2Request, ym2_epsilon_profile, ym2_partition
+from seifertsum.seifert import seifert_scan
+from seifertsum.verlinde import verlinde_dimension
+from seifertsum.ym2 import ym2_epsilon_profile, ym2_partition
 
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
 A3 = build_root_system("A", 3)
 
 ZETA = {2: math.pi**2 / 6, 4: math.pi**4 / 90, 6: math.pi**6 / 945}
+
+
+def _z(rs, level, genus, degree, **kw):
+    (cell,) = seifert_scan(rs, [genus], [degree], [level], budget=math.inf, **kw)
+    return cell
 
 
 def _report(num, name, passed, detail=""):
@@ -58,10 +59,8 @@ def test_criterion_1_degree_zero_reduction():
     t0 = time.perf_counter()
     worst = 0.0
     for rs, k, g, labels in _reduction_cells():
-        spec = SeifertSpec(rs=rs, level=k, genus=g, degree=0, labels=labels)
-        z = seifert_partition(spec).value
-        v = verlinde_sum(VerlindeRequest(rs=rs, level=k, genus=g, labels=labels))
-        worst = max(worst, abs(z - v))
+        z = _z(rs, k, g, 0, labels=labels).value
+        worst = max(worst, abs(z - verlinde_dimension(rs, k, g, labels)))
     elapsed = time.perf_counter() - t0
     _report(1, "degree-zero reduction", worst < 1e-9 and elapsed < 60,
             "max gap %.2e, %.1fs" % (worst, elapsed))
@@ -71,9 +70,8 @@ def test_criterion_2_integrality():
     worst = 0.0
     ok = True
     for rs, k, g, labels in _reduction_cells():
-        req = VerlindeRequest(rs=rs, level=k, genus=g, labels=labels)
-        raw = verlinde_sum(req)
-        dim = verlinde_dimension(req)
+        raw = _z(rs, k, g, 0, labels=labels).value
+        dim = verlinde_dimension(rs, k, g, labels)
         worst = max(worst, abs(raw - dim))
         if dim < 0:
             ok = False
@@ -142,8 +140,7 @@ def test_criterion_6_flat_anchors_and_coupling_profile():
     anchor_ok = True
     worst = 0.0
     for g in (2, 3, 4):
-        res = ym2_partition(YM2Request(rs=A1, genus=g, epsilon=0.0,
-                                       target_tol=1e-10))
+        res = ym2_partition(A1, g, 0.0, target_tol=1e-10)
         gap = abs(res.value - ZETA[2 * g - 2])
         worst = max(worst, gap)
         if res.tail_bound > 1e-10 or gap > 1e-10:
@@ -182,18 +179,15 @@ def test_criterion_8_seifert_anchors():
     sphere_worst = 0.0
     for k in (1, 2, 3):
         md = s_matrix(A1, k)
-        z = seifert_partition(SeifertSpec(rs=A1, level=k, genus=0, degree=1))
+        z = _z(A1, k, 0, 1)
         sphere_worst = max(sphere_worst, abs(z.modulus - float(md.s[0, 0].real)))
     conj_worst = 0.0
     for k, g, p in itertools.product(range(1, 5), range(3), (1, 2, 3)):
-        zp = seifert_partition(SeifertSpec(rs=A1, level=k, genus=g, degree=p))
-        zm = seifert_partition(SeifertSpec(rs=A1, level=k, genus=g, degree=-p))
+        zp, zm = _z(A1, k, g, p), _z(A1, k, g, -p)
         conj_worst = max(conj_worst, abs(zp.value - zm.value.conjugate()))
     frame_worst = 0.0
     for k, g, p in itertools.product((1, 3), (0, 2), (-2, 1, 3)):
-        bare = seifert_partition(SeifertSpec(rs=A1, level=k, genus=g, degree=p))
-        canon = seifert_partition(SeifertSpec(rs=A1, level=k, genus=g,
-                                              degree=p, framing="canonical"))
+        bare, canon = _z(A1, k, g, p), _z(A1, k, g, p, framing="canonical")
         frame_worst = max(frame_worst, abs(bare.modulus - canon.modulus))
     _report(8, "fibration anchors",
             sphere_worst < 1e-9 and conj_worst < 1e-9 and frame_worst < 1e-10,

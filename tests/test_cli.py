@@ -9,7 +9,9 @@ import json
 import math
 import os
 import re
+import shlex
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,6 +24,11 @@ from oracles import verlinde_exact
 from seifertsum import cli, modular
 from seifertsum.lie import build_root_system
 from seifertsum.modular import central_charge, s_matrix
+
+
+README_CALLS = [line.split(None, 1)[1]
+                for line in (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+                if line.startswith("seifertsum ")]
 
 
 def run(argv, capsys):
@@ -650,3 +657,12 @@ def test_pairings_refuse_an_empty_horizon(horizon, capsys):
                           "--kmax", "8", "--horizon", horizon], capsys)
     assert (code, out) == (2, "")
     assert err == "refused: horizon must be >= 1, got %s\n" % horizon
+
+
+@pytest.mark.parametrize("call", README_CALLS)
+def test_readme_command_lines_run(call, tmp_path, capsys):
+    # every example of README's command-line block, so the docs follow the CLI
+    report = tmp_path / "report"
+    code = cli.main(shlex.split(call) + ["--output", str(report)])
+    assert code == 0, capsys.readouterr().err
+    assert report.stat().st_size > 0

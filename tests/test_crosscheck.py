@@ -1,5 +1,6 @@
 """Consistency suites: aggregation, determinism, serialization."""
 
+import dataclasses
 import json
 
 import pytest
@@ -51,7 +52,26 @@ def test_every_check_reports_a_residual():
 
 def test_degree_zero_reduction_compares_with_the_exact_dimension(monkeypatch):
     exact = crosscheck.verlinde_dimension
-    monkeypatch.setattr(crosscheck, "verlinde_dimension", lambda req: exact(req) + 1)
+    monkeypatch.setattr(crosscheck, "verlinde_dimension", lambda *args: exact(*args) + 1)
     (check,) = [c for c in run_crosschecks("quick").checks
                 if c.name == "degree-zero-reduction"]
     assert not check.passed and check.residual > 0.5
+
+
+def test_epsilon_profile_check_holds_each_row_to_its_bound(monkeypatch):
+    # the rows agree with pi^2/6 and theta(eps); a row moved by twice its
+    # bound fails
+    profile = crosscheck.ym2_epsilon_profile
+
+    def moved(*args, **kwargs):
+        prof = profile(*args, **kwargs)
+        eps, z, bound = prof.rows[2]
+        rows = prof.rows[:2] + ((eps, z + 2 * bound, bound),) + prof.rows[3:]
+        return dataclasses.replace(prof, rows=rows)
+
+    for patch, passed in ((profile, True), (moved, False)):
+        monkeypatch.setattr(crosscheck, "ym2_epsilon_profile", patch)
+        (check,) = [c for c in run_crosschecks("full").checks
+                    if c.name == "epsilon-profile-monotone"]
+        assert check.passed is passed and check.threshold == 1.0
+        assert (check.residual > 1.5) is not passed

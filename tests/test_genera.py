@@ -112,11 +112,8 @@ def test_truncated_product_rate(a1):
 
 def test_evaluate_dispatch(a1):
     x = _pt(0.5)
-    assert evaluate(a1, "j", x, 0, 0.0).value == pytest.approx(
-        j_function(a1, x))
-    assert evaluate(a1, "ahat", x, 2, 0.0).value == pytest.approx(
-        a_hat_function(a1, x, 2))
-    assert evaluate(a1, "todd", x, 1, 0.5).value == pytest.approx(
-        todd_function(a1, x, 1, 0.5))
+    assert evaluate(a1, "j", x, 0, 0.0) == pytest.approx(j_function(a1, x))
+    assert evaluate(a1, "ahat", x, 2, 0.0) == pytest.approx(a_hat_function(a1, x, 2))
+    assert evaluate(a1, "todd", x, 1, 0.5) == pytest.approx(todd_function(a1, x, 1, 0.5))
     with pytest.raises(PreconditionError):
         evaluate(a1, "chern", x, 0, 0.0)

@@ -41,6 +41,18 @@ def test_a_ym2_call_loads_only_lie_and_ym2(argv):
                                   "seifertsum.lie", "seifertsum.ym2"}
 
 
+# the exact Verlinde dimension reads the level object alone, not the binary64 Seifert sum
+@pytest.mark.parametrize("argv", [
+    ["verlinde", "--algebra", "A2", "--genus", "2", "--levels", "2,3", "--label", "1,1"],
+    ["pairings", "--algebra", "A1", "--genus", "1", "--kmin", "2", "--kmax", "8", "--label", "2"],
+], ids=["verlinde", "pairings"])
+def test_verlinde_and_pairings_calls_do_not_load_seifert(argv):
+    code = "from seifertsum import cli\nassert cli.main(%r) == 0" % (argv,)
+    loaded = loaded_after(code)
+    assert "seifertsum.verlinde" in loaded
+    assert "seifertsum.seifert" not in loaded
+
+
 def test_kirillov_loads_mpmath_for_its_residual():
     code = "from seifertsum import cli\nassert cli.main(%r) == 0" % (
         ["kirillov", "--algebra", "A1", "--weight", "1", "--point", "0.5"],)

@@ -21,7 +21,7 @@ from seifertsum.modular import (
 )
 from seifertsum.quasipoly import pairing_report
 from seifertsum.seifert import seifert_scan
-from seifertsum.verlinde import VerlindeRequest, verlinde_dimension
+from seifertsum.verlinde import verlinde_dimension
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4, 5, 6])
@@ -82,7 +82,7 @@ def test_lattice_sums_build_no_weight_per_weight(monkeypatch):
     a1, a2 = build_root_system("A", 1), build_root_system("A", 2)
     label = Weight((1, 1))
     monkeypatch.setattr(lie.Weight, "__post_init__", counting)
-    verlinde_dimension(VerlindeRequest(rs=a2, level=30, genus=2, labels=(label,)))
+    verlinde_dimension(a2, 30, 2, (label,))
     seifert_scan(a1, genera=(0, 1, 2), degrees=(-1, 0, 3), levels=range(1, 41))
     pairing_report(a1, genus=2, k_min=1, k_max=12)
     assert len(built) <= 2, [w.coords for w in built]

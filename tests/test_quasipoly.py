@@ -6,6 +6,7 @@ import pytest
 
 from oracles import verlinde_exact
 from seifertsum.errors import PreconditionError, QuasiPolynomialFitError
+from seifertsum.lie import Weight
 from seifertsum.quasipoly import (
     QuasiPolynomial,
     _eval_poly,
@@ -107,7 +108,7 @@ def test_pairing_report_rank2_genus1(a2):
 
 def test_pairing_report_with_labels(a1):
     rep = pairing_report(a1, genus=1, k_min=2, k_max=10,
-                         labels=((2,),), horizon=3)
+                         labels=(Weight((2,)),), horizon=3)
     assert rep.labels == ((2,),)
     assert rep.expected_degree is None
     assert rep.degree_matches is None
@@ -130,7 +131,7 @@ def test_pairing_report_rejects_bad_windows(a1):
     with pytest.raises(PreconditionError):
         pairing_report(a1, genus=2, k_min=5, k_max=1)
     with pytest.raises(PreconditionError):
-        pairing_report(a1, genus=1, k_min=1, k_max=8, labels=((3,),))
+        pairing_report(a1, genus=1, k_min=1, k_max=8, labels=(Weight((3,)),))
 
 
 @pytest.mark.parametrize("horizon", [0, -1])

@@ -20,7 +20,6 @@ from seifertsum.errors import (
 from seifertsum.lie import _form, _shifted_epsilon, _vandermonde, build_root_system
 from seifertsum.ym2 import (
     DEFAULT_TOL,
-    YM2Request,
     YM2Result,
     verlinde_ym2_crosscheck,
     ym2_epsilon_profile,
@@ -31,7 +30,7 @@ ZETA = {2: math.pi**2 / 6, 4: math.pi**4 / 90, 6: math.pi**6 / 945}
 
 
 def _run(rs, genus, eps, **kw):
-    return ym2_partition(YM2Request(rs=rs, genus=genus, epsilon=eps, **kw))
+    return ym2_partition(rs, genus, eps, **kw)
 
 
 @pytest.mark.parametrize("genus", [2, 3, 4])
@@ -160,9 +159,9 @@ def test_profile_rows_are_certified(a2):
 def test_profile_sums_only_the_requested_couplings(a2, monkeypatch):
     seen = []
 
-    def spy(req):
-        seen.append(req.epsilon)
-        return ym2_partition(req)
+    def spy(rs, genus, epsilon, *args):
+        seen.append(epsilon)
+        return ym2_partition(rs, genus, epsilon, *args)
 
     monkeypatch.setattr(ym2, "ym2_partition", spy)
     prof = ym2_epsilon_profile(a2, 2, (2.0, 0.5), target_tol=1e-5)
@@ -172,9 +171,9 @@ def test_profile_sums_only_the_requested_couplings(a2, monkeypatch):
 
 
 def test_profile_refuses_a_rising_z(a1, monkeypatch):
-    def rising(req):
-        return YM2Result(value=1.0 + req.epsilon, tail_bound=0.0, terms=1,
-                         genus=req.genus, epsilon=req.epsilon)
+    def rising(rs, genus, epsilon, *args):
+        return YM2Result(value=1.0 + epsilon, tail_bound=0.0, terms=1,
+                         genus=genus, epsilon=epsilon)
 
     monkeypatch.setattr(ym2, "ym2_partition", rising)
     with pytest.raises(CertificationError) as info:
@@ -294,9 +293,25 @@ def test_flat_sum_falls_back_to_the_box_where_rounding_needs_it(a2, monkeypatch)
     assert _encloses(res, A2_FLAT[10])
 
 
-def test_a_tol_below_the_rounding_bound_is_refused(a2):
+def test_box_bound_covers_rounding_at_every_coupling(a1):
+    # this row once printed a tail bound of 8.9e-25 for Z = 1.41, far below
+    # one ulp of Z: the box's rounding is now bounded at every eps, and the
+    # bound encloses the series at the binary64 coupling, summed at 40 digits
+    res = _run(a1, 2, 0.1)
+    assert 2.0 ** -53 * res.value <= res.tail_bound <= DEFAULT_TOL
+    with mpmath.workdps(40):
+        eps = mpmath.mpf(0.1)
+        series = mpmath.fsum(mpmath.mpf(n) ** -2 * mpmath.exp(-eps * (n * n - 1) / 4)
+                             for n in range(1, 400))
+        assert _encloses(res, mpmath.nstr(series, 35))
+
+
+def test_a_tol_below_the_rounding_bound_is_refused(a1, a2):
     with pytest.raises(CertificationError, match="tol 1e-16 is below the bound"):
         _run(a2, 10, 0.0, target_tol=1e-16)
+    # at eps > 0 too: the box's tail meets 1e-16, its rounding does not
+    with pytest.raises(CertificationError, match="tol 1e-16 is below the bound"):
+        _run(a1, 2, 1.0, target_tol=1e-16)
 
 
 def test_rank3_flat_sum_against_a_brute_force_box(a3):
