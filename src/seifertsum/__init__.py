@@ -24,8 +24,7 @@ _EXPORTS = {  # module: the public names it defines
                "todd_function", "wall_distance"),
     "lie": ("CartanElement", "RootSystem", "Weight", "WeylElement", "build_root_system",
             "casimir", "weyl_character", "weyl_dimension", "weyl_group"),
-    "modular": ("ModularData", "central_charge", "integrable_weights", "modular_data",
-                "s_matrix"),
+    "modular": ("ModularData", "central_charge", "integrable_weights", "s_matrix"),
     "orbits": ("CoadjointOrbit", "dh_weyl_sum", "kirillov_check", "orbit_fourier",
                "orbit_from_highest_weight", "quantum_character_point",
                "su2_orbit_quadrature", "wilson_weight"),

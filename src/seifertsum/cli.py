@@ -332,8 +332,6 @@ def _cmd_modular(args) -> int:
     from .modular import central_charge, s_matrix
 
     rs = _root_system(args)
-    # s_matrix rather than the modular_data cache: a process writes one
-    # report, so a cached copy would never be read again
     md = s_matrix(rs, args.level, **_given(tol=args.tol))
     out = {
         "series": rs.series,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .genera import a_hat_function, j_function, partial_euler_product
 from .lie import CartanElement, RootSystem, Weight, build_root_system, weyl_character
-from .modular import modular_data
+from .modular import s_matrix
 from .orbits import (
     dh_weyl_sum,
     kirillov_check,
@@ -125,7 +125,7 @@ def _check_modular_certificates(rng):
     residual_keys = ("unitarity", "symmetry", "row0_imag",
                      "conjugation_permutation", "st_cubed")
     for series, rank, level in (("A", 1, 3), ("A", 2, 2)):
-        md = modular_data(build_root_system(series, rank), level)
+        md = s_matrix(build_root_system(series, rank), level)
         worst = max(worst, max(md.certificate[k] for k in residual_keys))
         if md.certificate["row0_min"] <= 0 or not md.certificate["involution"]:
             return math.inf, "vacuum row or conjugation square failed"
@@ -146,7 +146,7 @@ def _check_sphere_anchor(rng):
     worst = 0.0
     rs = build_root_system("A", 1)
     for z in seifert_scan(rs, [0], [1], (1, 2, 3)):
-        md = modular_data(rs, z.level)
+        md = s_matrix(rs, z.level)
         worst = max(worst, abs(z.modulus - float(np.abs(md.s[0, 0]))))
     return worst, "degree-one sphere bundle modulus against S[0,0]"
 
@@ -192,7 +192,7 @@ def _check_quasipolynomial_extrapolation(rng):
 def _check_verlinde_gluing(rng):
     rs = build_root_system("A", 2)
     level = 2
-    md = modular_data(rs, level)
+    md = s_matrix(rs, level)
     total = verlinde_dimension(rs, level, 2)
     glued = 0
     for i, lam in enumerate(md.weights):

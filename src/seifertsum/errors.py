@@ -41,8 +41,8 @@ class CertificationError(RuntimeError):
 
     When the certificate is a set of residuals against one threshold,
     residuals maps each name to its value, threshold is the bound they
-    had to meet and precision the arithmetic of the last attempt
-    ("binary64", or "dps=N" for N mpmath digits); otherwise they are None.
+    had to meet and precision the arithmetic they were computed in
+    ("binary64"); otherwise they are None.
     """
 
     def __init__(self, message: str, residuals=None, threshold=None,

@@ -33,8 +33,7 @@ the Seifert sums all read the same instance. S row 0 is the product form
     S[0, L] = ((r+1) kappa^r)^(-1/2) prod_{i<j} 2 sin(pi (e_i - e_j)/kappa);
 
 every e_i - e_j lies in 1..kappa-1, so one table of kappa-1 sines serves
-every weight. Row 0 is binary64 only; label rows come in binary64 or, at
-a given number of digits, in mpmath (the retry of s_matrix).
+every weight. Row 0 and the label rows are binary64.
 
 Mod a prime p = 1 mod N, N = (r+1) kappa, the same formulas hold with
 zeta sent to an element z of order N (_Level.residues, for verlinde):
@@ -45,10 +44,12 @@ D(0) is a Vandermonde determinant of distinct roots of unity, not 0 mod p.
 
 Every constructed matrix is certified: S symmetric and unitary, S^2 a
 permutation (charge conjugation) squaring to the identity, row zero real
-positive, and (S T)^3 = S^2 for the canonical T. S is assembled in
-binary64 first; a certification failure triggers one retry at RETRY_DPS
-digits (113 bits) before raising a CertificationError that carries the
-residuals, the tolerance and the precision of that retry.
+positive, and (S T)^3 = S^2 for the canonical T. S is assembled and
+certified in binary64, and a failure raises a CertificationError that
+carries the residuals, the tolerance and the precision ("binary64"). There
+is no retry at more digits: the certificate's products run in complex128,
+so an S assembled at more digits and rounded back to binary64 leaves
+residuals of the same size.
 """
 
 from __future__ import annotations
@@ -62,11 +63,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExceededError, CertificationError, PreconditionError
-from .lie import RootSystem, Weight, _det, _epsilon_norms
+from .lie import RootSystem, Weight, _epsilon_norms
 
 DEFAULT_TOL = 1e-9
 DEFAULT_BUDGET = 50_000_000
-RETRY_DPS = 34  # about 113-bit software floats
 
 
 def integrable_weights(rs: RootSystem, level: int) -> tuple[Weight, ...]:
@@ -195,37 +195,22 @@ class _Level:
         return ((r1 * rows[:, None, :-1, None] * self.es[None, :, None, :-1]) % order,
                 (-rows.sum(axis=1)[:, None] * self.es.sum(axis=1)[None, :]) % order)
 
-    def label_rows(self, label_idx, dps: int | None = None):
+    def label_rows(self, label_idx):
         """S[L, M] for L over the given weight indices and M over every
         weight, one r x r determinant det[zeta^{(r+1) e_i f_j} - 1] per
-        entry (see module docstring).
-
-        With dps None the determinants are taken by numpy in binary64, over
-        row blocks of at most _BLOCK_ENTRIES matrix entries, and a complex
-        array is returned; with a dps each one is taken by lie._det at that
-        many digits and nested lists of mpc are returned.
-        """
-        rs, kappa, r, order = self.rs, self.kappa, self.rs.rank, (self.rs.rank + 1) * self.kappa
+        entry (see module docstring), taken by numpy in binary64 over row
+        blocks of at most _BLOCK_ENTRIES matrix entries."""
+        kappa, r, order = self.kappa, self.rs.rank, (self.rs.rank + 1) * self.kappa
         rows = self.es[list(label_idx)]
-        if dps is None:
-            norm = (1j ** rs.num_positive_roots) / math.sqrt(float(kappa ** r * (r + 1)))
-            table = np.exp(-2j * math.pi * np.arange(order) / order)
-            minus_one = table - 1
-            out = np.empty((len(rows), len(self.es)), dtype=complex)
-            block = max(1, _BLOCK_ENTRIES // (len(self.es) * r * r))
-            for i0 in range(0, len(rows), block):
-                phases, shift = self._exponents(rows[i0:i0 + block])
-                out[i0:i0 + block] = norm * np.linalg.det(minus_one[phases]) * table[shift]
-            return out
-        import mpmath as mp
-
-        with mp.workdps(dps):
-            norm = mp.mpc(0, 1) ** rs.num_positive_roots / mp.sqrt(mp.mpf(kappa) ** r * (r + 1))
-            table = [mp.expjpi(mp.mpf(-2 * m) / order) for m in range(order)]
-            minus_one = [t - 1 for t in table]
-            return [[norm * _det([[minus_one[x] for x in row] for row in entry]) * table[s]
-                     for entry, s in zip(phases.tolist(), shift.tolist())]
-                    for phases, shift in zip(*self._exponents(rows))]
+        norm = (1j ** self.rs.num_positive_roots) / math.sqrt(float(kappa ** r * (r + 1)))
+        table = np.exp(-2j * math.pi * np.arange(order) / order)
+        minus_one = table - 1
+        out = np.empty((len(rows), len(self.es)), dtype=complex)
+        block = max(1, _BLOCK_ENTRIES // (len(self.es) * r * r))
+        for i0 in range(0, len(rows), block):
+            phases, shift = self._exponents(rows[i0:i0 + block])
+            out[i0:i0 + block] = norm * np.linalg.det(minus_one[phases]) * table[shift]
+        return out
 
     def residues(self, p: int, power: int, label_idx):
         """The Verlinde terms (S[0,M]^2)^power prod_L S[L,M]/S[0,M], L over
@@ -262,11 +247,8 @@ class _Level:
 
 @dataclass
 class ModularData:
-    """Immutable S/T package for one (algebra, level) pair.
-
-    Arrays are set read-only after certification, so every caller of the
-    modular_data cache can be handed the same instance.
-    """
+    """Immutable S/T package for one (algebra, level) pair; its arrays are
+    set read-only after certification."""
 
     rs: RootSystem
     level: int
@@ -274,9 +256,9 @@ class ModularData:
     t_canonical: np.ndarray
     t_bare: np.ndarray
     conjugation: tuple[int, ...]
-    precision_bits: int
     certificate: dict
     _lv: _Level = field(repr=False)
+    precision_bits = 53  # binary64, the one precision S is assembled in
 
     def __post_init__(self):
         for arr in (self.s, self.t_canonical, self.t_bare):
@@ -347,27 +329,12 @@ def s_matrix(rs: RootSystem, level: int, tol: float = DEFAULT_TOL) -> ModularDat
 
     lv = _Level(rs, level)
     t_bare, t_canon = lv.t_diagonals()
-    for bits, dps in ((53, None), (113, RETRY_DPS)):
-        s = np.asarray(lv.label_rows(range(n), dps), dtype=complex)
-        ok, residuals, perm = _certify(s, t_canon, tol)
-        if ok:
-            return ModularData(rs=rs, level=level, s=s,
-                               t_canonical=t_canon, t_bare=t_bare,
-                               conjugation=perm, precision_bits=bits,
-                               certificate=residuals, _lv=lv)
-    precision = "dps=%d" % RETRY_DPS
-    raise CertificationError(
-        "modular certification failed after retry at %s (%d bits): residuals "
-        "%r against threshold %r" % (precision, bits, residuals, tol),
-        residuals=residuals, threshold=tol, precision=precision)
-
-
-_CACHE: dict = {}
-
-
-def modular_data(rs: RootSystem, level: int) -> ModularData:
-    """Shared certified instance per (series, rank, level), at DEFAULT_TOL."""
-    key = (rs.series, rs.rank, level)
-    if key not in _CACHE:
-        _CACHE[key] = s_matrix(rs, level)
-    return _CACHE[key]
+    s = lv.label_rows(range(n))
+    ok, residuals, perm = _certify(s, t_canon, tol)
+    if not ok:
+        raise CertificationError(
+            "modular certification failed in binary64: residuals %r against "
+            "threshold %r" % (residuals, tol),
+            residuals=residuals, threshold=tol, precision="binary64")
+    return ModularData(rs=rs, level=level, s=s, t_canonical=t_canon, t_bare=t_bare,
+                       conjugation=perm, certificate=residuals, _lv=lv)

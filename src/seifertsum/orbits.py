@@ -193,9 +193,9 @@ def quantum_character_point(rs: RootSystem, lam_sum: Weight, level: int) -> Cart
 
 def wilson_weight(rs: RootSystem, label: Weight, lam_sum: Weight, level: int) -> complex:
     """S[label, lam]/S[0, lam], the fibre Wilson line factor."""
-    from .modular import modular_data
+    from .modular import s_matrix
 
-    md = modular_data(rs, level)
+    md = s_matrix(rs, level)
     i = md.index_of(label)
     j = md.index_of(lam_sum)
     return complex(md.s[i, j] / md.s[0, j])

@@ -91,16 +91,18 @@ not guaranteed to round as libm does, and scalar calls keep every term
 bit-identical to the per-weight formula. math.fsum rounds the sum
 correctly, so Z does not depend on the order of the terms either.
 
-The box's rounding is bounded at every eps. A term dim^-m exp(-eps (c/r1)/2),
-with c = (r+1) casimir, takes at most m + 5 roundings: dim goes to binary64
-once, which the power turns into m; pow and exp are within one ulp, two
-each; their product is one more. Its argument x = eps casimir/2 takes two
-(the division c/r1 and the product with eps; /2 is exact), so exp is off by
-a factor of at most exp(x gamma_2) beyond its own ulp. Casimir grows with
-every coordinate, so x is largest at the box's far corner, x_max. With the
-fsum of the total, the computed Z is within rel Z_box of the exact box sum,
-rel = gamma_(m+6) + eta (1 + gamma_(m+6)) and eta = expm1(x_max gamma_2),
-and rel/(1 - rel) Z is added to the tail bound. A bound above tol is
+The box's rounding is bounded at every eps. A term t = dim^-m exp(-x),
+x = eps (c/r1)/2 with c = (r+1) casimir, takes at most m + 5 roundings:
+dim goes to binary64 once, which the power turns into m; pow and exp are
+within one ulp, two each; their product is one more. x takes two (c/r1
+and the product with eps; /2 is exact), which move exp by a factor of at
+most exp(x gamma_2). A computed term t' is then within
+t' (gamma_(m+5) + expm1(x gamma_2))/(1 - gamma_(m+5)) of the exact one, and
+with the fsum the computed Z is within (gamma_(m+6) Z + E)/(1 - gamma_(m+6))
+of the exact box sum, E = sum t' expm1(x gamma_2): each argument's rounding
+weighted by its own term. _box_terms sums E beside the terms with gamma_4
+for gamma_2, which covers x <= x'/(1 - gamma_2) for the computed x' and
+E's own roundings. That is added to the tail bound; a total above tol is
 refused.
 
 The term budget counts outer points on the flat path and box points on
@@ -333,12 +335,16 @@ def _box_invariants(rank: int, box: int, flat: np.ndarray) -> tuple[list[int], l
 
 def _box_terms(rank: int, box: int, m: int, eps: float):
     """Yield the terms dim^-m exp(-eps casimir/2) of the dominant weights
-    with coordinates in 0..box, in lists of at most _BLOCK terms."""
+    with coordinates in 0..box, in lists of at most _BLOCK terms, each list
+    with its share of E (module docstring)."""
     r1 = rank + 1
+    g4 = _gamma(4)
     total = (box + 1) ** rank
     for start in range(0, total, _BLOCK):
         dims, cas = _box_invariants(rank, box, np.arange(start, min(start + _BLOCK, total)))
-        yield [d ** (-m) * math.exp(-eps * (c / r1) / 2) for d, c in zip(dims, cas)]
+        terms = [d ** (-m) * math.exp(-eps * (c / r1) / 2) for d, c in zip(dims, cas)]
+        yield terms, math.fsum(t * math.expm1(eps * (c / r1) / 2 * g4)
+                               for t, c in zip(terms, cas))
 
 
 def ym2_partition(rs: RootSystem, genus: int, epsilon: float,
@@ -349,8 +355,9 @@ def ym2_partition(rs: RootSystem, genus: int, epsilon: float,
         raise PreconditionError("genus must be >= 2, the sum diverges below that")
     if not 0 <= epsilon < math.inf:  # also refuses nan
         raise PreconditionError("epsilon must be a finite number >= 0")
-    if not (target_tol > 0):
-        raise PreconditionError("target_tol must be positive")
+    if not 0 < target_tol < math.inf:  # also refuses nan
+        raise PreconditionError(
+            "target_tol must be a positive finite number, got %r" % (target_tol,))
     m = 2 * genus - 2
     flat = _flat_sum(rs.rank, m, target_tol, max_terms) if epsilon == 0 else None
     if flat is not None:
@@ -367,13 +374,12 @@ def ym2_partition(rs: RootSystem, genus: int, epsilon: float,
                 break
             box *= 2
         terms = (box + 1) ** rs.rank
+        shares = []  # E (module docstring), one share per block
         value = math.fsum(itertools.chain.from_iterable(
-            _box_terms(rs.rank, box, m, epsilon)))
-        # rounding (module docstring), with the Casimir of the far corner
-        corner = _box_invariants(rs.rank, box, np.array([terms - 1]))[1][0]
-        eta = math.expm1(epsilon * (corner / (rs.rank + 1)) / 2 * _gamma(2))
-        rel = _gamma(m + 6) + eta * (1 + _gamma(m + 6))
-        bound = _box_tail_bound(rs.rank, m, epsilon, box) + rel / (1 - rel) * value
+            shares.append(e) or block for block, e in _box_terms(rs.rank, box, m, epsilon)))
+        g = _gamma(m + 6)
+        bound = (_box_tail_bound(rs.rank, m, epsilon, box)
+                 + (g / (1 - g) * value + math.fsum(shares) / (1 - g)))
         if bound > target_tol:
             raise CertificationError(
                 "tol %g is below the bound %g on the box sum's tail and rounding"

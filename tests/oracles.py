@@ -6,7 +6,8 @@ multiplicities, tensor products from the Klimyk shift rule, fusion
 coefficients from an affine alcove fold of classical tensor products,
 and small-surface block counts from explicit trivalent graphs. All
 arithmetic is exact, except that verlinde_exact sums explicit Weyl-group
-S entries at 60 digits and checks the result is an integer, and
+S entries at 60 digits and checks the result is an integer, kac_peterson_s
+is the whole S from the same entries at 30 digits, and
 certify_expressions is the S certificate written as whole-matrix
 expressions, against which the in-place modular._certify is pinned bit
 for bit, and ym2_box_terms is the per-weight ym2 box loop on lie's
@@ -280,6 +281,42 @@ def t_diagonals(rs, level, weights):
     return t_bare, t_bare * cmath.exp(-2j * math.pi * central_charge(rs, level) / 24)
 
 
+def _s_entry(rank: int, level: int):
+    """S[L, M] = norm sum_w eps(w) exp(-2 pi i <w(L+rho), M+rho>/kappa) as a
+    function of the epsilon coordinates of L+rho and M+rho, the Weyl group
+    S_{r+1} permuting them with the permutation's sign, at the current
+    mpmath precision; n <w l, m> = n sum_i l_w(i) m_i - (sum l)(sum m) for
+    n = r+1."""
+    n = rank + 1
+    kappa = level + n
+    order = n * kappa
+    perms = []
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        perms.append((perm, (-1) ** inversions))
+    zeta = [mp.expjpi(mp.mpf(-2 * x) / order) for x in range(order)]
+    norm = mp.mpc(0, 1) ** (rank * n // 2) / mp.sqrt(mp.mpf(n) * mp.mpf(kappa) ** rank)
+
+    def entry(l, m):
+        counts = {}
+        for perm, sign in perms:
+            x = (n * sum(l[perm[i]] * m[i] for i in range(n)) - sum(l) * sum(m)) % order
+            counts[x] = counts.get(x, 0) + sign
+        return norm * mp.fsum(c * zeta[x] for x, c in counts.items() if c)
+
+    return entry
+
+
+def kac_peterson_s(rank: int, level: int, dps: int = 30) -> np.ndarray:
+    """The A_rank S matrix over the integrable weights in lexicographic
+    order, every entry an explicit Weyl-group sum at `dps` digits, rounded
+    once to complex."""
+    eps = [_shifted_epsilon(w) for w in _integrable(build_root_system("A", rank), level)]
+    with mp.workdps(dps):
+        entry = _s_entry(rank, level)
+        return np.array([[complex(entry(l, m)) for m in eps] for l in eps])
+
+
 def verlinde_exact(rank: int, level: int, genus: int, labels=(), dps: int = 60) -> int:
     """Verlinde dimension sum_L S[0,L]^(2-2g-n) prod_i S[label_i, L], with
     every S entry an explicit sum over the Weyl group S_{r+1} (signed
@@ -288,27 +325,9 @@ def verlinde_exact(rank: int, level: int, genus: int, labels=(), dps: int = 60) 
     Raises ArithmeticError unless the sum lies within 10^(-dps/3) of a
     nonnegative integer.
     """
-    n = rank + 1
-    kappa = level + n
-    order = n * kappa
-    perms = []
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
-        perms.append((perm, (-1) ** inversions))
     label_eps = [_shifted_epsilon(lab) for lab in labels]
     with mp.workdps(dps):
-        zeta = [mp.expjpi(mp.mpf(-2 * x) / order) for x in range(order)]
-        norm = mp.mpc(0, 1) ** (rank * n // 2) / mp.sqrt(mp.mpf(n) * mp.mpf(kappa) ** rank)
-
-        def entry(l, m):
-            # S[L, M] = norm sum_w eps(w) exp(-2 pi i <w(L+rho), M+rho>/kappa),
-            # with n <w l, m> = n sum_i l_w(i) m_i - (sum l)(sum m)
-            counts = {}
-            for perm, sign in perms:
-                x = (n * sum(l[perm[i]] * m[i] for i in range(n)) - sum(l) * sum(m)) % order
-                counts[x] = counts.get(x, 0) + sign
-            return norm * mp.fsum(c * zeta[x] for x, c in counts.items() if c)
-
+        entry = _s_entry(rank, level)
         rho = _shifted_epsilon((0,) * rank)
         total = 0
         for weight in _integrable(build_root_system("A", rank), level):

@@ -102,7 +102,7 @@ def test_refusals_exit_2(capsys):
 
 
 def test_certification_failures_exit_3(capsys):
-    # no binary64 or 113-bit S meets 1e-30; a tol of 0 is refused (exit 2)
+    # no binary64 S meets 1e-30; a tol of 0 is refused (exit 2)
     code, _, err = run(["modular", "--algebra", "A1", "--level", "3",
                         "--tol", "1e-30"], capsys)
     assert code == 3
@@ -460,6 +460,15 @@ def test_modular_refuses_a_tolerance_no_matrix_can_meet(tol, capsys):
     assert err == "refused: tol must be a positive finite number, got %r\n" % float(tol)
 
 
+def test_ym2_refuses_an_infinite_tolerance(capsys):
+    # tol inf once exited 0 with Z(0) = 1.1594725347858112, not 4 pi^6/2835
+    code, out, err = run(["ym2", "--algebra", "A2", "--genus", "2", "--epsilons", "0,0.5",
+                          "--tol", "inf"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "refused: target_tol must be a positive finite number, got inf\n"
+
+
 @pytest.mark.parametrize("algebra, level", [("A1", 30), ("A2", 12), ("A4", 3)])
 def test_modular_report_matches_json_dumps_of_its_arrays(algebra, level, capsys):
     code, out, _ = run(["modular", "--algebra", algebra, "--level", str(level)], capsys)
@@ -617,7 +626,6 @@ def test_lattice_sums_build_no_full_s(capsys, monkeypatch):
         raise AssertionError("a lattice sum built the full S")
 
     monkeypatch.setattr(modular, "s_matrix", full_s)
-    monkeypatch.setattr(modular, "_CACHE", {})
     for argv in (["verlinde", "--algebra", "A2", "--genus", "2", "--levels", "2,3,4",
                   "--label", "1,1"],
                  ["seifert", "--algebra", "A2", "--scan", "--genera", "0,2",

@@ -61,6 +61,15 @@ def test_kirillov_loads_mpmath_for_its_residual():
     assert not loaded & {"seifertsum.modular", "seifertsum.verlinde", "seifertsum.crosscheck"}
 
 
+def test_a_refused_s_certificate_loads_no_mpmath():
+    # S is assembled and certified in binary64 only; nothing retries at more digits
+    code = "from seifertsum import cli\nassert cli.main(%r) == 3" % (
+        ["modular", "--algebra", "A1", "--level", "3", "--tol", "1e-30"],)
+    loaded = loaded_after(code)
+    assert "seifertsum.modular" in loaded
+    assert "mpmath" not in loaded
+
+
 def test_every_exported_name_is_the_object_of_its_module():
     modules = {info.name for info in pkgutil.iter_modules(seifertsum.__path__)}
     for name in seifertsum.__all__:

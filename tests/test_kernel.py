@@ -19,7 +19,6 @@ from seifertsum.lie import (
     build_root_system,
     weyl_group,
 )
-from seifertsum import modular
 from seifertsum.modular import integrable_weights, s_matrix
 from seifertsum.orbits import dh_weyl_sum, orbit_from_highest_weight
 
@@ -75,25 +74,6 @@ def test_s_matrix_matches_weyl_enumeration(rank, level):
     assert np.abs(np.asarray(md.s) - _weyl_enumeration_s(rs, level)).max() <= 1e-12
 
 
-@pytest.mark.parametrize("rank,level", [(1, 2), (2, 5), (3, 2)])
-def test_extended_precision_s_matches_weyl_enumeration(rank, level, monkeypatch):
-    # refuse the binary64 certificate once, so s_matrix takes its 113-bit retry
-    certify = modular._certify
-    passed = []
-
-    def refuse_binary64(s, t_canon, tol):
-        ok, residuals, perm = certify(s, t_canon, tol)
-        passed.append(ok)
-        return ok and len(passed) > 1, residuals, perm
-
-    monkeypatch.setattr(modular, "_certify", refuse_binary64)
-    rs = build_root_system("A", rank)
-    md = s_matrix(rs, level)
-    assert passed == [True, True]
-    assert md.precision_bits == 113
-    assert np.abs(np.asarray(md.s) - _weyl_enumeration_s(rs, level)).max() <= 1e-12
-
-
 def _stationary_phase_reference(weight, point, dps=60):
     """sum_{sigma in S_{r+1}} sgn(sigma) e^{i sum_j e_sigma(j) y_j} / prod_{i<j} i(y_i - y_j)
 
@@ -139,15 +119,14 @@ def test_integrable_weight_count_and_order(rank):
 
 
 def test_s_matrix_refuses_an_unreachable_tolerance(a1):
-    # no binary64 or 113-bit S meets 1e-30
-    with pytest.raises(CertificationError, match="after retry") as info:
+    # no binary64 S meets 1e-30
+    with pytest.raises(CertificationError, match="failed in binary64") as info:
         s_matrix(a1, 3, tol=1e-30)
     exc = info.value
     assert exc.threshold == 1e-30
-    assert exc.precision == "dps=%d" % modular.RETRY_DPS
+    assert exc.precision == "binary64"
     assert set(exc.residuals) == {"unitarity", "symmetry", "row0_imag", "row0_min",
                                   "conjugation_permutation", "st_cubed", "involution"}
     assert max(exc.residuals[k] for k in ("unitarity", "symmetry", "st_cubed")) >= 1e-30
     message = str(exc)
-    assert "dps=34" in message and "113 bits" in message
     assert "threshold 1e-30" in message and "'st_cubed'" in message

@@ -16,7 +16,6 @@ from seifertsum.modular import (
     _weight_array,
     central_charge,
     integrable_weights,
-    modular_data,
     s_matrix,
 )
 from seifertsum.quasipoly import pairing_report
@@ -26,7 +25,7 @@ from seifertsum.verlinde import verlinde_dimension
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4, 5, 6])
 def test_rank1_sine_kernel_closed_form(level, a1):
-    md = modular_data(a1, level)
+    md = s_matrix(a1, level)
     closed = su2_s_closed(level)
     err = max(abs(complex(md.s[i, j]) - closed[i][j])
               for i in range(level + 1) for j in range(level + 1))
@@ -99,7 +98,7 @@ def test_central_charges(a1, a2):
     ("A", 1, 5), ("A", 1, 20), ("A", 2, 4), ("A", 2, 6), ("A", 3, 2),
 ])
 def test_certification_residuals(series, rank, level):
-    md = modular_data(build_root_system(series, rank), level)
+    md = s_matrix(build_root_system(series, rank), level)
     for key in ("unitarity", "symmetry", "row0_imag",
                 "conjugation_permutation", "st_cubed"):
         assert md.certificate[key] < 1e-9
@@ -108,7 +107,7 @@ def test_certification_residuals(series, rank, level):
 
 
 def test_conjugation_flips_coordinates(a2):
-    md = modular_data(a2, 3)
+    md = s_matrix(a2, 3)
     for i, w in enumerate(md.weights):
         partner = md.weights[md.conjugation[i]]
         assert partner.coords == tuple(reversed(w.coords))
@@ -116,19 +115,19 @@ def test_conjugation_flips_coordinates(a2):
 
 def test_bare_t_matches_casimir_phases(a1):
     level = 4
-    md = modular_data(a1, level)
+    md = s_matrix(a1, level)
     kappa = level + 2
     for i, w in enumerate(md.weights):
         want = cmath.exp(1j * math.pi * float(casimir(a1, w)) / kappa)
         assert abs(complex(md.t_bare[i]) - want) < 1e-12
     # closed anchor: level 1, spin 1/2 entry is exp(i pi (3/2)/3) = i
-    md1 = modular_data(a1, 1)
+    md1 = s_matrix(a1, 1)
     assert complex(md1.t_bare[1]) == pytest.approx(1j)
 
 
 def test_canonical_t_includes_central_charge_phase(a2):
     level = 2
-    md = modular_data(a2, level)
+    md = s_matrix(a2, level)
     c = central_charge(a2, level)
     shift = cmath.exp(-2j * math.pi * c / 24)
     err = np.abs(md.t_canonical - md.t_bare * shift).max()
@@ -136,19 +135,19 @@ def test_canonical_t_includes_central_charge_phase(a2):
 
 
 def test_t_matrix_conventions(a1):
-    md = modular_data(a1, 3)
+    md = s_matrix(a1, 3)
     assert np.abs(np.abs(md.t_bare) - 1).max() < 1e-12
     assert np.abs(np.abs(md.t_canonical) - 1).max() < 1e-12
 
 
 def test_vacuum_row_is_positive(a2):
-    md = modular_data(a2, 4)
+    md = s_matrix(a2, 4)
     assert md.s[0].real.min() > 0
     assert np.abs(md.s[0].imag).max() < 1e-12
 
 
 def test_square_is_conjugation_permutation(a1):
-    md = modular_data(a1, 6)
+    md = s_matrix(a1, 6)
     n = len(md.weights)
     c = np.asarray(md.s) @ np.asarray(md.s)
     perm = np.zeros((n, n))
@@ -157,20 +156,16 @@ def test_square_is_conjugation_permutation(a1):
     assert np.abs(c - perm).max() < 1e-9
 
 
-def test_modular_data_is_cached(a1):
-    assert modular_data(a1, 2) is modular_data(a1, 2)
-
-
 def test_preconditions(a1):
     with pytest.raises(PreconditionError):
         s_matrix(a1, 0)
-    md = modular_data(a1, 2)
+    md = s_matrix(a1, 2)
     with pytest.raises(PreconditionError):
         md.index_of(Weight((9,)))
 
 
 def test_matrices_are_read_only(a1):
-    md = modular_data(a1, 2)
+    md = s_matrix(a1, 2)
     with pytest.raises(ValueError):
         md.s[0, 0] = 0
 
@@ -209,12 +204,16 @@ def test_s_matrix_refuses_a_tolerance_no_matrix_can_meet(tol, monkeypatch):
         s_matrix(build_root_system("A", 2), 20, tol=tol)
 
 
-@pytest.mark.parametrize("rank, level", [(2, 40), (3, 15)])
+# A5 k6 and A9 k3 are the largest levels of their ranks within the S budget
+@pytest.mark.parametrize("rank, level", [(2, 40), (3, 15), (5, 6), (9, 3)])
 def test_reduced_determinant_s_certifies_in_binary64(rank, level):
     md = s_matrix(build_root_system("A", rank), level)
     assert md.precision_bits == 53
     assert md.certificate["unitarity"] <= 1e-14
     assert md.certificate["symmetry"] <= 1e-14
+    for key in ("unitarity", "symmetry", "row0_imag", "conjugation_permutation",
+                "st_cubed"):
+        assert md.certificate[key] <= 1e-12, key
 
 
 def _exact_det(rows):

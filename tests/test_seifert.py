@@ -7,10 +7,11 @@ import math
 import numpy as np
 import pytest
 
+from oracles import kac_peterson_s
 from seifertsum import modular
 from seifertsum.errors import BudgetExceededError, PreconditionError
 from seifertsum.lie import Weight, build_root_system
-from seifertsum.modular import _Level, central_charge, modular_data, s_matrix
+from seifertsum.modular import _Level, central_charge, s_matrix
 from seifertsum.seifert import ScanCell, seifert_scan
 from seifertsum.verlinde import verlinde_dimension
 
@@ -36,7 +37,7 @@ def test_degree_one_sphere_modulus_anchor(a1, a2):
     # |Z| on the (g, p) = (0, 1) bundle is the S[0,0] entry at every level
     for rs, levels in ((a1, (1, 2, 3, 8)), (a2, (1, 2))):
         for k in levels:
-            md = modular_data(rs, k)
+            md = s_matrix(rs, k)
             z = _z(rs, k, 0, 1)
             assert abs(z.modulus - float(md.s[0, 0].real)) < 1e-9
 
@@ -44,7 +45,7 @@ def test_degree_one_sphere_modulus_anchor(a1, a2):
 def test_rank1_level1_degree_one_closed_value(a1):
     # two weights, S = [[1,1],[1,-1]]/sqrt(2), phases at <lam+rho>^2/2 in
     # units of pi/3: Z = (e^{-i pi/6} + e^{-2 i pi/3}/... ) assembled here
-    md = modular_data(a1, 1)
+    md = s_matrix(a1, 1)
     z = _z(a1, 1, 0, 1)
     want = 0j
     for j, lam in enumerate(md.weights):
@@ -90,7 +91,7 @@ def test_wilson_lines_enter_through_s_ratios(a1):
     # one fibre label mu: each term carries S[mu,lam] in place of S[0,lam]
     k, g, p = 3, 1, 2
     mu = Weight((2,))
-    md = modular_data(a1, k)
+    md = s_matrix(a1, k)
     want = 0j
     i = md.index_of(mu)
     for j, lam in enumerate(md.weights):
@@ -172,7 +173,8 @@ def test_degree_period_is_exact(rank, level, genus):
 @pytest.mark.parametrize("rank,levels", [(1, (1, 4, 9)), (2, (1, 3, 5)), (3, (1, 3)),
                                          (4, (1, 2))])
 def test_rows_agree_with_certified_s(rank, levels):
-    # the lattice sums read these rows in place of S; certified S is the oracle
+    # the lattice sums read these rows in place of S; certified S is one
+    # oracle, and the explicit Weyl-group sum at 30 digits another
     rs = build_root_system("A", rank)
     for k in levels:
         md = s_matrix(rs, k)
@@ -181,5 +183,4 @@ def test_rows_agree_with_certified_s(rank, levels):
         every = range(len(lv.weights))
         assert np.abs(lv.s0 - md.s[0]).max() <= 1e-13
         assert np.abs(lv.label_rows(every) - md.s).max() <= 1e-13
-        mp_rows = np.asarray(lv.label_rows(every, 30), dtype=complex)
-        assert np.abs(mp_rows - md.s).max() <= 1e-13
+        assert np.abs(md.s - kac_peterson_s(rank, k)).max() <= 1e-15
