@@ -42,14 +42,21 @@ d = e_i - e_j, with no factor 0 mod p, and S[L, M]/S[0, M] = D(L)/D(0)
 for D(L) = det[z^{(r+1) e_i f_j} - 1] z^{-(sum e)(sum f)}, f from M+rho;
 D(0) is a Vandermonde determinant of distinct roots of unity, not 0 mod p.
 
-Every constructed matrix is certified: S symmetric and unitary, S^2 a
-permutation (charge conjugation) squaring to the identity, row zero real
-positive, and (S T)^3 = S^2 for the canonical T. S is assembled and
-certified in binary64, and a failure raises a CertificationError that
-carries the residuals, the tolerance and the precision ("binary64"). There
-is no retry at more digits: the certificate's products run in complex128,
-so an S assembled at more digits and rounded back to binary64 leaves
-residuals of the same size.
+Every constructed matrix is certified: S symmetric and unitary, S^2 the
+charge conjugation C, row zero real positive, and (S T)^3 = S^2 for the
+canonical T. C is exact, read off the weights (it reverses the Dynkin
+labels) and checked to be an involution. The certificate runs two n x n
+products, S S^dagger and (S T) S, each over row blocks whose residual is
+reduced on the spot, so it holds no n x n temporary. unitarity, symmetry
+and row zero are measured; conjugation_permutation and st_cubed are bounds
+on max |S^2 - C| and max |(ST)^3 - S^2|, carried over in O(n^2) from the
+measured residuals of S S^dagger = I, S = S^T, conj(S) = C S, S C = C S
+and S T S = conj(T) S conj(T) by two exact identities (see _certify).
+S is assembled and certified in binary64, and a failure raises a
+CertificationError that carries the residuals, the tolerance and the
+precision ("binary64"). There is no retry at more digits: the
+certificate's products run in complex128, so an S assembled at more
+digits and rounded back to binary64 leaves residuals of the same size.
 """
 
 from __future__ import annotations
@@ -95,6 +102,8 @@ def central_charge(rs: RootSystem, level: int) -> float:
 # complex entries of the r x r matrices per block of the batched binary64
 # determinant
 _BLOCK_ENTRIES = 1 << 16
+# rows of S per block of the certificate's two products
+_CERT_ROWS = 32
 
 
 def _pow_mod(x, e: int, p: int):
@@ -188,6 +197,13 @@ class _Level:
         raise PreconditionError(
             "weight %r is not integrable at level %d" % (weight.coords, self.level))
 
+    def conjugation(self):
+        """Charge conjugation as an index array: the partner of each weight is
+        the weight with its Dynkin labels reversed. The reversed rows are the
+        rows in another order, so sorting them (lexsort keys the last label
+        first) puts at place m the row whose reversal is row m."""
+        return np.lexsort(self.coords.T)
+
     def _exponents(self, rows):
         """Exponents of zeta mod (r+1) kappa in det[zeta^{(r+1) e_i f_j} - 1],
         i, j <= r, and in zeta^{-(sum e)(sum f)}, e over rows, f over weights."""
@@ -276,42 +292,80 @@ class ModularData:
         return self._lv.index_of(weight)
 
 
-def _certify(s, t_canon, tol):
-    """Residuals of the certificate (see module docstring), ok, and the
-    charge conjugation read off S^2. Each n x n temporary is dropped once
-    its residual is taken, and the identity and the permutation matrix are
-    subtracted in place, so at most three live at once."""
-    diag = np.arange(s.shape[0])
-    x = s @ s.conj().T
-    x[diag, diag] -= 1
-    unitarity = float(np.abs(x).max())
-    del x
-    symmetry = float(np.abs(s - s.T).max())
-    st = s * t_canon[None, :]
-    x = st @ st
-    x = x @ st
-    del st
-    c = s @ s
-    x -= c
-    st_cubed = float(np.abs(x).max())
-    del x
-    perm = np.abs(c).argmax(axis=1)
-    c[diag, perm] -= 1
+def _certify(s, t_canon, conj, tol):
+    """Residuals of the certificate (see module docstring) and ok, for S, the
+    canonical T diagonal t and the charge conjugation conj (an index array).
+
+    Here * is the entrywise complex conjugate. Two products run over blocks
+    of _CERT_ROWS rows. S (S[rows])^dagger is a column block of S S^dagger,
+    so E_u = S S^dagger - I, and unitarity, come out as from the whole
+    product; (S[rows] T) S less (T* S T*)[rows] is a row block of
+    E_t = S T S - T* S T*. Each block also gives its rows of E_s = S - S^T,
+    E_c = S* - C S and E_p = S C - C S and the l1 norms of its rows and
+    columns, and every residual is reduced to its maximum on the spot, so
+    no n x n temporary is made. The identities
+
+        S^2 - C = C E_u + C S E_s* + E_p S* + S E_c*,
+        (ST)^3 - S^2 = (T* C T - C) + T* (S^2 - C) T - (S^2 - C)
+                       + T* S (T* T - I) S T + E_t T S T
+
+    hold for any S, diagonal T and permutation C. Hoelder's inequality on
+    each term, with nu the largest row l1 norm of S, nu1 the largest column
+    l1 norm and tau = max |t|, turns the measured maxima into the bounds
+    conjugation_permutation >= max |S^2 - C| and st_cubed >= max |(ST)^3 - S^2|;
+    the products' own rounding is not added, as it never was to the
+    residuals they measure. For the true S and T every term vanishes:
+    S* = S^-1 = C S, C commutes with S and T, and (ST)^3 = C gives
+    S T S = T* S T*."""
+    n = s.shape[0]
+    t_bar = t_canon.conj()
+    unitarity = symmetry = e_c = e_p = e_t = nu = s_max = 0.0
+    col_l1 = np.zeros(n)
+    for i0 in range(0, n, _CERT_ROWS):
+        rows = slice(i0, i0 + _CERT_ROWS)
+        block = s[rows]
+        bar = block.conj()
+        x = s @ bar.T  # (S S^dagger)[:, rows]
+        x[np.arange(i0, i0 + len(block)), np.arange(len(block))] -= 1
+        unitarity = max(unitarity, float(np.abs(x).max()))
+        del x
+        partner = s[conj[rows]]  # (C S)[rows]
+        e_c = max(e_c, float(np.abs(bar - partner).max()))
+        del bar
+        e_p = max(e_p, float(np.abs(block[:, conj] - partner).max()))
+        del partner
+        symmetry = max(symmetry, float(np.abs(block - s[:, rows].T).max()))
+        mags = np.abs(block)
+        nu = max(nu, float(mags.sum(axis=1).max()))
+        s_max = max(s_max, float(mags.max()))
+        col_l1 += mags.sum(axis=0)
+        del mags
+        x = (block * t_canon) @ s  # (S T S)[rows]
+        x -= t_bar[rows, None] * block * t_bar
+        e_t = max(e_t, float(np.abs(x).max()))
+        del x
+    nu1 = float(col_l1.max())
+    tau2 = float(np.abs(t_canon).max()) ** 2
+    conjugation = unitarity + nu * symmetry + nu1 * e_p + nu * e_c
+    st_cubed = (float(np.abs(t_bar * t_canon[conj] - 1).max())
+                + (tau2 + 1) * conjugation
+                + tau2 * float(np.abs(t_bar * t_canon - 1).max()) * nu * s_max
+                + tau2 * nu1 * e_t)
     residuals = {
         "unitarity": unitarity,
         "symmetry": symmetry,
         "row0_imag": float(np.abs(s[0].imag).max()),
         "row0_min": float(s[0].real.min()),
-        "conjugation_permutation": float(np.abs(c).max()),
+        "conjugation_permutation": conjugation,
         "st_cubed": st_cubed,
     }
-    involution = bool((perm[perm] == diag).all())
+    involution = bool((conj[conj] == np.arange(n)).all())
     ok = (residuals["unitarity"] < tol and residuals["symmetry"] < tol
           and residuals["row0_imag"] < tol and residuals["row0_min"] > 0
           and residuals["conjugation_permutation"] < tol and involution
           and residuals["st_cubed"] < tol)
     residuals["involution"] = involution
-    return ok, residuals, tuple(perm.tolist())
+    return ok, residuals
 
 
 def s_matrix(rs: RootSystem, level: int, tol: float = DEFAULT_TOL) -> ModularData:
@@ -330,11 +384,12 @@ def s_matrix(rs: RootSystem, level: int, tol: float = DEFAULT_TOL) -> ModularDat
     lv = _Level(rs, level)
     t_bare, t_canon = lv.t_diagonals()
     s = lv.label_rows(range(n))
-    ok, residuals, perm = _certify(s, t_canon, tol)
+    conj = lv.conjugation()
+    ok, residuals = _certify(s, t_canon, conj, tol)
     if not ok:
         raise CertificationError(
             "modular certification failed in binary64: residuals %r against "
             "threshold %r" % (residuals, tol),
             residuals=residuals, threshold=tol, precision="binary64")
     return ModularData(rs=rs, level=level, s=s, t_canonical=t_canon, t_bare=t_bare,
-                       conjugation=perm, certificate=residuals, _lv=lv)
+                       conjugation=tuple(conj.tolist()), certificate=residuals, _lv=lv)

@@ -192,10 +192,14 @@ def quantum_character_point(rs: RootSystem, lam_sum: Weight, level: int) -> Cart
 
 
 def wilson_weight(rs: RootSystem, label: Weight, lam_sum: Weight, level: int) -> complex:
-    """S[label, lam]/S[0, lam], the fibre Wilson line factor."""
-    from .modular import s_matrix
+    """S[label, lam]/S[0, lam], the fibre Wilson line factor, from the two S
+    rows it reads (the rows of the certified S, bit for bit)."""
+    from .modular import _Level
 
-    md = s_matrix(rs, level)
-    i = md.index_of(label)
-    j = md.index_of(lam_sum)
-    return complex(md.s[i, j] / md.s[0, j])
+    if level < 1:
+        raise PreconditionError("level must be >= 1")
+    lv = _Level(rs, level)
+    i = lv.index_of(label)
+    j = lv.index_of(lam_sum)
+    rows = lv.label_rows([0, i])
+    return complex(rows[1, j] / rows[0, j])

@@ -8,9 +8,10 @@ and small-surface block counts from explicit trivalent graphs. All
 arithmetic is exact, except that verlinde_exact sums explicit Weyl-group
 S entries at 60 digits and checks the result is an integer, kac_peterson_s
 is the whole S from the same entries at 30 digits, and
-certify_expressions is the S certificate written as whole-matrix
-expressions, against which the in-place modular._certify is pinned bit
-for bit, and ym2_box_terms is the per-weight ym2 box loop on lie's
+certify_expressions is the S certificate written as four whole-matrix
+products, against which the row-blocked modular._certify's measured
+residuals are pinned bit for bit and its two bounds are checked, and
+ym2_box_terms is the per-weight ym2 box loop on lie's
 integer _form and _vandermonde, against which the block kernel
 ym2._box_terms is pinned bit for bit, and t_diagonals is T taken one
 weight at a time from _form, against which the level's integer norms

@@ -505,8 +505,12 @@ def test_report_and_certificate_of_s_stay_within_a_few_copies_of_s():
             cli._emit_json({"s": md.s}, SimpleNamespace(output=None))
 
     assert _traced_peak(emit) <= 1.5 * md.s.nbytes
-    certify = functools.partial(modular._certify, md.s, md.t_canonical, 1e-9)
-    assert _traced_peak(certify) <= 4.5 * md.s.nbytes
+    # n = 231 and n = 210: the certificate's row blocks stay below one S
+    # also where S is small
+    for md in (md, s_matrix(build_root_system("A", 4), 6)):
+        certify = functools.partial(modular._certify, md.s, md.t_canonical,
+                                    md._lv.conjugation(), 1e-9)
+        assert _traced_peak(certify) <= 1.0 * md.s.nbytes
 
 
 @pytest.mark.parametrize("argv", [

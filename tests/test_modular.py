@@ -9,7 +9,7 @@ import pytest
 
 from oracles import certify_expressions, su2_s_closed, t_diagonals
 from seifertsum import lie, modular
-from seifertsum.errors import PreconditionError
+from seifertsum.errors import CertificationError, PreconditionError
 from seifertsum.lie import Weight, build_root_system, casimir
 from seifertsum.modular import (
     _Level,
@@ -170,16 +170,89 @@ def test_matrices_are_read_only(a1):
         md.s[0, 0] = 0
 
 
-@pytest.mark.parametrize("rank, level", [(1, 7), (2, 12), (3, 5), (4, 3)])
+@pytest.mark.parametrize("rank, level", [
+    (1, 7), (2, 12), (3, 5), (4, 3), (2, 40), (3, 15), (5, 6), (9, 3)])
 def test_certify_matches_the_expression_form_bit_for_bit(rank, level):
+    # the measured keys equal the four-product oracle's bit for bit; the two
+    # transferred ones are bounds on the residuals the oracle measures
     md = s_matrix(build_root_system("A", rank), level)
-    ok, residuals, perm = modular._certify(md.s, md.t_canonical, modular.DEFAULT_TOL)
+    ok, residuals = modular._certify(md.s, md.t_canonical, md._lv.conjugation(),
+                                     modular.DEFAULT_TOL)
     want_ok, want_residuals, want_perm = certify_expressions(
         md.s, md.t_canonical, modular.DEFAULT_TOL)
     assert ok is want_ok is True
-    assert perm == want_perm
-    assert residuals == want_residuals
+    assert md.conjugation == want_perm
     assert list(residuals) == list(want_residuals)
+    for key in ("unitarity", "symmetry", "row0_imag", "row0_min", "involution"):
+        assert residuals[key] == want_residuals[key], key
+    for key in ("conjugation_permutation", "st_cubed"):
+        assert want_residuals[key] <= residuals[key] <= 1e-12, key
+
+
+@pytest.mark.parametrize("rank, level", [(1, 6), (2, 5), (3, 4), (4, 3), (5, 2)])
+def test_conjugation_reverses_the_labels_and_is_read_off_s_squared(rank, level):
+    lv = _Level(build_root_system("A", rank), level)
+    conj = lv.conjugation()
+    assert (conj[conj] == np.arange(len(conj))).all()
+    assert (lv.coords[conj] == lv.coords[:, ::-1]).all()
+    md = s_matrix(lv.rs, level)
+    assert tuple(conj.tolist()) == md.conjugation
+    assert md.conjugation == certify_expressions(md.s, md.t_canonical, modular.DEFAULT_TOL)[2]
+
+
+def _refused(monkeypatch, rank, level, s_rows=None, t_canon=None):
+    """The CertificationError of s_matrix at tol 1e-9 with S or canonical T
+    changed by the given functions."""
+    label_rows, t_diagonals = _Level.label_rows, _Level.t_diagonals
+    if s_rows:
+        monkeypatch.setattr(_Level, "label_rows", lambda lv, idx: s_rows(lv, label_rows(lv, idx)))
+    if t_canon:
+        def diagonals(lv):
+            bare, canon = t_diagonals(lv)
+            return bare, t_canon(canon)
+
+        monkeypatch.setattr(_Level, "t_diagonals", diagonals)
+    with pytest.raises(CertificationError) as err:
+        s_matrix(build_root_system("A", rank), level, tol=1e-9)
+    return err.value
+
+
+@pytest.mark.parametrize("rank, level, i, j", [(2, 3, 1, 2), (3, 3, 1, 2)])
+def test_certificate_refuses_s_moved_by_1e_7_off_its_symmetries(monkeypatch, rank, level, i, j):
+    # S + d on (i, j), (j, i), (Ci, Cj), (Cj, Ci) and conj(d) on their
+    # conjugate partners keeps S symmetric and conj(S) = C S, so only the
+    # two products can see it
+    d = 1e-7 * (0.6 + 0.8j)
+
+    def moved(lv, s):
+        c = lv.conjugation()
+        assert len({i, j, int(c[i]), int(c[j])}) == 4
+        s = s.copy()
+        for a, b in ((i, j), (j, i), (c[i], c[j]), (c[j], c[i])):
+            s[a, b] += d
+            s[c[a], b] += d.conjugate()
+        # at the rounding of the unmoved S, far below the move
+        assert np.abs(s.conj() - s[c]).max() < 1e-14
+        return s
+
+    err = _refused(monkeypatch, rank, level, s_rows=moved)
+    assert err.residuals["symmetry"] < 1e-14
+    assert err.residuals["unitarity"] > 1e-9
+    assert err.threshold == 1e-9 and err.precision == "binary64"
+
+
+def test_certificate_refuses_t_with_one_phase_rotated_by_1e_7(monkeypatch):
+    # the vacuum is its own conjugate, so conj(T) C T = C still holds and only
+    # the (S T) S product can see the rotation
+    def rotated(t):
+        t = t.copy()
+        t[0] *= cmath.exp(1e-7j)
+        return t
+
+    err = _refused(monkeypatch, 2, 3, t_canon=rotated)
+    for key in ("unitarity", "symmetry", "conjugation_permutation"):
+        assert err.residuals[key] < 1e-12, key
+    assert err.residuals["st_cubed"] > 1e-9
 
 
 @pytest.mark.parametrize("rank, top", [(1, 20), (2, 12), (3, 6), (4, 4)])

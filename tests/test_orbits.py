@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from seifertsum import modular
 from seifertsum.errors import DegenerateOrbitError, PreconditionError
 from seifertsum.lie import CartanElement, Weight, build_root_system, weyl_character
 from seifertsum.orbits import (
@@ -111,6 +112,20 @@ def test_wilson_weight_is_character_at_quantum_point(series, rank, level):
             w = wilson_weight(rs, label, lam, level)
             chi = weyl_character(rs, label, quantum_character_point(rs, lam, level))
             assert abs(w - chi) < 1e-8
+
+
+@pytest.mark.parametrize("rank, level", [(1, 5), (2, 3)])
+def test_wilson_weight_reads_two_rows_of_the_certified_s(rank, level, monkeypatch):
+    rs = build_root_system("A", rank)
+    md = modular.s_matrix(rs, level)
+
+    def no_s(*args, **kwargs):
+        raise AssertionError("wilson_weight built the whole S")
+
+    monkeypatch.setattr(modular, "s_matrix", no_s)
+    for i, label in enumerate(md.weights):
+        for j, lam in enumerate(md.weights):
+            assert wilson_weight(rs, label, lam, level) == complex(md.s[i, j] / md.s[0, j])
 
 
 def test_wilson_weight_of_vacuum_label_is_one(a2):
