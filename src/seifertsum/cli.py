@@ -427,8 +427,8 @@ def _cmd_kirillov(args) -> int:
             raise PreconditionError("point has %d coordinates, rank is %d"
                                     % (len(point), rs.rank))
         x = CartanElement(tuple(complex(c) for c in point))
-        of = orbit_fourier(orbit, x)
-        dh = dh_weyl_sum(orbit, x)
+        of, _ = orbit_fourier(orbit, x)
+        dh, _ = dh_weyl_sum(orbit, x)
         residual = kirillov_check(rs, w, x)
         worst = max(worst, residual)
         rows.append({

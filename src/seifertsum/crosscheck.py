@@ -114,7 +114,7 @@ def _check_su2_quadrature(rng):
         t = 0.3 + 0.5 * rng.random()
         rs = build_root_system("A", 1)
         orbit = orbit_from_highest_weight(rs, Weight((int(round(2 * j_label)),)))
-        closed = dh_weyl_sum(orbit, CartanElement((complex(t),)))
+        closed, _ = dh_weyl_sum(orbit, CartanElement((complex(t),)))
         quad = su2_orbit_quadrature(j_label, t)
         worst = max(worst, abs(closed - quad))
     return worst, "alternating Weyl sum vs Gauss-Legendre sphere integral"
@@ -240,7 +240,7 @@ def _check_wilson_character_point(rng):
         for mu in (Weight((0, 0)), Weight((2, 0)), Weight((1, 1))):
             ratio = wilson_weight(rs, label, mu, level)
             x = quantum_character_point(rs, mu, level)
-            chi = weyl_character(rs, label, x)
+            chi, _ = weyl_character(rs, label, x)
             worst = max(worst, abs(ratio - chi))
     return worst, "matrix-element ratio against character at the shifted point"
 

@@ -17,28 +17,42 @@ Conventions, fixed once for the whole package:
   Weight sets are integer arrays, one row each (_epsilon_norms), and
   Weight objects are made on demand. Fractions appear only at the API
   (ip, casimir, ...). Only transcendental evaluation (characters, genus
-  functions) uses floating point, binary64 first with an mpmath fallback
-  near non-regular points.
+  functions) uses floating point, and a character comes with a bound on
+  its rounding error.
 
-Every Weyl alternating sum at a Cartan point goes through one kernel,
-_alternating_sum (modular assembles S from the same determinant form,
-batched over exact integer phases). The Weyl group of A_r is the
-symmetric group S_{r+1} permuting epsilon coordinates, so (Weyl
-character formula, Fulton-Harris 24.1)
+The Weyl group of A_r is the symmetric group S_{r+1} permuting epsilon
+coordinates, with integer e_i = lam_i + ... + lam_r (e_{r+1} = 0) for lam
+in fundamental-weight coordinates. Write y_i = x_i - x_{i-1}
+(x_0 = x_{r+1} = 0) for x in coroot coordinates and z_i = e^{y_i}. Then
+(Weyl character formula, Fulton-Harris 24.1) the alternating sum is
 
-    sum_w eps(w) e^{<w lam, x>} = det[ e^{e_j y_i} ],
+    sum_w eps(w) e^{<w lam, x>} = det[ e^{e_j y_i} ] = det[ z_i^{e_j} ],
 
-with integer e_i = lam_i + ... + lam_r (e_{r+1} = 0) for lam in
-fundamental-weight coordinates and y_i = x_i - x_{i-1} (x_0 = x_{r+1} = 0)
-for x in coroot coordinates. That is an (r+1)x(r+1) determinant in place
-of (r+1)! terms. Weyl characters are the ratio
+an (r+1)x(r+1) determinant in place of (r+1)! terms (_alternating_sum,
+at mpmath precision; modular assembles S from the same determinant
+form, batched over exact integer phases), and chi_Lambda(x) is the
+Schur polynomial s_lam(z_1..z_{r+1}) of the partition lam = e(Lambda).
+_schur takes it by the branching rule (Macdonald, Symmetric functions
+and Hall polynomials, I.5)
 
-    chi_Lambda(x) = det[e^{e(Lambda+rho)_j y_i}] / det[e^{e(rho)_j y_i}],
+    s_lam(z_1..z_n) = sum_{mu < lam} s_mu(z_1..z_{n-1}) z_n^{|lam|-|mu|},
 
-regularised near walls by evaluating at x + t*delta for a regular
-direction delta, t in {1e-4, 5e-5, 2.5e-5}, and Richardson-extrapolating
-the three values (done at 50-digit precision so the alternating sums do
-not lose the limit to cancellation).
+over the mu interlacing lam (lam_1 >= mu_1 >= lam_2 >= ... >= mu_{n-1}
+>= lam_n). It divides by nothing, so a wall alpha(x) = 0 is an ordinary
+point. The same recursion at |z_i| sums the moduli of the monomials,
+and if each monomial carries at most m rounding units, the computed
+value is within gamma_m = m u / (1 - m u), u = 2^-53, of that sum
+(Higham, Accuracy and Stability, 3.1 and 3.6). Every monomial enters
+with a plus sign, so for real x that sum is the value itself and the
+bound is relative (Demmel-Koev, Math. Comp. 75 (2006)). Assuming libm
+exp, cos and sin within one ulp, m counts:
+
+* z_i = exp(x_i) * exp(-x_{i-1}) from the exact coordinates: 5 units per
+  complex exp and 3 for the product (a complex product is within
+  sqrt(2) gamma_2 < gamma_3), and 2 more for |z_i|; 15 in all;
+* z_i^d, d - 1 products, and the monomial times it one more: with the
+  factors, at most 18 units per degree;
+* a sum of N terms, N - 1 units.
 
 weyl_group still enumerates the group explicitly (as matrices acting on
 weights and on Cartan points) for callers that need the elements; no
@@ -49,6 +63,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Sequence
@@ -63,9 +78,7 @@ from .errors import (
 
 DEFAULT_WEYL_BOUND = 3_628_800  # 10!
 
-_RICHARDSON_STEPS = (1e-4, 5e-5, 2.5e-5)
-_SINGULAR_THRESHOLD = 1e-6
-_FALLBACK_DPS = 50
+_U = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -328,22 +341,18 @@ def _vandermonde(e: Sequence[int]) -> int:
     return prod
 
 
-def _alternating_sum(rs: RootSystem, lam_fw: Sequence[int], x, dps: int | None = None):
-    """sum_w eps(w) e^{<w lam, x>} over the Weyl group of the A_r system rs,
-    as the determinant det[e^{e_j y_i}].
+def _gamma(n):
+    """gamma_n = n u / (1 - n u), elementwise for arrays."""
+    return n * _U / (1 - n * _U)
 
-    x is a CartanElement or a sequence of coroot coordinates. With dps
-    None the determinant is taken in binary64 and a complex is returned;
-    with a dps it is taken in mpmath at that many digits and an mpc is
-    returned.
-    """
-    coords = x.coords if isinstance(x, CartanElement) else tuple(x)
-    e = _epsilon_coords(lam_fw)
-    if dps is None:
-        pts = (0j,) + tuple(complex(c) for c in coords) + (0j,)
-        return _det([[cmath.exp(ej * (b - a)) for ej in e] for a, b in zip(pts, pts[1:])])
+
+def _alternating_sum(lam_fw: Sequence[int], coords, dps: int):
+    """sum_w eps(w) e^{<w lam, x>} over the Weyl group of A_r, r = len(lam_fw),
+    as the determinant det[e^{e_j y_i}] in mpmath at dps digits (an mpc),
+    for the coroot coordinates coords of x."""
     import mpmath as mp
 
+    e = _epsilon_coords(lam_fw)
     with mp.workdps(dps):
         pts = [mp.mpc(0)] + [mp.mpc(c) for c in coords] + [mp.mpc(0)]
         return _det([[mp.exp(ej * (b - a)) for ej in e] for a, b in zip(pts, pts[1:])])
@@ -375,69 +384,50 @@ def _det(rows):
     return det
 
 
-def is_regular(rs: RootSystem, x: CartanElement) -> bool:
-    """True when every sinh(alpha(x)/2) stays away from zero.
+def _schur(lam: Sequence[int], z):
+    """(s_lam(z), m): the Schur polynomial of the partition lam (one part
+    per entry of z, trailing zeros included) at z, by the branching rule,
+    and the most rounding units any monomial carries (module docstring).
 
-    This also excludes the affine walls alpha(x) in 2*pi*i*Z where the
-    alternating-sum ratio degenerates even though the character is finite.
+    z holds complex, mpc or real entries; the value has their type (the
+    int 1 when lam is zero).
     """
-    for root_fw in rs.positive_roots_fw:
-        if abs(cmath.sinh(rs.pair(root_fw, x) / 2)) < _SINGULAR_THRESHOLD:
-            return False
-    return True
+    powers = []
+    for zk in z:
+        row = [1]
+        for _ in range(lam[0]):
+            row.append(row[-1] * zk)
+        powers.append(row)
+    memo = {}
+
+    def branch(mu):  # s_mu(z_1..z_k), k = len(mu)
+        if len(mu) == 1:
+            return powers[0][mu[0]], 18 * mu[0]
+        if mu not in memo:
+            k, size = len(mu), sum(mu)
+            total, depth, count = 0, 0, 0
+            for nu in itertools.product(*(range(mu[i + 1], mu[i] + 1) for i in range(k - 1))):
+                value, m = branch(nu)
+                d = size - sum(nu)
+                total += value * powers[k - 1][d]
+                depth = max(depth, m + 18 * d)
+                count += 1
+            memo[mu] = total, depth + count - 1
+        return memo[mu]
+
+    return branch(tuple(lam))
 
 
-def _character(rs: RootSystem, lam_fw, x_coords, dps: int | None = None):
-    """Alternating-sum ratio, in binary64 or, with dps, in mpmath."""
-    return (_alternating_sum(rs, lam_fw, x_coords, dps)
-            / _alternating_sum(rs, rs.rho.coords, x_coords, dps))
-
-
-def richardson_limit(values: Sequence[complex]) -> complex:
-    """Eliminate O(t) and O(t^2) from three evaluations at t, t/2, t/4."""
-    f1, f2, f3 = values
-    g1 = 2 * f2 - f1
-    g2 = 2 * f3 - f2
-    return (4 * g2 - g1) / 3
-
-
-def _limit_eval(rs: RootSystem, lam_fw, x: CartanElement, kernel) -> complex:
-    """Richardson limit of kernel(rs, lam_fw, x + t*delta, _FALLBACK_DPS)
-    along the rho direction."""
-    import mpmath as mp
-
-    # the rho point: alpha(delta) = <alpha, rho> >= 1 for every positive root
-    delta = rs.cartan_point(rs.rho.coords).coords
-    with mp.workdps(_FALLBACK_DPS):
-        xs = [mp.mpc(c) for c in x.coords]
-        vals = []
-        for t in _RICHARDSON_STEPS:
-            shifted = tuple(xc + t * dc for xc, dc in zip(xs, delta))
-            vals.append(kernel(rs, lam_fw, shifted, _FALLBACK_DPS))
-        limit = richardson_limit(vals)
-        return complex(limit)
-
-
-def _entire_eval(rs: RootSystem, lam_fw, x: CartanElement, kernel) -> complex:
-    """kernel(rs, lam_fw, coords, dps) at x, for a kernel entire in x whose
-    value at x = 0 is the dimension of the irrep with highest weight
-    lam_fw - rho.
-
-    x = 0 returns that dimension, a regular x takes the binary64 kernel
-    (dps None), and a point on or near a wall takes the Richardson limit
-    of the mpmath kernel.
-    """
-    if all(c == 0 for c in x.coords):
-        return complex(weyl_dimension(rs, Weight(tuple(c - 1 for c in lam_fw))))
-    if is_regular(rs, x):
-        return kernel(rs, lam_fw, x.coords, None)
-    return _limit_eval(rs, lam_fw, x, kernel)
-
-
-def weyl_character(rs: RootSystem, weight: Weight, x: CartanElement) -> complex:
-    """Character of the irrep with highest weight Lambda at the point x."""
+def weyl_character(rs: RootSystem, weight: Weight, x: CartanElement) -> tuple[complex, float]:
+    """(chi_Lambda(x), bound): the character of the irrep with highest
+    weight Lambda at the point x, and a bound on its rounding error."""
     if not weight.is_dominant:
         raise PreconditionError("weyl_character expects a dominant weight")
     if len(x.coords) != rs.rank:
         raise PreconditionError("point dimension mismatch")
-    return _entire_eval(rs, tuple(c + 1 for c in weight.coords), x, _character)
+    pts = (0j,) + x.coords + (0j,)
+    z = [cmath.exp(b) * cmath.exp(-a) for a, b in zip(pts, pts[1:])]
+    e = _epsilon_coords(weight.coords)
+    value, m = _schur(e, z)
+    moduli, _ = _schur(e, [abs(zk) for zk in z])
+    return complex(value), _gamma(m) * moduli / (1 - _gamma(m))

@@ -1,31 +1,27 @@
 """Coadjoint orbits, their Fourier transforms, and Wilson line weights.
 
-Both orbit transforms below are built on the determinant form of the
-Weyl alternating sum (lie._alternating_sum): for A_r,
-sum_w eps(w) e^{<w lam, x>} = det[e^{e_j y_i}] in epsilon coordinates,
-one (r+1)x(r+1) determinant in binary64 or, near walls, in mpmath. Two
-closed forms are exposed, differing by the standard rotation between
-the compact and the split picture:
+Both orbit transforms are the character times an entire product, with
+sinc(t) = sin t / t (genera._sinc_half):
 
 * orbit_fourier pairs with the character identity: it is the entire
-  function j(x)^(1/2) * chi_Lambda(x), computed directly as
+  function j(x)^(1/2) * chi_Lambda(x),
 
-      det[e^{e_j y_i}] * prod_{alpha>0}
-          sin(alpha(x)/2) / (alpha(x) sinh(alpha(x)/2)),
+      chi_Lambda(x) * prod_{alpha>0} sinc(alpha(x)/2),
 
-  normalised so that the value at x = 0 is dim(Lambda). kirillov_check
-  compares the character against j^(-1/2) times this transform, which
-  exercises the Weyl denominator identity between the alternating-sum
-  and product evaluations.
+  equal to det[e^{e_j y_i}] * prod sin(alpha(x)/2) / (alpha(x)
+  sinh(alpha(x)/2)), so dim(Lambda) at x = 0.
 
 * dh_weyl_sum is the exact stationary-phase sum for the oscillatory
-  integral over the orbit, the same determinant at i*x divided by
-  prod (i alpha(x)). For su(2) it reduces to sin(lam t)/t on the ray
-  alpha(x) = 2t and is cross-checked against direct sphere quadrature.
+  integral over the orbit, sum_w eps(w) e^{i<w lam, x>} / prod (i
+  alpha(x)), which is chi_Lambda(i x) * prod sinc(alpha(x)/2). For su(2)
+  it reduces to sin(lam t)/t on the ray alpha(x) = 2t and is
+  cross-checked against direct sphere quadrature.
 
-Both are entire in x. Where some alpha(x) (or sinh(alpha(x)/2))
-vanishes, the quotient is replaced by the Richardson limit along a
-regular direction, evaluated with the mpmath determinant.
+The character comes from lie's branching kernel with its rounding bound,
+and _times_sinc carries the bound through the product, so a wall
+alpha(x) = 0 needs no special case. kirillov_check multiplies the Weyl
+character formula out instead of dividing, and compares the branching
+character against the determinant at 30 digits.
 
 Only regular orbits (lam strictly inside the dominant chamber, i.e.
 lam = Lambda + rho for dominant Lambda) are supported.
@@ -33,22 +29,22 @@ lam = Lambda + rho for dominant Lambda) are supported.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateOrbitError, PreconditionError, WallProximityError
-from .genera import WALL_MARGIN, wall_distance
+from .genera import WALL_MARGIN, _sinc_half, wall_distance
 from .lie import (
     CartanElement,
     RootSystem,
     Weight,
     _alternating_sum,
-    _entire_eval,
-    _limit_eval,
-    is_regular,
+    _epsilon_coords,
+    _gamma,
+    _schur,
+    weyl_character,
 )
 
 
@@ -75,44 +71,49 @@ def orbit_from_highest_weight(rs: RootSystem, weight: Weight) -> CoadjointOrbit:
     return CoadjointOrbit(rs=rs, lam=Weight(tuple(c + 1 for c in weight.coords)))
 
 
-def _orbit_fourier_sum(rs: RootSystem, lam_fw, x_coords, dps: int | None = None):
-    """Alternating sum times prod sin(a/2)/(a sinh(a/2)), in binary64 or,
-    with dps, in mpmath."""
-    return _times_orbit_factors(rs, _alternating_sum(rs, lam_fw, x_coords, dps),
-                                x_coords, dps)
+def _times_sinc(rs: RootSystem, chi: tuple[complex, float], x: CartanElement):
+    """(value, bound) of chi * prod_{alpha>0} sinc(alpha(x)/2), for chi a
+    (value, bound) pair.
 
-
-def _times_orbit_factors(rs: RootSystem, total, x_coords, dps: int | None = None):
-    """total * prod_{alpha>0} sin(a/2)/(a sinh(a/2)), a = alpha(x)."""
-    fn = cmath
-    if dps is not None:
-        import mpmath as fn
+    alpha(x) sums at most four nonzero terms +-x_i or 2 x_i, so it is
+    within d = gamma_3 sum |terms| of the exact one, and sinc(a/2) moves by
+    at most cosh(Im a / 2) / 4 per unit of a. _sinc_half rounds to within
+    gamma_16 of itself (5 units for sin, the rest for the quotient). With
+    e the factor's error and p the running product, the bound grows to
+    bound (|f| + e) + |p| (e + gamma_3 |f|).
+    """
+    value, bound = chi
     for root_fw in rs.positive_roots_fw:
-        a = sum(m * c for m, c in zip(root_fw, x_coords))
-        total *= fn.sin(a / 2) / (a * fn.sinh(a / 2))
-    return total
+        terms = [m * c for m, c in zip(root_fw, x.coords)]
+        a = sum(terms)
+        f = _sinc_half(a)
+        d = _gamma(3) * sum(abs(t) for t in terms)
+        e = _gamma(16) * abs(f) / (1 - _gamma(16)) + d * math.cosh((abs(a.imag) + d) / 2) / 4
+        bound = bound * (abs(f) + e) + abs(value) * (e + _gamma(3) * abs(f))
+        value *= f
+    return value, bound
 
 
-def _stationary_phase_sum(rs: RootSystem, lam_fw, x_coords, dps: int | None = None):
-    """Alternating sum at i*x divided by prod i*alpha(x)."""
-    total = _alternating_sum(rs, lam_fw, [1j * c for c in x_coords], dps)
-    for root_fw in rs.positive_roots_fw:
-        total /= 1j * sum(m * c for m, c in zip(root_fw, x_coords))
-    return total
-
-
-def orbit_fourier(orbit: CoadjointOrbit, x: CartanElement) -> complex:
-    """Character-matched orbit transform; orbit_fourier(orbit, 0) = dim."""
+def orbit_fourier(orbit: CoadjointOrbit, x: CartanElement) -> tuple[complex, float]:
+    """(value, bound) of the character-matched orbit transform,
+    chi_Lambda(x) prod sinc(alpha(x)/2); its value at x = 0 is dim."""
     if not orbit.regular:
         raise DegenerateOrbitError("only regular orbits are implemented")
-    return _entire_eval(orbit.rs, orbit.lam.coords, x, _orbit_fourier_sum)
+    return _times_sinc(orbit.rs, weyl_character(orbit.rs, _highest(orbit), x), x)
 
 
-def dh_weyl_sum(orbit: CoadjointOrbit, x: CartanElement) -> complex:
-    """Stationary-phase sum: sum_w eps(w) e^{i<w lam,x>} / prod(i alpha(x))."""
+def dh_weyl_sum(orbit: CoadjointOrbit, x: CartanElement) -> tuple[complex, float]:
+    """(value, bound) of the stationary-phase sum
+    sum_w eps(w) e^{i<w lam,x>} / prod(i alpha(x)) = chi_Lambda(ix) prod sinc(alpha(x)/2)."""
     if not orbit.regular:
         raise DegenerateOrbitError("only regular orbits are implemented")
-    return _entire_eval(orbit.rs, orbit.lam.coords, x, _stationary_phase_sum)
+    ix = CartanElement(tuple(1j * c for c in x.coords))
+    return _times_sinc(orbit.rs, weyl_character(orbit.rs, _highest(orbit), ix), x)
+
+
+def _highest(orbit: CoadjointOrbit) -> Weight:
+    """The highest weight Lambda = lam - rho of a regular orbit."""
+    return Weight(tuple(c - 1 for c in orbit.lam.coords))
 
 
 _QUADRATURE_POINTS = 64
@@ -137,45 +138,34 @@ def su2_orbit_quadrature(j_label: float, t: float) -> complex:
 _RESIDUAL_DPS = 30
 
 
-def _identity_gap(rs: RootSystem, lam_fw, x_coords, dps: int):
-    """chi - j^(-1/2) * orbit transform in mpmath at dps digits, with one
-    Lambda+rho determinant A: chi = A / A_rho and the transform is
-    A * prod sin(a/2)/(a sinh(a/2))."""
-    import mpmath as mp
-
-    alt = _alternating_sum(rs, lam_fw, x_coords, dps)
-    chi = alt / _alternating_sum(rs, rs.rho.coords, x_coords, dps)
-    of = _times_orbit_factors(rs, alt, x_coords, dps)
-    half = mp.mpc(1)
-    for root_fw in rs.positive_roots_fw:
-        a = sum(m * c for m, c in zip(root_fw, x_coords))
-        half *= (a / 2) / mp.sin(a / 2)
-    return chi - half * of
-
-
 def kirillov_check(rs: RootSystem, weight: Weight, x: CartanElement) -> float:
-    """|chi_Lambda(x) - j(x)^(-1/2) * orbit_fourier(lam, x)|.
+    """|chi_Lambda(x) prod_{alpha>0} 2 sinh(alpha(x)/2) - A_{Lambda+rho}(x)|.
 
-    The gap is formed at extended working precision: the binary64
-    alternating-sum quotient already loses five digits to cancellation
-    for A_3 at moderate real points, which would swamp a 1e-9 residual
-    budget that the identity itself meets with room to spare. Singular x
-    goes through the same Richardson limit as the direct evaluators.
+    This is the Weyl character formula multiplied out; divided by
+    prod sinh(alpha(x)/2) / sin(alpha(x)/2), it is the character identity
+    chi_Lambda = j^(-1/2) * orbit_fourier. Both sides are entire, so a wall
+    alpha(x) = 0 needs no special case, and they are independent: chi
+    comes from lie's branching kernel, A from the alternating-sum
+    determinant. Both are taken in mpmath at 30 digits, since the
+    determinant loses digits to cancellation. Points within WALL_MARGIN
+    of a singular wall of j^(-1/2) are refused.
     """
     if not weight.is_dominant:
         raise PreconditionError("kirillov_check expects a dominant weight")
     if wall_distance(rs, x) < WALL_MARGIN:
         raise WallProximityError(
             "point within %g of a singular wall of j^(-1/2)" % WALL_MARGIN)
-    lam_fw = tuple(c + 1 for c in weight.coords)
-    if is_regular(rs, x):
-        import mpmath as mp
+    import mpmath as mp
 
-        with mp.workdps(_RESIDUAL_DPS):
-            xs = tuple(mp.mpc(c) for c in x.coords)
-            return float(abs(_identity_gap(rs, lam_fw, xs, _RESIDUAL_DPS)))
-    gap = _limit_eval(rs, lam_fw, x, _identity_gap)
-    return abs(gap)
+    with mp.workdps(_RESIDUAL_DPS):
+        xs = [mp.mpc(c) for c in x.coords]
+        pts = [mp.mpc(0)] + xs + [mp.mpc(0)]
+        side, _ = _schur(_epsilon_coords(weight.coords),
+                         [mp.exp(b - a) for a, b in zip(pts, pts[1:])])
+        for root_fw in rs.positive_roots_fw:
+            side *= 2 * mp.sinh(sum(m * c for m, c in zip(root_fw, xs)) / 2)
+        lam_fw = tuple(c + 1 for c in weight.coords)
+        return float(abs(side - _alternating_sum(lam_fw, xs, _RESIDUAL_DPS)))
 
 
 def quantum_character_point(rs: RootSystem, lam_sum: Weight, level: int) -> CartanElement:

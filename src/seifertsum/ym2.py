@@ -123,12 +123,11 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetExceededError, CertificationError, PreconditionError
-from .lie import RootSystem, _epsilon_norms, _form, _shifted_epsilon, _vandermonde
+from .lie import RootSystem, _epsilon_norms, _form, _gamma, _shifted_epsilon, _vandermonde
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_TERMS = 2_000_000
 _BLOCK = 4096  # points per block; larger blocks cost memory, not time
-_U = 2.0 ** -53
 # B_2 .. B_14: Euler-Maclaurin corrections for zeta, the last one bounds the remainder
 _BERNOULLI = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
               Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6))
@@ -141,11 +140,6 @@ class YM2Result:
     terms: int
     genus: int
     epsilon: float
-
-
-def _gamma(n):
-    """gamma_n = n u / (1 - n u), elementwise for arrays."""
-    return n * _U / (1 - n * _U)
 
 
 def _zeta(k: int) -> tuple[Fraction, Fraction]:

@@ -5,9 +5,11 @@ root system tables themselves: characters come from Freudenthal weight
 multiplicities, tensor products from the Klimyk shift rule, fusion
 coefficients from an affine alcove fold of classical tensor products,
 and small-surface block counts from explicit trivalent graphs. All
-arithmetic is exact, except that verlinde_exact sums explicit Weyl-group
-S entries at 60 digits and checks the result is an integer, kac_peterson_s
-is the whole S from the same entries at 30 digits, and
+arithmetic is exact, except that character_reference and
+sinc_product_reference take characters and sinc products at 40 digits,
+verlinde_exact sums explicit Weyl-group S entries at 60 digits and
+checks the result is an integer, kac_peterson_s is the whole S from the
+same entries at 30 digits, and
 certify_expressions is the S certificate written as four whole-matrix
 products, against which the row-blocked modular._certify's measured
 residuals are pinned bit for bit and its two bounds are checked, and
@@ -53,6 +55,7 @@ def _height(rs: RootSystem, diff) -> Fraction:
     return total
 
 
+@lru_cache(maxsize=None)
 def weight_multiplicities(rs: RootSystem, lam: Weight) -> dict:
     """Full weight diagram with multiplicities, by Freudenthal recursion."""
     start = tuple(lam.coords)
@@ -105,6 +108,24 @@ def character_value(rs: RootSystem, lam: Weight, x_coords) -> complex:
         phase = sum(c * xc for c, xc in zip(mu, x_coords))
         total += m * cmath.exp(phase)
     return total
+
+
+def character_reference(rs: RootSystem, lam: Weight, x_coords, dps: int = 40):
+    """character_value at dps digits: the exact multiplicities with mp.exp."""
+    with mp.workdps(dps):
+        xs = [mp.mpc(c) for c in x_coords]
+        return mp.fsum(m * mp.exp(mp.fsum(c * xc for c, xc in zip(mu, xs)))
+                       for mu, m in weight_multiplicities(rs, lam).items())
+
+
+def sinc_product_reference(rs: RootSystem, x_coords, dps: int = 40):
+    """prod_{alpha>0} sin(alpha(x)/2) / (alpha(x)/2) at dps digits."""
+    with mp.workdps(dps):
+        xs = [mp.mpc(c) for c in x_coords]
+        prod = mp.mpc(1)
+        for root in rs.positive_roots_fw:
+            prod *= mp.sinc(mp.fsum(m * c for m, c in zip(root, xs)) / 2)
+        return prod
 
 
 def dimension_value(rs: RootSystem, lam: Weight) -> int:

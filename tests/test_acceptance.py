@@ -98,7 +98,7 @@ def test_criterion_3_orbit_character_identity():
         orbit = orbit_from_highest_weight(A1, Weight((m,)))
         for t in np.linspace(0.1, 2.0, 20):
             q = su2_orbit_quadrature(m / 2.0, float(t))
-            w = dh_weyl_sum(orbit, CartanElement((float(t),)))
+            w, _ = dh_weyl_sum(orbit, CartanElement((float(t),)))
             quad_worst = max(quad_worst, abs(q - w))
     elapsed = time.perf_counter() - t0
     _report(3, "orbit character identity",

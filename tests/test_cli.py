@@ -14,16 +14,18 @@ import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from oracles import verlinde_exact
+from oracles import character_reference, sinc_product_reference, verlinde_exact
 from seifertsum import cli, modular
-from seifertsum.lie import build_root_system
+from seifertsum.lie import CartanElement, Weight, build_root_system
 from seifertsum.modular import central_charge, s_matrix
+from seifertsum.orbits import dh_weyl_sum, orbit_fourier, orbit_from_highest_weight
 
 
 README_CALLS = [line.split(None, 1)[1]
@@ -178,6 +180,29 @@ def test_kirillov_report(capsys):
     assert doc["max_residual"] < 1e-9
     row = doc["table"][0]
     assert row["orbit_fourier"] != row["stationary_phase_sum"]
+
+
+def test_kirillov_at_a_wall_is_within_the_transform_bounds(capsys):
+    # alpha_1 vanishes here: the Richardson wall limit printed
+    # stationary_phase_sum 19.15092733512003 + 2.5e-12i, with no bound
+    argv = ["kirillov", "--algebra", "A3", "--weight", "1,0,2", "--point", "0,0,0.7"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    row, = json.loads(out)["table"]
+    rs, weight, point = build_root_system("A", 3), Weight((1, 0, 2)), (0j, 0j, 0.7 + 0j)
+    orbit = orbit_from_highest_weight(rs, weight)
+    sinc = sinc_product_reference(rs, point)
+    with mp.workdps(40):
+        stationary = character_reference(rs, weight, [1j * c for c in point]) * sinc
+        transform = character_reference(rs, weight, point) * sinc
+        assert abs(stationary - 19.15092733511322) < 1e-13 and abs(stationary.imag) < 1e-30
+        got, bound = dh_weyl_sum(orbit, CartanElement(point))
+        assert complex(*row["stationary_phase_sum"]) == got
+        assert abs(got.real - stationary.real) <= bound and abs(got.imag) <= bound
+        got, bound = orbit_fourier(orbit, CartanElement(point))
+        assert complex(*row["orbit_fourier"]) == got
+        assert abs(got - transform) <= bound
+    assert row["residual"] <= 1e-9
 
 
 def test_pairings_report(capsys):

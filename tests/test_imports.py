@@ -61,6 +61,20 @@ def test_kirillov_loads_mpmath_for_its_residual():
     assert not loaded & {"seifertsum.modular", "seifertsum.verlinde", "seifertsum.crosscheck"}
 
 
+def test_characters_and_transforms_at_a_wall_load_no_mpmath():
+    # alpha_2 vanishes at (0.4, 0.2): the branching rule has no wall branch
+    code = """
+from seifertsum.lie import CartanElement, Weight, build_root_system, weyl_character
+from seifertsum.orbits import dh_weyl_sum, orbit_fourier, orbit_from_highest_weight
+rs, x = build_root_system("A", 2), CartanElement((0.4, 0.2))
+orbit = orbit_from_highest_weight(rs, Weight((1, 2)))
+weyl_character(rs, Weight((1, 2)), x), orbit_fourier(orbit, x), dh_weyl_sum(orbit, x)
+"""
+    loaded = loaded_after(code)
+    assert "seifertsum.orbits" in loaded
+    assert "mpmath" not in loaded
+
+
 def test_a_refused_s_certificate_loads_no_mpmath():
     # S is assembled and certified in binary64 only; nothing retries at more digits
     code = "from seifertsum import cli\nassert cli.main(%r) == 3" % (

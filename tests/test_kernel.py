@@ -1,7 +1,6 @@
 """The determinant kernel for Weyl alternating sums, and the modular
 layer built on it, against explicit Weyl-group enumeration."""
 
-import cmath
 import itertools
 import math
 
@@ -23,12 +22,9 @@ from seifertsum.modular import integrable_weights, s_matrix
 from seifertsum.orbits import dh_weyl_sum, orbit_from_highest_weight
 
 
-def _brute_force_sum(rs, lam, x_coords, dps=None):
-    """sum over weyl_group(rs) of eps(w) e^{<w lam, x>}, and sum |terms|."""
-    if dps is None:
-        terms = [el.sign * cmath.exp(sum(m * c for m, c in zip(el.apply_weight(lam), x_coords)))
-                 for el in weyl_group(rs)]
-        return sum(terms), sum(abs(t) for t in terms)
+def _brute_force_sum(rs, lam, x_coords, dps):
+    """sum over weyl_group(rs) of eps(w) e^{<w lam, x>}, and sum |terms|,
+    at dps digits."""
     with mp.workdps(dps):
         xs = [mp.mpc(c) for c in x_coords]
         terms = [el.sign * mp.exp(sum(m * c for m, c in zip(el.apply_weight(lam), xs)))
@@ -44,12 +40,9 @@ def test_kernel_matches_weyl_enumeration(data, rank):
     rs = build_root_system("A", rank)
     lam = data.draw(st.tuples(*[st.integers(-2, 4)] * rank))
     x = data.draw(st.tuples(*[_complex] * rank))
-    want, scale = _brute_force_sum(rs, lam, x)
-    got = _alternating_sum(rs, lam, CartanElement(x))
-    assert abs(got - want) <= 1e-12 * scale
-    want_mp, scale_mp = _brute_force_sum(rs, lam, x, dps=30)
-    got_mp = _alternating_sum(rs, lam, x, dps=30)
-    assert abs(got_mp - want_mp) <= mp.mpf(10) ** -26 * scale_mp
+    want, scale = _brute_force_sum(rs, lam, x, dps=30)
+    got = _alternating_sum(lam, x, dps=30)
+    assert abs(got - want) <= mp.mpf(10) ** -26 * scale
 
 
 def _weyl_enumeration_s(rs, level):
@@ -100,8 +93,8 @@ def test_stationary_phase_sum_on_a_wall():
     # alpha_2(x) = 2*0.4 - 0.3 - 0.5 = 0: the binary64 quotient is 0/0
     rs = build_root_system("A", 3)
     weight, point = (2, 1, 1), (0.3, 0.4, 0.5)
-    got = dh_weyl_sum(orbit_from_highest_weight(rs, Weight(weight)),
-                      CartanElement(point))
+    got, _ = dh_weyl_sum(orbit_from_highest_weight(rs, Weight(weight)),
+                         CartanElement(point))
     want = _stationary_phase_reference(weight, point)
     assert want == pytest.approx(100.96109102479 + 1.33215423896j, rel=1e-11)
     assert abs(got - want) <= 1e-9 * abs(want)

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import _ip, character_value, dimension_value, integer_determinant
+from oracles import (
+    _ip,
+    character_reference,
+    character_value,
+    dimension_value,
+    integer_determinant,
+)
 from seifertsum.errors import (
     PreconditionError,
     UnsupportedAlgebraError,
@@ -18,7 +24,6 @@ from seifertsum.lie import (
     Weight,
     build_root_system,
     casimir,
-    is_regular,
     weyl_character,
     weyl_dimension,
     weyl_group,
@@ -145,32 +150,43 @@ def test_character_matches_multiplicity_sum(series, rank, coords, x):
     rs = build_root_system(series, rank)
     w = Weight(coords)
     xc = CartanElement(tuple(complex(c) for c in x))
-    got = weyl_character(rs, w, xc)
+    got, _ = weyl_character(rs, w, xc)
     want = character_value(rs, w, x)
     assert abs(got - want) < 1e-9 * max(1.0, abs(want))
 
 
 def test_character_at_zero_is_dimension(a2):
     x0 = CartanElement((0j, 0j))
-    assert weyl_character(a2, Weight((1, 2)), x0) == 15
+    assert weyl_character(a2, Weight((1, 2)), x0)[0] == 15
 
 
 def test_character_on_a_reflection_wall(a2):
-    # alpha_2(x) = 0 here, the ratio needs the limit fallback
+    # alpha_2(x) = 0 here, where the determinant ratio would be 0/0
     x = CartanElement((0.4 + 0j, 0.2 + 0j))
-    assert not is_regular(a2, x)
-    got = weyl_character(a2, Weight((1, 2)), x)
-    want = character_value(a2, Weight((1, 2)), (0.4, 0.2))
-    assert abs(got - want) < 1e-9 * abs(want)
+    got, bound = weyl_character(a2, Weight((1, 2)), x)
+    want = character_reference(a2, Weight((1, 2)), (0.4, 0.2))
+    assert abs(got - want) <= bound
+
+
+@pytest.mark.parametrize("rank,labels,point", [
+    (3, (1, 0, 2), (0, 0, 0.7)),  # alpha_1(x) = alpha_2(x) = 0
+    (5, (1, 0, 2, 0, 1), (0.3, 0.5, 0.2, 0.6, 0.4)),
+])
+def test_character_bound_is_relative_at_real_points(rank, labels, point):
+    rs = build_root_system("A", rank)
+    x = rs.cartan_point(point)
+    got, bound = weyl_character(rs, Weight(labels), x)
+    assert bound <= 1e-13 * abs(got)
+    assert abs(got - character_reference(rs, Weight(labels), x.coords)) <= bound
 
 
 def test_character_is_weyl_invariant(a2):
     x = CartanElement((0.31 + 0j, 0.17 + 0j))
     w = Weight((2, 1))
-    base = weyl_character(a2, w, x)
+    base, _ = weyl_character(a2, w, x)
     for g in weyl_group(a2):
         moved = CartanElement(g.apply_cartan(x.coords))
-        assert abs(weyl_character(a2, w, moved) - base) < 1e-9 * abs(base)
+        assert abs(weyl_character(a2, w, moved)[0] - base) < 1e-9 * abs(base)
 
 
 def test_cartan_point_scaling(a1):
@@ -200,4 +216,4 @@ def test_dominant_weight_properties(coords):
     assert casimir(rs, w) >= 0
     assert rs.level_of(w) == sum(coords)
     x0 = CartanElement((0j, 0j))
-    assert weyl_character(rs, w, x0) == dim
+    assert weyl_character(rs, w, x0)[0] == dim
