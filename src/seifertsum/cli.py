@@ -29,8 +29,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from .errors import FRAMING_CONVENTIONS, CertificationError, PreconditionError
 
 
@@ -169,13 +167,19 @@ def _json_chunks(obj, depth: int):
     elif isinstance(obj, (list, tuple)):
         yield from _container_chunks(
             "[]", [("", _json_chunks(value, depth + 1)) for value in obj], depth)
-    elif isinstance(obj, np.ndarray) and np.iscomplexobj(obj):
-        yield from _complex_array_chunks(obj, depth)
     elif isinstance(obj, complex):
         yield from _json_chunks([float(obj.real), float(obj.imag)], depth)
+    elif _is_complex_array(obj):
+        yield from _complex_array_chunks(obj, depth)
     else:
         # strings, numbers, bools and None exactly as json writes them
         yield json.dumps(obj)
+
+
+def _is_complex_array(obj) -> bool:
+    # no ndarray can exist before numpy is loaded, so the writer need not load it
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(obj, np.ndarray) and np.iscomplexobj(obj)
 
 
 def _container_chunks(brackets: str, entries, depth: int):
@@ -216,6 +220,8 @@ def _complex_array_chunks(arr: np.ndarray, depth: int):
     NaN or an infinity take the json path, which spells them NaN and
     Infinity.
     """
+    import numpy as np
+
     if arr.ndim == 0 or not arr.size:
         yield from _json_chunks(arr.tolist(), depth)
         return

@@ -25,8 +25,6 @@ from __future__ import annotations
 import cmath
 import math
 
-import numpy as np
-
 from .errors import PreconditionError, WallProximityError
 from .lie import CartanElement, RootSystem
 
@@ -121,6 +119,8 @@ def partial_euler_product(rs: RootSystem, x: CartanElement, n_terms: int) -> com
     """
     if n_terms < 1:
         raise PreconditionError("n_terms must be >= 1")
+    import numpy as np
+
     ns = np.arange(1, n_terms + 1, dtype=float)
     prod = 1.0 + 0j
     for root_fw in rs.positive_roots_fw:

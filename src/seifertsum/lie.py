@@ -68,8 +68,6 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Sequence
 
-import numpy as np
-
 from .errors import (
     PreconditionError,
     UnsupportedAlgebraError,
@@ -317,7 +315,9 @@ def _shifted_epsilon(lam_fw: Sequence[int]) -> tuple[int, ...]:
 
 def _epsilon_norms(shifted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_shifted_epsilon and M = _form(e, e) = (r+1)|lam+rho|^2 of the rows
-    lam+rho of an (n, r) int64 (or exact object) array, in its dtype."""
+    lam+rho of an (n, r) int64 array, in its dtype."""
+    import numpy as np
+
     n, r = shifted.shape
     e = np.zeros((n, r + 1), dtype=shifted.dtype)
     e[:, :r] = np.cumsum(shifted[:, ::-1], axis=1)[:, ::-1]

@@ -32,8 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DegenerateOrbitError, PreconditionError, WallProximityError
 from .genera import WALL_MARGIN, _sinc_half, wall_distance
 from .lie import (
@@ -130,6 +128,8 @@ def su2_orbit_quadrature(j_label: float, t: float) -> complex:
     lam = 2 * float(j_label) + 1
     if lam < 1 or abs(lam - round(lam)) > 1e-12:
         raise PreconditionError("j_label must be a nonnegative half-integer")
+    import numpy as np
+
     nodes, weights = np.polynomial.legendre.leggauss(_QUADRATURE_POINTS)
     vals = np.exp(1j * lam * t * nodes)
     return complex((lam / 2) * np.dot(weights, vals))

@@ -62,36 +62,66 @@ Flat limit (eps = 0): the last coordinate in closed form.
   The pieces cancel more as m grows: at a = 1 they reach C(2m-2, m-1)
   times the result.
 * Fallback. The flat sum stops as soon as tail(L) plus the rounding bound
-  spent so far exceeds tol, and Z is then summed over the box below, whose
-  tail is tiny exactly where m is large, with the box's rounding bound
+  spent so far exceeds tol, and Z is then summed over the cube below, whose
+  tail is tiny exactly where m is large, with the cone's rounding bound
   below. The choice rests only on these computed bounds.
 
-Box (eps > 0, and the flat fallback): dominant weights are enumerated in the
-box max coord <= L and the tail is bounded by dim(Lambda) >=
-prod(coord_i + 1), the full-chain factor dim >= prod * (|Lambda| + r)/r for
-rank >= 2, and <Lambda, Lambda> >= L^2/4 outside the box (smallest
-eigenvalue of the inverse Cartan matrix exceeds 1/4 in the A series), giving
+Cone (eps > 0, and the flat fallback): the dominant weights are
+enumerated line by line in itertools.product order of the labels (the
+last one fastest), and every label stops either at a cube side L or at a
+Casimir shell, whichever stop holds fewer weights.
 
-    tail <= r 2^(r-1) (L+1)^(1-m)/(m-1)
-            * (r/(L+1+r))^(m [rank>=2])
-            * exp(-eps L^2 / 8).
+* Cube: labels <= L. The tail is bounded by dim(Lambda) >=
+  prod(coord_i + 1), the full-chain factor dim >= prod * (|Lambda| + r)/r
+  for rank >= 2, and <Lambda, Lambda> >= L^2/4 outside the cube (smallest
+  eigenvalue of the inverse Cartan matrix exceeds 1/4 in the A series),
+  giving
 
-The box is summed by _box_terms in blocks of at most _BLOCK points, taken
-in itertools.product order (last coordinate fastest). Each block turns
-flat indices into the rows Lambda+rho, takes their epsilon coordinates e
-and M = (r+1)|Lambda+rho|^2 from lie._epsilon_norms (as modular's levels
-do), so casimir(Lambda) = (M - M_rho)/(r+1), and multiplies out
-V = prod_{i<j} (e_i - e_j) in place, so dim Lambda = V // V(rho). Each
-of V and M is int64 when its largest value in the box, (L+1)^(r(r+1)/2) V(rho)
-for V, is below 2^63, and exact Python ints (dtype=object) otherwise;
-A5 at L = 16 has V near 1e23, while M stays small.
-The two floating point steps, dim^-m and exp(-eps casimir/2), stay scalar
-libm calls on the .tolist() values: numpy's vectorised pow and exp are
-not guaranteed to round as libm does, and scalar calls keep every term
-bit-identical to the per-weight formula. math.fsum rounds the sum
-correctly, so Z does not depend on the order of the terms either.
+      tail <= r 2^(r-1) (L+1)^(1-m)/(m-1)
+              * (r/(L+1+r))^(m [rank>=2])
+              * exp(-eps L^2 / 8),
 
-The box's rounding is bounded at every eps. A term t = dim^-m exp(-x),
+  and L is the first of 16, 32, 64, ... with tail <= tol.
+* Shell: (r+1) casimir <= cap. The simple roots give the factors
+  lambda_i + 1 of dim Lambda = prod_{alpha>0} <Lambda+rho, alpha>/<rho, alpha>
+  and every other factor is at least 1, so dim >= prod (lambda_i + 1),
+  whose m-th inverse powers sum to zeta(m)^r over the cone. Outside the
+  shell (r+1) casimir >= cap + 1, so
+
+      tail <= zeta(m)^r exp(-eps (cap + 1) / (2 (r+1))),
+
+  and cap is the smallest with tail <= tol/2, the other half of tol being
+  left to rounding. Stopping label by label is valid because the casimir
+  grows in every label: casimir(Lambda + omega_i) - casimir(Lambda) =
+  <omega_i, omega_i> + 2 <omega_i, Lambda + rho> > 0, as every entry of
+  the inverse Cartan matrix is positive. Once the weight with the later
+  labels at 0 leaves the shell, every larger value of the label does too.
+* Choice. The cube holds (L+1)^r weights. The shell's are counted line by
+  line, and the count stops once it reaches the cube's or passes the
+  budget; ties keep the cube. Both counts are taken before any term is
+  summed. The shell wins at moderate eps (A5, g = 2, eps = 1, tol 1e-3:
+  18 weights against 17^5), the cube where the decay of dim^-m alone
+  nearly meets tol (large genus, eps near 0). The flat fallback has no
+  shell and takes the cube.
+* Lines. In the labels, (r+1) casimir = sum_ij K_ij lambda_i lambda_j +
+  sum_i b_i lambda_i with K_ij = min(i, j)(r + 1 - max(i, j)), (r+1) times
+  the inverse Cartan matrix, and b_i = 2 sum_j K_ij. Along label d, with
+  the labels before it fixed and those after it at 0, it is
+  a + v (B_d + K_dd v), B_d = (r+1-d)(d(r+1) + 2 sum_{j<d} j lambda_j), so
+  the last value of each label in the shell is an integer square root.
+  Along the last label, Lambda + rho = (s, c) with c = v + 1, only the r
+  factors e_i - e_(r+1) = t_i + c of V = prod_{i<j} (e_i - e_j) move, t
+  the epsilon coordinates of s, so dim = w c prod_{i<r} (t_i + c) / V(rho)
+  with w = V(t) fixed per line, taken as the Vandermonde of the prefix
+  sums of s as the labels are fixed. Dims and casimirs stay exact Python
+  ints (A5 at L = 16 has V near 1e23).
+
+The two floating point steps, dim^-m and exp(-eps casimir/2), are scalar
+libm calls, so every term is bit-identical to the per-weight formula; at
+eps = 0 every exp(-0.0) is 1 and the term is dim^-m. math.fsum rounds
+the sum correctly, so Z does not depend on the order of the terms either.
+
+The rounding is bounded at every eps. A term t = dim^-m exp(-x),
 x = eps (c/r1)/2 with c = (r+1) casimir, takes at most m + 5 roundings:
 dim goes to binary64 once, which the power turns into m; pow and exp are
 within one ulp, two each; their product is one more. x takes two (c/r1
@@ -99,15 +129,15 @@ and the product with eps; /2 is exact), which move exp by a factor of at
 most exp(x gamma_2). A computed term t' is then within
 t' (gamma_(m+5) + expm1(x gamma_2))/(1 - gamma_(m+5)) of the exact one, and
 with the fsum the computed Z is within (gamma_(m+6) Z + E)/(1 - gamma_(m+6))
-of the exact box sum, E = sum t' expm1(x gamma_2): each argument's rounding
-weighted by its own term. _box_terms sums E beside the terms with gamma_4
-for gamma_2, which covers x <= x'/(1 - gamma_2) for the computed x' and
-E's own roundings. That is added to the tail bound; a total above tol is
-refused.
+of the exact sum over the cube or shell, E = sum t' expm1(x gamma_2): each
+argument's rounding weighted by its own term. _cone_terms sums E beside
+the terms, a share per block of _BLOCK terms, with gamma_4 for gamma_2,
+which covers x <= x'/(1 - gamma_2) for the computed x' and E's own
+roundings. That is added to the tail bound; a total above tol is refused.
 
-The term budget counts outer points on the flat path and box points on
-the box, and is checked before any term is summed; a refusal names the
-size the tolerance needed.
+The term budget counts outer points on the flat path and the weights of
+the chosen stop on the cone, and is checked before any term is summed; a
+refusal names the size the tolerance needed.
 
 Genus must be at least 2; the g < 2 sums diverge at eps = 0 and are
 refused rather than regularised.
@@ -119,11 +149,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from operator import floordiv, mul
 
 from .errors import BudgetExceededError, CertificationError, PreconditionError
-from .lie import RootSystem, _epsilon_norms, _form, _gamma, _shifted_epsilon, _vandermonde
+from .lie import RootSystem, _epsilon_norms, _gamma, _shifted_epsilon, _vandermonde
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_TERMS = 2_000_000
@@ -187,6 +216,8 @@ def _pole_series(tf: np.ndarray, j: int, m: int) -> tuple[np.ndarray, np.ndarray
     """Taylor coefficients of x^0 .. x^(m-1) of prod_{i != j} (x + t_i - t_j)^-m
     and of its majorant prod_{i != j} (|t_i - t_j| - x)^-m, as (m, n) arrays,
     for the rows t of the (n, r) float array tf."""
+    import numpy as np
+
     n = len(tf)
     ser = np.zeros((m, n))
     ser[0] = 1.0
@@ -213,12 +244,24 @@ def _pole_series(tf: np.ndarray, j: int, m: int) -> tuple[np.ndarray, np.ndarray
     return ser, bar
 
 
-def _flat_block(t: np.ndarray, m: int, zeta: list, table: np.ndarray | None,
+def _flat_depth(r: int, m: int) -> int:
+    """Roundings on the longest path to F(a), but for the t_j additions of
+    pole j's running sum H_{t_j}: q^m, R_jk (its factors' powers, binomial
+    and product, then one convolution per factor), zeta - H (the powers
+    n^-k and the subtraction), the product R (zeta - H), the sums over k
+    and j, and the product with q^m."""
+    return ((m * (1 + r * (r - 1)) + m - 1) + (2 * m + 1 + (r - 1) * (m + 1))
+            + (m + 1) + 1 + (m + r) + 1)
+
+
+def _flat_block(t: np.ndarray, m: int, zeta: list, table: np.ndarray,
                 offset: int) -> tuple[list, float]:
     """The terms F(a) of the outer points with rows t = (t_1 .. t_r) of an (n, r)
     int64 array, and the bound on their summed rounding errors. zeta[k] is
     zeta(k) as a float; table[k - 1, t - offset] is H^(k)_t for the t > 0
     of these rows."""
+    import numpy as np
+
     n, r = t.shape
     tf = t.astype(float)
     # q = r!/dim_{A_{r-1}}(a): one conversion, a division and a product per pair
@@ -229,13 +272,7 @@ def _flat_block(t: np.ndarray, m: int, zeta: list, table: np.ndarray | None,
     pre = q.copy()
     for _ in range(m - 1):
         pre *= q
-    # roundings on the longest path to F(a), but for the t_j additions of
-    # pole j's running sum H_{t_j}: q^m, R_jk (its factors' powers, binomial
-    # and product, then one convolution per factor), zeta - H (the powers
-    # n^-k and the subtraction), the product R (zeta - H), the sums over k
-    # and j, and the product with q^m
-    depth = ((m * (1 + r * (r - 1)) + m - 1) + (2 * m + 1 + (r - 1) * (m + 1))
-             + (m + 1) + 1 + (m + r) + 1)
+    depth = _flat_depth(r, m)
     value, bound = np.zeros(n), np.zeros(n)
     for j in range(r):
         ser, bar = _pole_series(tf, j, m)
@@ -252,12 +289,34 @@ def _flat_block(t: np.ndarray, m: int, zeta: list, table: np.ndarray | None,
 def _harmonic_table(m: int, last: int, carry: np.ndarray, high: int) -> np.ndarray:
     """H^(k)_t in row k - 1 and column t - last, for k = 1..m and
     t = last..high, continuing the running sums carry = H^(k)_last."""
+    import numpy as np
+
     powers = np.empty((m, high - last + 1))
     powers[:, 0] = carry
     powers[0, 1:] = 1.0 / np.arange(last + 1, high + 1)
     for k in range(1, m):
         powers[k, 1:] = powers[k - 1, 1:] * powers[0, 1:]
     return np.cumsum(powers, axis=1)  # add.accumulate: sequential, as the bound counts
+
+
+def _flat_blocks(rank: int, m: int, zeta: list, side: int):
+    """Yield the terms F(a) of the outer points a in [1, side]^(r-1), r >= 2,
+    _BLOCK at a time in itertools.product order, each list with the bound
+    on its rounding."""
+    import numpy as np
+
+    total = side ** (rank - 1)
+    strides = np.array([side ** k for k in range(rank - 2, -1, -1)], dtype=np.int64)
+    last, carry = 0, np.zeros(m)  # H^(k)_last, where the previous table ended
+    for start in range(0, total, _BLOCK):
+        flat = np.arange(start, min(start + _BLOCK, total))
+        t = _epsilon_norms(flat[:, None] // strides % side + 1)[0]
+        low, high = int(t[:, rank - 2].min()), int(t[:, 0].max())
+        if low <= last:
+            last, carry = 0, np.zeros(m)
+        table, offset = _harmonic_table(m, last, carry, high), last
+        last, carry = high, table[:, -1]
+        yield _flat_block(t, m, zeta, table, offset)
 
 
 def _flat_sum(rank: int, m: int, tol: float, max_terms: int):
@@ -271,19 +330,12 @@ def _flat_sum(rank: int, m: int, tol: float, max_terms: int):
             "certifying tol %g at eps = 0 needs %d^%d outer points, budget %d; "
             "raise max_terms or relax target_tol" % (tol, side, rank - 1, max_terms))
     spent = _outer_tail(rank, m, zeta[m], side)
+    if rank == 1:  # the single empty outer point, F = zeta(m): no array to build
+        blocks = [([zeta[m]], _gamma(_flat_depth(1, m)) * zeta[m])]
+    else:
+        blocks = _flat_blocks(rank, m, zeta, side)
     sums = []
-    last, carry = 0, np.zeros(m)  # H^(k)_last, where the previous table ended
-    for start in range(0, total, _BLOCK):
-        flat = np.arange(start, min(start + _BLOCK, total))
-        t = _epsilon_norms(_box_points(rank - 1, side - 1, flat))[0]
-        table, offset = None, 0
-        if rank > 1:
-            low, high = int(t[:, rank - 2].min()), int(t[:, 0].max())
-            if low <= last:
-                last, carry = 0, np.zeros(m)
-            table, offset = _harmonic_table(m, last, carry, high), last
-            last, carry = high, table[:, -1]
-        terms, rounding = _flat_block(t, m, zeta, table, offset)
+    for terms, rounding in blocks:
         sums.append(math.fsum(terms))
         spent += rounding + _gamma(1) * abs(sums[-1])
         if not spent <= tol:  # also catches nan
@@ -300,45 +352,122 @@ def _box_tail_bound(rank: int, m: int, eps: float, box: int) -> float:
     return geom * math.exp(-eps * box * box / 8)
 
 
-def _box_points(rank: int, box: int, flat: np.ndarray) -> np.ndarray:
-    """The rows Lambda+rho, coordinates 1..box+1, of the box 0..box at the
-    itertools.product indices `flat`."""
-    side = box + 1
-    strides = np.array([side ** k for k in range(rank - 1, -1, -1)], dtype=np.int64)
-    return flat[:, None] // strides % side + 1
+def _shell(rank: int, m: int, eps: float, target: float):
+    """(cap, tail): the smallest cap on (r+1) casimir whose shell tail
+    zeta(m)^r exp(-eps (cap+1)/(2(r+1))) is at most target, and that tail;
+    None when eps is too small for a cap that binary64 can tell apart."""
+    value, remainder = _zeta(m)
+    log_z = rank * math.log(float(value + remainder))
+    x = 2 * (rank + 1) * (log_z - math.log(target)) / eps
+    if not x < math.inf:
+        return None
+    first = max(0, math.ceil(x) - 1)
+    for cap in (first, first + 1):  # the second covers the rounding of x
+        tail = math.exp(log_z - eps * (cap + 1) / (2 * (rank + 1)))
+        if tail <= target:
+            return cap, tail
+    return None
 
 
-def _box_invariants(rank: int, box: int, flat: np.ndarray) -> tuple[list[int], list[int]]:
-    """dim Lambda and (r+1) casimir(Lambda), as lists of ints, for the
-    points of the box 0..box at the itertools.product indices `flat`."""
+def _cone_lines(rank: int, box: int | None = None, cap: int | None = None):
+    """Yield (t, w, a, b, n) for each line of dominant weights, in
+    itertools.product order of the labels (the last one fastest), within
+    labels <= box or (r+1) casimir <= cap, whichever is given. On a line
+    the outer labels are fixed and the last one is v = 0 .. n - 1; with
+    c = v + 1, dim = w c prod_i (t_i + c) / V(rho) over the r - 1 entries
+    of t, and (r+1) casimir = a + v (b + r v) (module docstring)."""
     r1 = rank + 1
-    side = box + 1
-    e_rho = _shifted_epsilon((0,) * rank)
-    v_rho = _vandermonde(e_rho)
-    lam = _box_points(rank, box, flat)
-    # e_i <= e_1 <= rank * side bounds (r+1) sum e^2 and (sum e)^2, and the
-    # largest V in the box is side^(r(r+1)/2) V(rho)
-    e, m = _epsilon_norms(lam if (r1 * rank * side) ** 2 < 2 ** 63 else lam.astype(object))
-    e = e.astype(np.int64 if side ** (rank * r1 // 2) * v_rho < 2 ** 63 else object, copy=False)
-    v = np.ones(len(flat), dtype=e.dtype)
-    for i in range(rank):
-        for j in range(i + 1, r1):
-            v *= e[:, i] - e[:, j]
-    return (v // v_rho).tolist(), (m - _form(e_rho, e_rho)).tolist()
+
+    def walk(d, u, w, a, p):
+        # labels 1 .. d-1 are fixed: u holds the sums of their shifted values,
+        # u_1 = 0, w = V(u), a = (r+1) casimir with labels d .. r at 0, and
+        # p = sum_j j lambda_j
+        k, b = d * (r1 - d), (r1 - d) * (d * r1 + 2 * p)
+        top = box if cap is None else (math.isqrt(b * b - 4 * k * (a - cap)) - b) // (2 * k)
+        if d == rank:
+            yield [u[-1] - x for x in u[:-1]], w, a, b, top + 1
+            return
+        for v in range(top + 1):
+            x = u[-1] + v + 1
+            yield from walk(d + 1, u + [x], w * math.prod([x - y for y in u]),
+                            a + v * (b + k * v), p + d * v)
+
+    return walk(1, [0], 1, 0, 0)
 
 
-def _box_terms(rank: int, box: int, m: int, eps: float):
+def _cone_invariants(rank: int, box: int | None = None, cap: int | None = None):
+    """Yield dim Lambda and (r+1) casimir(Lambda), exact ints, as two lazy
+    iterators per segment of at most _BLOCK points of each line of
+    _cone_lines: the dims through one product per factor that moves along
+    the line, the casimirs from their quadratic in the last label."""
+    v_rho = _vandermonde(_shifted_epsilon((0,) * rank))
+    for t, w, a, b, n in _cone_lines(rank, box, cap):
+        for lo in range(0, n, _BLOCK):
+            hi = min(lo + _BLOCK, n)
+            v = map(mul, range(lo + 1, hi + 1), itertools.repeat(w))
+            for ti in t:
+                v = map(mul, v, range(ti + lo + 1, ti + hi + 1))
+            yield (map(floordiv, v, itertools.repeat(v_rho)),
+                   (a + j * (b + rank * j) for j in range(lo, hi)))
+
+
+def _cone_terms(rank: int, m: int, eps: float, box: int | None = None,
+                cap: int | None = None):
     """Yield the terms dim^-m exp(-eps casimir/2) of the dominant weights
-    with coordinates in 0..box, in lists of at most _BLOCK terms, each list
-    with its share of E (module docstring)."""
+    of _cone_lines, in their order, in lists of _BLOCK terms (the last one
+    shorter), each list with its share of E (module docstring)."""
     r1 = rank + 1
     g4 = _gamma(4)
-    total = (box + 1) ** rank
-    for start in range(0, total, _BLOCK):
-        dims, cas = _box_invariants(rank, box, np.arange(start, min(start + _BLOCK, total)))
-        terms = [d ** (-m) * math.exp(-eps * (c / r1) / 2) for d, c in zip(dims, cas)]
-        yield terms, math.fsum(t * math.expm1(eps * (c / r1) / 2 * g4)
-                               for t, c in zip(terms, cas))
+    terms, shares = [], []
+    for dims, cas in _cone_invariants(rank, box, cap):
+        if eps:
+            xs = [eps * (c / r1) / 2 for c in cas]
+            seg = [d ** -m * math.exp(-x) for d, x in zip(dims, xs)]
+            shares += [u * math.expm1(x * g4) for u, x in zip(seg, xs)]
+            terms += seg
+        else:  # every exp(-x) is 1 and every share 0
+            terms += map(pow, dims, itertools.repeat(-m))
+        while len(terms) >= _BLOCK:
+            yield terms[:_BLOCK], math.fsum(shares[:_BLOCK])
+            del terms[:_BLOCK], shares[:_BLOCK]
+    if terms:
+        yield terms, math.fsum(shares)
+
+
+def _cone_sum(rank: int, m: int, eps: float, tol: float, max_terms: int):
+    """(Z, bound, points) summed over the cube or, at eps > 0, the Casimir
+    shell, whichever holds fewer points; both counts are taken, and the
+    budget checked, before any term is summed."""
+    box = 16
+    while (box + 1) ** rank <= max_terms and _box_tail_bound(rank, m, eps, box) > tol:
+        box *= 2
+    stop, points = {"box": box}, (box + 1) ** rank
+    tail = _box_tail_bound(rank, m, eps, box)
+    shell = _shell(rank, m, eps, tol / 2) if eps > 0 else None
+    if shell is not None:
+        limit, count = min(points - 1, max_terms), 0
+        for *_, n in _cone_lines(rank, cap=shell[0]):
+            count += n
+            if count > limit:
+                break
+        else:
+            stop, points, tail = {"cap": shell[0]}, count, shell[1]
+    if points > max_terms:
+        raise BudgetExceededError(
+            "certifying tol %g needs a box of at least %d^%d dominant weights%s, "
+            "budget %d; raise max_terms or relax target_tol"
+            % (tol, box + 1, rank,
+               "" if shell is None else " or a Casimir shell of more than %d" % max_terms,
+               max_terms))
+    shares = []  # E (module docstring), one share per block
+    value = math.fsum(itertools.chain.from_iterable(
+        shares.append(e) or block for block, e in _cone_terms(rank, m, eps, **stop)))
+    g = _gamma(m + 6)
+    bound = tail + (g / (1 - g) * value + math.fsum(shares) / (1 - g))
+    if bound > tol:
+        raise CertificationError(
+            "tol %g is below the bound %g on the sum's tail and rounding" % (tol, bound))
+    return value, bound, points
 
 
 def ym2_partition(rs: RootSystem, genus: int, epsilon: float,
@@ -354,30 +483,7 @@ def ym2_partition(rs: RootSystem, genus: int, epsilon: float,
             "target_tol must be a positive finite number, got %r" % (target_tol,))
     m = 2 * genus - 2
     flat = _flat_sum(rs.rank, m, target_tol, max_terms) if epsilon == 0 else None
-    if flat is not None:
-        value, bound, terms = flat
-    else:
-        box = 16
-        while True:
-            if (box + 1) ** rs.rank > max_terms:
-                raise BudgetExceededError(
-                    "certifying tol %g needs a box of at least %d^%d dominant "
-                    "weights, budget %d; raise max_terms or relax target_tol"
-                    % (target_tol, box + 1, rs.rank, max_terms))
-            if _box_tail_bound(rs.rank, m, epsilon, box) <= target_tol:
-                break
-            box *= 2
-        terms = (box + 1) ** rs.rank
-        shares = []  # E (module docstring), one share per block
-        value = math.fsum(itertools.chain.from_iterable(
-            shares.append(e) or block for block, e in _box_terms(rs.rank, box, m, epsilon)))
-        g = _gamma(m + 6)
-        bound = (_box_tail_bound(rs.rank, m, epsilon, box)
-                 + (g / (1 - g) * value + math.fsum(shares) / (1 - g)))
-        if bound > target_tol:
-            raise CertificationError(
-                "tol %g is below the bound %g on the box sum's tail and rounding"
-                % (target_tol, bound))
+    value, bound, terms = flat or _cone_sum(rs.rank, m, epsilon, target_tol, max_terms)
     if not value > 0:  # also catches nan
         raise CertificationError("partition sum must be positive, got %r" % (value,))
     return YM2Result(value=value, tail_bound=bound, terms=terms,

@@ -14,8 +14,9 @@ certify_expressions is the S certificate written as four whole-matrix
 products, against which the row-blocked modular._certify's measured
 residuals are pinned bit for bit and its two bounds are checked, and
 ym2_box_terms is the per-weight ym2 box loop on lie's
-integer _form and _vandermonde, against which the block kernel
-ym2._box_terms is pinned bit for bit, and t_diagonals is T taken one
+integer _form and _vandermonde, against which the enumerator
+ym2._cone_terms is pinned bit for bit, ym2_reference is the heat-kernel
+sum at 40 digits, one weight at a time, and t_diagonals is T taken one
 weight at a time from _form, against which the level's integer norms
 (modular._Level.t_diagonals) are pinned bit for bit.
 """
@@ -404,3 +405,33 @@ def ym2_box_terms(rank: int, box: int, m: int, eps: float) -> list:
         cas = (_form(e, e) - m_rho) / r1
         parts.append(dim ** (-m) * math.exp(-eps * cas / 2))
     return parts
+
+
+def ym2_reference(rank: int, m: int, eps: float, cut: float):
+    """(P, T) at 40 digits: P the sum of dim^-m exp(-eps casimir/2) over the
+    A_rank dominant weights with casimir <= cut, one weight at a time, and
+    T = zeta(m)^rank exp(-eps cut/2) >= the rest, as dim >= prod (lambda_i + 1).
+    A label stops once the weight with the later labels at 0 passes cut:
+    the casimir grows in every label."""
+    r1 = rank + 1
+    e_rho = _shifted_epsilon((0,) * rank)
+    m_rho = _form(e_rho, e_rho)
+    v_rho = _vandermonde(e_rho)
+    terms = []
+
+    def walk(prefix):
+        if len(prefix) == rank:
+            e = _shifted_epsilon(prefix)
+            terms.append((_vandermonde(e) // v_rho, _form(e, e) - m_rho))
+            return
+        for v in itertools.count():
+            e = _shifted_epsilon(prefix + (v,) + (0,) * (rank - len(prefix) - 1))
+            if Fraction(_form(e, e) - m_rho, r1) > cut:
+                return
+            walk(prefix + (v,))
+
+    walk(())
+    with mp.workdps(40):
+        x = mp.mpf(eps)
+        total = mp.fsum(mp.mpf(d) ** -m * mp.exp(-x * c / (2 * r1)) for d, c in terms)
+        return total, mp.zeta(m) ** rank * mp.exp(-x * mp.mpf(cut) / 2)

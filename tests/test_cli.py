@@ -145,12 +145,23 @@ def test_ym2_csv(capsys):
 
 
 def test_ym2_profile_without_eps0_skips_the_flat_limit(capsys):
-    # the eps = 0 flat limit is never summed when eps = 0 is not asked for
+    # the eps = 0 flat limit is never summed when eps = 0 is not asked for;
+    # Z is the sum over the 275 weights of the Casimir shell
     code, out, _ = run(["ym2", "--algebra", "A3", "--genus", "2",
                         "--epsilons", "0.5"], capsys)
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
-    assert rows[1][:2] == ["0.5", "1.0603687675611784"]
+    assert rows[1][:2] == ["0.5", "1.0603687675611781"]
+
+
+@pytest.mark.parametrize("algebra", ["A6", "A7"])
+def test_ym2_high_rank_at_unit_coupling(algebra, capsys):
+    # refused before: the first box held 17^6 (17^7) weights, past the 2M
+    # budget, where the Casimir shell holds 171 (158)
+    code, out, _ = run(["ym2", "--algebra", algebra, "--genus", "2", "--epsilons", "1"], capsys)
+    assert code == 0
+    (_, z, bound), = list(csv.reader(io.StringIO(out)))[1:]
+    assert float(bound) <= 1e-10 and float(z) > 1
 
 
 def test_ym2_rank2_flat_limit_at_the_default_tol(capsys):

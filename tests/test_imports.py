@@ -16,10 +16,10 @@ SRC = str(Path(seifertsum.__file__).resolve().parents[1])
 
 
 def loaded_after(code: str) -> set[str]:
-    """The seifertsum modules, and mpmath, loaded after `code` runs in a
-    fresh interpreter."""
+    """The seifertsum modules, mpmath and numpy, loaded after `code` runs in
+    a fresh interpreter."""
     report = ("import sys\nprint(*sorted(m for m in sys.modules "
-              "if m == 'mpmath' or m.startswith('seifertsum.')))")
+              "if m in ('mpmath', 'numpy') or m.startswith('seifertsum.')))")
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code + "\n" + report], check=True,
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
@@ -27,18 +27,33 @@ def loaded_after(code: str) -> set[str]:
 
 
 def test_importing_the_cli_loads_no_subcommand_module():
+    # nor numpy: the report writer only meets arrays once numpy is loaded
     assert loaded_after("import seifertsum.cli") == {"seifertsum.cli", "seifertsum.errors"}
 
 
-# the flat A2 sum computes zeta(k) itself: mpmath would cost ym2 about 4 MB of RSS
+# the flat A2 sum computes zeta(k) itself: mpmath would cost ym2 about 4 MB of RSS;
+# only the flat sum of rank >= 2 builds arrays, so only it may load numpy
 @pytest.mark.parametrize("argv", [
     ["ym2", "--algebra", "A1", "--genus", "2", "--epsilons", "0"],
     ["ym2", "--algebra", "A2", "--genus", "2", "--epsilons", "0"],
-], ids=["A1", "A2-flat"])
+    ["ym2", "--algebra", "A3", "--genus", "3", "--epsilons", "0.5"],
+    ["ym2", "--algebra", "A6", "--genus", "2", "--epsilons", "1"],
+], ids=["A1", "A2-flat", "A3-shell", "A6-shell"])
 def test_a_ym2_call_loads_only_lie_and_ym2(argv):
     code = "from seifertsum import cli\nassert cli.main(%r) == 0" % (argv,)
-    assert loaded_after(code) == {"seifertsum.cli", "seifertsum.errors",
+    loaded = loaded_after(code)
+    assert loaded - {"numpy"} == {"seifertsum.cli", "seifertsum.errors",
                                   "seifertsum.lie", "seifertsum.ym2"}
+    assert "numpy" not in loaded or argv[2] == "A2"
+
+
+@pytest.mark.parametrize("argv", [
+    ["lie", "--algebra", "A2", "--weight", "1,1"],
+    ["kirillov", "--algebra", "A2", "--weight", "1,1", "--point", "0.3,0.4"],
+], ids=["lie", "kirillov"])
+def test_lie_and_kirillov_calls_load_no_numpy(argv):
+    code = "from seifertsum import cli\nassert cli.main(%r) == 0" % (argv,)
+    assert "numpy" not in loaded_after(code)
 
 
 # the exact Verlinde dimension reads the level object alone, not the binary64 Seifert sum

@@ -1,15 +1,23 @@
 """Heat-kernel sums: zeta anchors, certified tails, coupling profiles."""
 
+import csv
+import io
+import itertools
 import math
+import os
+import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
-import numpy as np
 import pytest
 
-from oracles import ym2_box_terms
+from oracles import ym2_box_terms, ym2_reference
+import seifertsum
 from seifertsum import ym2
 from seifertsum.errors import (
     BudgetExceededError,
@@ -94,44 +102,43 @@ def test_box_kernel_matches_the_scalar_loop_bit_for_bit(rank, box):
     assert (box + 1) ** rank % ym2._BLOCK
     for m in (2, 4):
         for eps in (0.0, 0.05, 0.5, 2.0):
-            blocks = [b for b, _ in ym2._box_terms(rank, box, m, eps)]
+            blocks = [b for b, _ in ym2._cone_terms(rank, m, eps, box=box)]
             assert all(len(b) <= ym2._BLOCK for b in blocks)
             terms = [t for b in blocks for t in b]
             assert terms == ym2_box_terms(rank, box, m, eps), (m, eps)
 
 
 def test_box_invariants_stay_exact_past_int64():
-    # A5 at box 16 reaches V near 1e23, so the kernel works on Python ints
+    # A5 at box 16 reaches V near 1e23: the enumerator keeps exact ints
     rank, box = 5, 16
     points = [(16, 16, 16, 16, 16), (16, 0, 16, 0, 16), (0, 16, 16, 16, 0),
               (1, 2, 3, 4, 16), (0, 0, 0, 0, 0)]
-    flat = np.array([sum(c * (box + 1) ** (rank - 1 - j) for j, c in enumerate(p))
-                     for p in points])
-    dims, cas = ym2._box_invariants(rank, box, flat)
+    lines = {p[:-1] for p in points}
+    seen = {}
+    segments = ym2._cone_invariants(rank, box=box)
+    for prefix in itertools.product(range(box + 1), repeat=rank - 1):
+        dims, cas = next(segments)  # one segment per line of 17 points
+        if prefix in lines:
+            for c, (d, k) in enumerate(zip(dims, cas)):
+                seen[prefix + (c,)] = d, k
+    assert next(segments, None) is None
     e_rho = _shifted_epsilon((0,) * rank)
     assert _vandermonde(_shifted_epsilon(points[0])) > 2 ** 63
-    for p, d, c in zip(points, dims, cas):
+    for p in points:
         e = _shifted_epsilon(p)
-        assert type(d) is int and type(c) is int
+        d, k = seen[p]
+        assert type(d) is int and type(k) is int
         assert d == _vandermonde(e) // _vandermonde(e_rho)
-        assert c == _form(e, e) - _form(e_rho, e_rho)
-
-
-def test_box_norms_stay_exact_past_int64_on_their_own():
-    # at rank 1 the norm M = e_1^2 passes 2^63 long before V = e_1 does
-    box = 2 ** 40
-    dims, cas = ym2._box_invariants(1, box, np.array([0, box - 1, box]))
-    assert dims == [1, box, box + 1]
-    assert cas == [0, box ** 2 - 1, (box + 1) ** 2 - 1]
-    assert all(type(c) is int for c in dims + cas) and cas[-1] > 2 ** 63
+        assert k == _form(e, e) - _form(e_rho, e_rho)
 
 
 def test_box_sum_stays_within_a_block_of_memory(a2):
-    # a 257^2 box: a list holding all 66049 terms at once peaks at about 2.1 MB
+    # the Casimir shell, not the 257^2 box, wins here: a list holding all its
+    # 36237 terms and their shares at once would peak near 2.3 MB
     _run(a2, 2, 0.5, target_tol=1e-3)
     tracemalloc.start()
     try:
-        assert _run(a2, 2, 0.001, target_tol=1e-8).terms == 66049
+        assert _run(a2, 2, 0.001, target_tol=1e-8).terms == 36237
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -198,13 +205,19 @@ def test_budget_errors_are_loud(a1, a2):
         _run(a2, 2, 0.0, target_tol=1e-10, max_terms=100)
 
 
-def test_first_box_is_checked_against_the_budget(a2):
-    # the first box, 17^2 = 289 weights, already exceeds this budget
-    with pytest.raises(BudgetExceededError):
-        _run(a2, 3, 1.0, target_tol=1e-3, max_terms=100)
-    # 17^6 = 24.1M weights against the default 2M budget
-    with pytest.raises(BudgetExceededError):
-        _run(build_root_system("A", 6), 3, 1.0)
+def test_first_box_is_checked_against_the_budget(a2, monkeypatch):
+    def no_sum(*args, **kwargs):
+        raise AssertionError("summed past the budget")
+
+    monkeypatch.setattr(ym2, "_cone_terms", no_sum)
+    # the first box, 17^2 = 289 weights, and the shell, 10, exceed this budget
+    with pytest.raises(BudgetExceededError, match=r"17\^2 dominant weights or a Casimir "
+                                                  r"shell of more than 5, budget 5"):
+        _run(a2, 3, 1.0, target_tol=1e-3, max_terms=5)
+    # 17^6 = 24.1M weights, and a shell of 1.6M, against this budget
+    with pytest.raises(BudgetExceededError, match=r"17\^6 dominant weights or a Casimir "
+                                                  r"shell of more than 100000, budget 100000"):
+        _run(build_root_system("A", 6), 3, 0.05, max_terms=10 ** 5)
 
 
 def test_preconditions(a1):
@@ -243,7 +256,7 @@ def test_non_finite_tol_is_refused(a2, tol, monkeypatch):
     def no_sum(*args):
         raise AssertionError("summed for target_tol %r" % tol)
 
-    monkeypatch.setattr(ym2, "_box_terms", no_sum)
+    monkeypatch.setattr(ym2, "_cone_terms", no_sum)
     monkeypatch.setattr(ym2, "_flat_sum", no_sum)
     for eps in (0.0, 0.5):
         with pytest.raises(PreconditionError, match="target_tol must be a positive finite"):
@@ -251,7 +264,7 @@ def test_non_finite_tol_is_refused(a2, tol, monkeypatch):
 
 
 def test_a_nan_sum_fails_the_positivity_check(a2, monkeypatch):
-    monkeypatch.setattr(ym2, "_box_terms", lambda *args: [([math.nan], 0.0)])
+    monkeypatch.setattr(ym2, "_cone_terms", lambda *args, **kwargs: [([math.nan], 0.0)])
     with pytest.raises(CertificationError, match="must be positive, got nan"):
         _run(a2, 2, 1.0, target_tol=1e-3)
 
@@ -294,28 +307,52 @@ def test_rank2_flat_bound_encloses_the_reference(a2, genus, tol):
 
 def test_flat_sum_falls_back_to_the_box_where_rounding_needs_it(a2, monkeypatch):
     boxes = []
-    box_terms = ym2._box_terms
-    monkeypatch.setattr(ym2, "_box_terms", lambda *args: boxes.append(args) or box_terms(*args))
+    cone_terms = ym2._cone_terms
+    monkeypatch.setattr(ym2, "_cone_terms", lambda *args, **kwargs: boxes.append(
+        (args, kwargs)) or cone_terms(*args, **kwargs))
     assert _run(a2, 2, 0.0).terms == 3527 and boxes == []
     # at g = 10 the partial fractions cancel past any useful bound, while
     # the first box's tail is far below tol
     assert ym2._flat_sum(2, 18, DEFAULT_TOL, 10 ** 6) is None
     res = _run(a2, 10, 0.0)
-    assert boxes == [(2, 16, 18, 0.0)] and res.terms == 17 ** 2
+    assert boxes == [((2, 18, 0.0), {"box": 16})] and res.terms == 17 ** 2
     assert _encloses(res, A2_FLAT[10])
 
 
 def test_box_bound_covers_rounding_at_every_coupling(a1):
     # this row once printed a tail bound of 8.9e-25 for Z = 1.41, far below
-    # one ulp of Z: the box's rounding is now bounded at every eps, and the
-    # bound encloses the series at the binary64 coupling, summed at 40 digits
-    res = _run(a1, 2, 0.1)
-    assert 2.0 ** -53 * res.value <= res.tail_bound <= 2e-15
+    # one ulp of Z: the rounding is now bounded at every eps, and the bound
+    # encloses the series at the binary64 coupling, summed at 40 digits; at
+    # g = 10 the 17-point box wins over the 30-point shell, and its tail is
+    # far below its rounding
+    for genus, terms, most in ((2, 31, DEFAULT_TOL), (10, 17, 1e-14)):
+        m = 2 * genus - 2
+        res = _run(a1, genus, 0.1)
+        assert res.terms == terms
+        assert 2.0 ** -53 * res.value <= res.tail_bound <= most
+        with mpmath.workdps(40):
+            eps = mpmath.mpf(0.1)
+            series = mpmath.fsum(mpmath.mpf(n) ** -m * mpmath.exp(-eps * (n * n - 1) / 4)
+                                 for n in range(1, 400))
+            assert _encloses(res, mpmath.nstr(series, 35))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+@pytest.mark.parametrize("genus", [2, 3])
+def test_shell_bound_encloses_the_reference(rank, genus):
+    # the reference sums a larger shell at 40 digits, whose own tail T is a
+    # thousandth of tol, so Z lies in [P, P + T]
+    eps = random.Random(100 * rank + genus).uniform(0.05, 2.0)
+    tol, m = 1e-6, 2 * genus - 2
+    res = _run(build_root_system("A", rank), genus, eps, target_tol=tol)
+    cube = 17 ** rank  # the smallest box the sum may take
+    assert res.terms < cube and res.tail_bound <= tol
     with mpmath.workdps(40):
-        eps = mpmath.mpf(0.1)
-        series = mpmath.fsum(mpmath.mpf(n) ** -2 * mpmath.exp(-eps * (n * n - 1) / 4)
-                             for n in range(1, 400))
-        assert _encloses(res, mpmath.nstr(series, 35))
+        cut = 2 * (rank * mpmath.log(mpmath.zeta(m)) - mpmath.log(tol / 2000)) / eps
+        low, tail = ym2_reference(rank, m, eps, float(cut))
+        assert tail <= tol / 1000
+        value, bound = mpmath.mpf(res.value), mpmath.mpf(res.tail_bound)
+        assert value - bound <= low and low + tail <= value + bound
 
 
 def test_a_tol_below_the_rounding_bound_is_refused(a1, a2):
@@ -331,7 +368,7 @@ def test_rank3_flat_sum_against_a_brute_force_box(a3):
     res = _run(a3, 2, 0.0, target_tol=1e-6)
     assert res.tail_bound <= 1e-6
     box = 64
-    brute = math.fsum(t for b, _ in ym2._box_terms(3, box, 2, 0.0) for t in b)
+    brute = math.fsum(t for b, _ in ym2._cone_terms(3, 2, 0.0, box=box) for t in b)
     assert brute - res.tail_bound <= res.value
     assert res.value <= brute + ym2._box_tail_bound(3, 2, 0.0, box) + res.tail_bound
 
@@ -376,3 +413,22 @@ def test_flat_sums_are_fast(rank, genus, tol, seconds):
         elapsed.append(time.perf_counter() - start)
     assert min(elapsed) < seconds
     assert res.tail_bound <= tol
+
+
+def test_a5_shell_call_is_fast_end_to_end():
+    # its box held 1,419,857 weights and took 2.4 s; its Casimir shell holds
+    # 18, which leaves the interpreter's start-up and the imports
+    argv = ["ym2", "--algebra", "A5", "--genus", "2", "--epsilons", "1", "--tol", "1e-3"]
+    code = "import sys\nfrom seifertsum import cli\nsys.exit(cli.main(%r))" % (argv,)
+    src = str(Path(seifertsum.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    elapsed = []
+    for _ in range(3):  # the fastest of three, as the machine may be shared
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-c", code], check=True,
+                              capture_output=True, text=True, env=env)
+        elapsed.append(time.perf_counter() - start)
+    (_, z, bound), = list(csv.reader(io.StringIO(proc.stdout)))[1:]
+    assert float(bound) <= 1e-3 and float(z) > 1
+    assert min(elapsed) < 0.3
