@@ -132,6 +132,25 @@ def test_box_invariants_stay_exact_past_int64():
         assert k == _form(e, e) - _form(e_rho, e_rho)
 
 
+def test_box_norms_stay_exact_past_int64_on_their_own():
+    # at rank 1 the norm (r+1) casimir = (v+1)^2 - 1 passes 2^63 long before
+    # dim = v + 1 does; the shell stops on it by an integer square root
+    box = 2 ** 40
+    cap = (box + 1) ** 2 - 1
+    assert cap > 2 ** 80
+    (line,) = ym2._cone_lines(1, box=box)
+    assert line == ([], 1, 0, 2, box + 1)
+    assert list(ym2._cone_lines(1, cap=cap)) == [line]
+    assert list(ym2._cone_lines(1, cap=cap - 1)) == [([], 1, 0, 2, box)]
+    a, b = line[2:4]
+    assert [a + v * (b + v) for v in (0, box - 1, box)] == [0, box ** 2 - 1, cap]
+    dims, cas = next(ym2._cone_invariants(1, cap=cap))
+    dims, cas = list(dims), list(cas)
+    assert dims == list(range(1, ym2._BLOCK + 1))
+    assert cas == [d * d - 1 for d in dims]
+    assert all(type(c) is int for c in dims + cas)
+
+
 def test_box_sum_stays_within_a_block_of_memory(a2):
     # the Casimir shell, not the 257^2 box, wins here: a list holding all its
     # 36237 terms and their shares at once would peak near 2.3 MB
