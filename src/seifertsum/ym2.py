@@ -7,7 +7,33 @@ The sum runs over the full dominant cone, so every evaluation carries a
 certified bound on its error. Write m = 2g - 2, r for the rank and
 u = 2^-53 for the unit roundoff of binary64.
 
-Flat limit (eps = 0): the last coordinate in closed form.
+Flat limit (eps = 0), rank <= 2: Z = zeta_W(m) is an exact rational q
+times pi^(|Delta+| m), summed with no outer sum.
+
+* Rank 1 is zeta(m) = (-1)^(m/2+1) B_m 2^(m-1) pi^m / m!. For A2, dim =
+  ab(a+b)/2 at Lambda + rho = (a, b), so Z = 2^m T(m, m, m) with the
+  Mordell-Tornheim sum T, which for even s is T(s, s, s) = (4/3)
+  sum_{j<=s/2} C(2s-2j-1, s-1) zeta(2j) zeta(3s-2j), zeta(0) = -1/2
+  (Mordell, J. London Math. Soc. 33 (1958)). As zeta(2j) = (-1)^(j+1)
+  B_2j 2^(2j-1) pi^(2j) / (2j)!, each product zeta(2j) zeta(3m-2j) is
+  (-1)^(m/2) 2^(3m-2) C(3m, 2j) B_2j B_(3m-2j) pi^(3m) / (3m)!, and
+
+      q = (-1)^(m/2) 2^(4m) / (3 (3m)!)
+          sum_{j<=m/2} C(2m-2j-1, m-1) C(3m, 2j) B_2j B_(3m-2j).
+
+* B_2j = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)), with the tangent numbers T_j
+  of tan x = sum T_j x^(2j-1)/(2j-1)! from an integer recurrence that
+  divides nowhere (Knuth and Buckholtz, Math. Comp. 21 (1967); Brent and
+  Harvey, "Fast computation of Bernoulli, tangent and secant numbers"
+  (2013)): O(n^2) big-integer steps for n = |Delta+| m/2 (297 at A2,
+  g = 100).
+* Z is q Pi^e, e = |Delta+| m, rounded once by an integer division, with
+  Pi = pi truncated to 60 decimals, so Pi <= pi < Pi + 10^-60. Then
+  q Pi^e <= Z < q Pi^e (1 + 10^-60/Pi)^e <= q Pi^e (1 + e 10^-60) for
+  e <= 10^60, and the computed Z' is within (gamma_1 + 2 e 10^-60) Z'
+  of Z: the bound. A tol below it is refused.
+
+Flat limit, rank >= 3: the last coordinate in closed form.
 
 * Split the shifted coordinates Lambda + rho = (a, c) into the outer ones
   a = (a_1 .. a_{r-1}) and the last one c >= 1, and put
@@ -24,7 +50,7 @@ Flat limit (eps = 0): the last coordinate in closed form.
                                      - sum_j R_j1 H_{t_j}],
 
   and only a runs over a box [1, L]^(r-1): L^(r-1) outer points in place of
-  about L^r box points. Rank 1 has the single empty outer point, F = zeta(m).
+  about L^r box points.
 * zeta(k) is the Euler-Maclaurin sum with N = 16 and B_2 .. B_12, evaluated
   in exact rationals and rounded once. Its remainder is at most the first
   omitted term, |B_14/14!| k(k+1)...(k+12) 16^-(k+13), which is 1.02e-18 at
@@ -135,9 +161,10 @@ the terms, a share per block of _BLOCK terms, with gamma_4 for gamma_2,
 which covers x <= x'/(1 - gamma_2) for the computed x' and E's own
 roundings. That is added to the tail bound; a total above tol is refused.
 
-The term budget counts outer points on the flat path and the weights of
-the chosen stop on the cone, and is checked before any term is summed; a
-refusal names the size the tolerance needed.
+The term budget counts outer points on the flat path from rank 3 and the
+weights of the chosen stop on the cone, and is checked before any term is
+summed; a refusal names the size the tolerance needed. The closed form
+sums no terms and counts as one.
 
 Genus must be at least 2; the g < 2 sums diverge at eps = 0 and are
 refused rather than regularised.
@@ -157,9 +184,8 @@ from .lie import RootSystem, _epsilon_norms, _gamma, _shifted_epsilon, _vandermo
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_TERMS = 2_000_000
 _BLOCK = 4096  # points per block; larger blocks cost memory, not time
-# B_2 .. B_14: Euler-Maclaurin corrections for zeta, the last one bounds the remainder
-_BERNOULLI = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
-              Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6))
+# pi truncated to 60 decimals: _PI <= pi < _PI + 1e-60
+_PI = Fraction(3141592653589793238462643383279502884197169399375105820974944, 10 ** 60)
 
 
 @dataclass(frozen=True)
@@ -171,6 +197,29 @@ class YM2Result:
     epsilon: float
 
 
+def _bernoulli(n: int) -> list[Fraction]:
+    """B_0, B_2, .., B_2n, from the tangent numbers (module docstring)."""
+    t = [0, 1] + [0] * (n - 1)  # T_0 (unused) .. T_n
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return [Fraction(1)] + [Fraction((-1) ** (j - 1) * 2 * j * t[j], 4 ** j * (4 ** j - 1))
+                            for j in range(1, n + 1)]
+
+
+def _flat_rational(rank: int, m: int) -> Fraction:
+    """q = Z/pi^(|Delta+| m) at eps = 0, rank 1 or 2, exactly (module docstring)."""
+    p = m // 2
+    if rank == 1:
+        return (-1) ** (p + 1) * _bernoulli(p)[p] * Fraction(2 ** (m - 1), math.factorial(m))
+    b = _bernoulli(3 * p)
+    total = sum(math.comb(2 * m - 2 * j - 1, m - 1) * math.comb(3 * m, 2 * j) * b[j] * b[3 * p - j]
+                for j in range(p + 1))
+    return (-1) ** p * Fraction(2 ** (4 * m), 3 * math.factorial(3 * m)) * total
+
+
 def _zeta(k: int) -> tuple[Fraction, Fraction]:
     """zeta(k), k >= 2, by Euler-Maclaurin from N = 16 as an exact rational,
     and the first omitted term, which bounds its remainder."""
@@ -178,9 +227,10 @@ def _zeta(k: int) -> tuple[Fraction, Fraction]:
     value = (sum(Fraction(1, i ** k) for i in range(1, n))
              + Fraction(1, (k - 1) * n ** (k - 1)) + Fraction(1, 2 * n ** k))
     rising, fact = k, 2  # k (k+1) ... (k+2j-2) and (2j)!
-    for j, b in enumerate(_BERNOULLI, 1):
+    corrections = _bernoulli(7)[1:]  # B_2 .. B_14, the last one bounds the remainder
+    for j, b in enumerate(corrections, 1):
         term = b * rising / (fact * n ** (k + 2 * j - 1))
-        if j == len(_BERNOULLI):
+        if j == len(corrections):
             return value, abs(term)
         value += term
         rising *= (k + 2 * j - 1) * (k + 2 * j)
@@ -188,7 +238,7 @@ def _zeta(k: int) -> tuple[Fraction, Fraction]:
 
 
 def _outer_tail(rank: int, m: int, zeta_m: float, side: int) -> float:
-    """The bound tail(L) of the module docstring at L = side; 0 at rank 1."""
+    """The bound tail(L) of the module docstring at L = side."""
     total = Fraction(0)
     for p in range(1, rank):
         n_p = p * (rank + 1 - p)
@@ -198,10 +248,7 @@ def _outer_tail(rank: int, m: int, zeta_m: float, side: int) -> float:
 
 
 def _outer_side(rank: int, m: int, zeta_m: float, target: float) -> int:
-    """The smallest side L with tail(L) <= target; 1 at rank 1, which has no
-    outer tail."""
-    if rank == 1:
-        return 1
+    """The smallest side L with tail(L) <= target."""
     # the p = 1 term alone, zeta^(r-1) (r!)^m L^(1-rm) / (rm-1), reaches
     # target at L0 <= L, and the others are small by then
     log_c = (rank - 1) * math.log(zeta_m) + m * math.log(math.factorial(rank)) \
@@ -320,8 +367,20 @@ def _flat_blocks(rank: int, m: int, zeta: list, side: int):
 
 
 def _flat_sum(rank: int, m: int, tol: float, max_terms: int):
-    """(Z, bound, outer points) of the flat sum, or None when truncation plus
-    rounding cannot meet tol."""
+    """(Z, bound, points) at eps = 0: in closed form at rank <= 2, whatever
+    its bound, and from rank 3 by the outer sum, or None when its
+    truncation plus rounding cannot meet tol."""
+    if rank >= 3:
+        return _outer_sum(rank, m, tol, max_terms)
+    e = m * rank * (rank + 1) // 2  # |Delta+| m
+    q = _flat_rational(rank, m)
+    value = q.numerator * _PI.numerator ** e / (q.denominator * _PI.denominator ** e)
+    return value, (_gamma(1) + 2e-60 * e) * value, 1
+
+
+def _outer_sum(rank: int, m: int, tol: float, max_terms: int):
+    """(Z, bound, outer points) of the flat outer sum, rank >= 2, or None when
+    truncation plus rounding cannot meet tol."""
     zeta = [0.0, 0.0] + [float(_zeta(k)[0]) for k in range(2, m + 1)]
     side = _outer_side(rank, m, zeta[m], tol / 2)
     total = side ** (rank - 1)
@@ -330,12 +389,8 @@ def _flat_sum(rank: int, m: int, tol: float, max_terms: int):
             "certifying tol %g at eps = 0 needs %d^%d outer points, budget %d; "
             "raise max_terms or relax target_tol" % (tol, side, rank - 1, max_terms))
     spent = _outer_tail(rank, m, zeta[m], side)
-    if rank == 1:  # the single empty outer point, F = zeta(m): no array to build
-        blocks = [([zeta[m]], _gamma(_flat_depth(1, m)) * zeta[m])]
-    else:
-        blocks = _flat_blocks(rank, m, zeta, side)
     sums = []
-    for terms, rounding in blocks:
+    for terms, rounding in _flat_blocks(rank, m, zeta, side):
         sums.append(math.fsum(terms))
         spent += rounding + _gamma(1) * abs(sums[-1])
         if not spent <= tol:  # also catches nan
@@ -463,11 +518,7 @@ def _cone_sum(rank: int, m: int, eps: float, tol: float, max_terms: int):
     value = math.fsum(itertools.chain.from_iterable(
         shares.append(e) or block for block, e in _cone_terms(rank, m, eps, **stop)))
     g = _gamma(m + 6)
-    bound = tail + (g / (1 - g) * value + math.fsum(shares) / (1 - g))
-    if bound > tol:
-        raise CertificationError(
-            "tol %g is below the bound %g on the sum's tail and rounding" % (tol, bound))
-    return value, bound, points
+    return value, tail + (g / (1 - g) * value + math.fsum(shares) / (1 - g)), points
 
 
 def ym2_partition(rs: RootSystem, genus: int, epsilon: float,
@@ -484,6 +535,9 @@ def ym2_partition(rs: RootSystem, genus: int, epsilon: float,
     m = 2 * genus - 2
     flat = _flat_sum(rs.rank, m, target_tol, max_terms) if epsilon == 0 else None
     value, bound, terms = flat or _cone_sum(rs.rank, m, epsilon, target_tol, max_terms)
+    if bound > target_tol:
+        raise CertificationError("tol %g is below the bound %g on the sum's tail and rounding"
+                                 % (target_tol, bound))
     if not value > 0:  # also catches nan
         raise CertificationError("partition sum must be positive, got %r" % (value,))
     return YM2Result(value=value, tail_bound=bound, terms=terms,

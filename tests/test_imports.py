@@ -31,20 +31,22 @@ def test_importing_the_cli_loads_no_subcommand_module():
     assert loaded_after("import seifertsum.cli") == {"seifertsum.cli", "seifertsum.errors"}
 
 
-# the flat A2 sum computes zeta(k) itself: mpmath would cost ym2 about 4 MB of RSS;
-# only the flat sum of rank >= 2 builds arrays, so only it may load numpy
+# the flat sums compute their zeta values themselves: mpmath would cost ym2
+# about 4 MB of RSS; only the flat outer sum of rank >= 3 builds arrays, so
+# only it may load numpy
 @pytest.mark.parametrize("argv", [
     ["ym2", "--algebra", "A1", "--genus", "2", "--epsilons", "0"],
     ["ym2", "--algebra", "A2", "--genus", "2", "--epsilons", "0"],
+    ["ym2", "--algebra", "A3", "--genus", "2", "--epsilons", "0"],
     ["ym2", "--algebra", "A3", "--genus", "3", "--epsilons", "0.5"],
     ["ym2", "--algebra", "A6", "--genus", "2", "--epsilons", "1"],
-], ids=["A1", "A2-flat", "A3-shell", "A6-shell"])
+], ids=["A1", "A2-flat", "A3-flat", "A3-shell", "A6-shell"])
 def test_a_ym2_call_loads_only_lie_and_ym2(argv):
     code = "from seifertsum import cli\nassert cli.main(%r) == 0" % (argv,)
     loaded = loaded_after(code)
     assert loaded - {"numpy"} == {"seifertsum.cli", "seifertsum.errors",
                                   "seifertsum.lie", "seifertsum.ym2"}
-    assert "numpy" not in loaded or argv[2] == "A2"
+    assert "numpy" not in loaded or argv[2] == "A3" and argv[-1] == "0"
 
 
 @pytest.mark.parametrize("argv", [

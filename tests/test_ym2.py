@@ -25,6 +25,7 @@ from seifertsum.errors import (
     PreconditionError,
 )
 from seifertsum.lie import _form, _shifted_epsilon, _vandermonde, build_root_system
+from seifertsum.quasipoly import pairing_report
 from seifertsum.ym2 import (
     DEFAULT_TOL,
     YM2Result,
@@ -33,7 +34,7 @@ from seifertsum.ym2 import (
     ym2_partition,
 )
 
-ZETA = {2: math.pi**2 / 6, 4: math.pi**4 / 90, 6: math.pi**6 / 945}
+ZETA = {2: 6, 4: 90, 6: 945}  # zeta(m) = pi^m / ZETA[m]
 
 
 def _run(rs, genus, eps, **kw):
@@ -42,10 +43,13 @@ def _run(rs, genus, eps, **kw):
 
 @pytest.mark.parametrize("genus", [2, 3, 4])
 def test_rank1_flat_values_are_zeta(genus, a1):
+    # at 40 digits: the binary64 pi^4/90 and pi^6/945 are an ulp off, outside
+    # the closed form's bound of about half an ulp
     res = _run(a1, genus, 0.0)
-    exact = ZETA[2 * genus - 2]
-    assert abs(res.value - exact) <= res.tail_bound
-    assert abs(res.value - exact) < 1e-10
+    m = 2 * genus - 2
+    with mpmath.workdps(40):
+        assert _encloses(res, mpmath.nstr(mpmath.pi ** m / ZETA[m], 35))
+    assert res.tail_bound < 1e-10
 
 
 def test_rank1_coupled_sum_against_brute_force(a1):
@@ -86,13 +90,14 @@ def test_rank2_flat_sum_against_brute_force(a2):
 
 
 def test_rank2_flat_sum_is_pinned(a2):
-    # the flat sum over 164 outer points, the last coordinate in closed
-    # form, must reproduce these bits exactly; the Mordell-Tornheim value
-    # 4 T(2,2,2) = 4 pi^6 / 2835 lies inside the bound
+    # the Mordell-Tornheim value 4 T(2,2,2) = 4 pi^6 / 2835 in closed form,
+    # rounded once: no outer sum, and a bound of one rounding
     res = _run(a2, 2, 0.0, target_tol=1e-6)
-    assert repr(res.value) == "1.3564569381212024"
-    assert res.terms == 164
-    assert abs(res.value - 4 * math.pi**6 / 2835) <= res.tail_bound
+    assert repr(res.value) == "1.3564574159792655"
+    assert res.terms == 1
+    with mpmath.workdps(40):
+        gap = abs(mpmath.mpf(res.value) - 4 * mpmath.pi ** 6 / 2835)
+    assert gap <= res.tail_bound <= 2.0 ** -52 * res.value
 
 
 # boxes of 4501, 4489, 4913, 6561, 3125 and 729 points: none a multiple
@@ -216,12 +221,14 @@ def test_growth_ratio_against_block_dimensions(a1):
     assert abs(rep.fitted_constant - 1 / math.pi**2) < 5e-3
 
 
-def test_budget_errors_are_loud(a1, a2):
-    # a rank-1 flat sum has no outer points to budget; a rank-1 box has
+def test_budget_errors_are_loud(a1, a2, a3):
+    # a flat sum at rank <= 2 is a closed form with nothing to budget; a
+    # rank-1 box and a rank-3 outer sum have
+    assert _run(a2, 2, 0.0, max_terms=1).terms == 1
     with pytest.raises(BudgetExceededError, match=r"box of at least 17\^1 dominant weights"):
         _run(a1, 2, 0.5, max_terms=10)
-    with pytest.raises(BudgetExceededError, match=r"needs 3527\^1 outer points, budget 100"):
-        _run(a2, 2, 0.0, target_tol=1e-10, max_terms=100)
+    with pytest.raises(BudgetExceededError, match=r"needs 209\^2 outer points, budget 100"):
+        _run(a3, 2, 0.0, target_tol=1e-10, max_terms=100)
 
 
 def test_first_box_is_checked_against_the_budget(a2, monkeypatch):
@@ -324,18 +331,40 @@ def test_rank2_flat_bound_encloses_the_reference(a2, genus, tol):
     assert _encloses(res, A2_FLAT[genus])
 
 
-def test_flat_sum_falls_back_to_the_box_where_rounding_needs_it(a2, monkeypatch):
+def test_flat_sum_falls_back_to_the_box_where_rounding_needs_it(a3, monkeypatch):
     boxes = []
     cone_terms = ym2._cone_terms
     monkeypatch.setattr(ym2, "_cone_terms", lambda *args, **kwargs: boxes.append(
         (args, kwargs)) or cone_terms(*args, **kwargs))
-    assert _run(a2, 2, 0.0).terms == 3527 and boxes == []
-    # at g = 10 the partial fractions cancel past any useful bound, while
-    # the first box's tail is far below tol
-    assert ym2._flat_sum(2, 18, DEFAULT_TOL, 10 ** 6) is None
-    res = _run(a2, 10, 0.0)
-    assert boxes == [((2, 18, 0.0), {"box": 16})] and res.terms == 17 ** 2
-    assert _encloses(res, A2_FLAT[10])
+    assert _run(a3, 2, 0.0).terms == 209 ** 2 and boxes == []
+    # at g = 3 the outer sum's worst-case rounding bound passes tol, while
+    # the 65^3 box meets it; both enclose the outer sum at a looser tol
+    assert ym2._flat_sum(3, 4, DEFAULT_TOL, 10 ** 6) is None
+    res = _run(a3, 3, 0.0)
+    assert boxes == [((3, 4, 0.0), {"box": 64})] and res.terms == 65 ** 3
+    assert res.tail_bound <= DEFAULT_TOL
+    value, bound, _ = ym2._flat_sum(3, 4, 1e-8, 10 ** 6)
+    assert abs(res.value - value) <= res.tail_bound + bound
+
+
+@pytest.mark.parametrize("genus", range(2, 7))
+def test_rank2_outer_sum_meets_the_closed_form(genus):
+    # the outer-sum kernel serves rank >= 3 only; at rank 2 it must meet the
+    # closed form within its tail and rounding bound, also where that bound
+    # is too loose for the flat path to accept it (g >= 3 at this tol)
+    m, tol = 2 * genus - 2, 1e-12
+    zeta = [0.0, 0.0] + [float(ym2._zeta(k)[0]) for k in range(2, m + 1)]
+    side = ym2._outer_side(2, m, zeta[m], tol / 2)
+    bound, sums = ym2._outer_tail(2, m, zeta[m], side), []
+    for terms, rounding in ym2._flat_blocks(2, m, zeta, side):
+        sums.append(math.fsum(terms))
+        bound += rounding + ym2._gamma(1) * abs(sums[-1])
+    value = math.fsum(sums)
+    bound += ym2._gamma(1) * abs(value)
+    q = ym2._flat_rational(2, m)
+    with mpmath.workdps(40):
+        exact = mpmath.mpf(q.numerator) / q.denominator * mpmath.pi ** (3 * m)
+        assert abs(mpmath.mpf(value) - exact) <= bound
 
 
 def test_box_bound_covers_rounding_at_every_coupling(a1):
@@ -411,6 +440,19 @@ def test_witten_volume_identity(rank, genus, leading):
         assert abs(pref * mpmath.mpf(res.value) - exact) <= pref * res.tail_bound
 
 
+@pytest.mark.parametrize("rank, genus, k_max", [
+    (1, 2, 20), (1, 3, 20), (1, 4, 30), (1, 5, 30), (2, 2, 30), (2, 3, 40)])
+def test_witten_volume_identity_is_exact(rank, genus, k_max):
+    # with Z = q pi^(m |Delta+|), pi cancels: the exact pairings fit's leading
+    # coefficient is |Z(G)| (r+1)^(g-1) V(rho)^(2-2g) 2^(-m |Delta+|) q
+    rs = build_root_system("A", rank)
+    m = 2 * genus - 2
+    v_rho = _vandermonde(_shifted_epsilon((0,) * rank))
+    leading = Fraction((rank + 1) ** genus, v_rho ** m * 2 ** (m * len(rs.positive_roots)))
+    assert pairing_report(rs, genus, 1, k_max).leading_by_class == (
+        leading * ym2._flat_rational(rank, m),)
+
+
 def test_zeta_remainder_is_below_the_unit_roundoff():
     for k in range(2, 80):
         value, remainder = ym2._zeta(k)
@@ -420,8 +462,9 @@ def test_zeta_remainder_is_below_the_unit_roundoff():
 
 
 @pytest.mark.parametrize("rank, genus, tol, seconds", [
-    (2, 2, 1e-10, 0.05), (2, 2, 1e-12, 0.05), (3, 2, DEFAULT_TOL, 1.0)],
-    ids=["A2-1e-10", "A2-1e-12", "A3-default"])
+    (2, 2, 1e-10, 0.05), (2, 2, 1e-12, 0.05), (3, 2, DEFAULT_TOL, 1.0),
+    (2, 100, DEFAULT_TOL, 0.1), (1, 100, DEFAULT_TOL, 0.1)],
+    ids=["A2-1e-10", "A2-1e-12", "A3-default", "A2-g100", "A1-g100"])
 def test_flat_sums_are_fast(rank, genus, tol, seconds):
     rs = build_root_system("A", rank)
     _run(rs, genus, 0.0, target_tol=tol)  # warm up
