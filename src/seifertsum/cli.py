@@ -27,6 +27,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
 from .errors import FRAMING_CONVENTIONS, CertificationError, PreconditionError
@@ -156,13 +157,21 @@ def _json_chunks(obj, depth: int):
     depth levels deep. With indent, json.dumps runs its pure-Python
     encoder, which takes seconds on a 57 MB S matrix; here a complex array
     goes through _complex_array_chunks, which formats each distinct float
-    once and writes each row with one %-format."""
-    if isinstance(obj, dict):
+    magnitude once and joins each row from its texts."""
+    kind = type(obj)
+    # the leaves json.dumps writes with these same calls
+    if kind is float and math.isfinite(obj):
+        yield float.__repr__(obj)
+    elif kind is int:
+        yield int.__repr__(obj)
+    elif kind is str:
+        yield _json_string(obj)
+    elif isinstance(obj, dict):
         items = sorted(obj.items())
         if not all(isinstance(key, str) for key, _ in items):
             raise TypeError("report keys must be strings")
         yield from _container_chunks(
-            "{}", [(json.dumps(key) + ": ", _json_chunks(value, depth + 1))
+            "{}", [(_json_string(key) + ": ", _json_chunks(value, depth + 1))
                    for key, value in items], depth)
     elif isinstance(obj, (list, tuple)):
         yield from _container_chunks(
@@ -172,7 +181,7 @@ def _json_chunks(obj, depth: int):
     elif _is_complex_array(obj):
         yield from _complex_array_chunks(obj, depth)
     else:
-        # strings, numbers, bools and None exactly as json writes them
+        # NaN, infinities, bools, None, str subclasses, numpy scalars
         yield json.dumps(obj)
 
 
@@ -196,29 +205,33 @@ def _container_chunks(brackets: str, entries, depth: int):
 
 # distinct floats formatted per batch, so that few str objects are alive
 _REPR_BATCH = 4096
-# int64 keys looked up per sorted block of rows: large enough that the sorted
-# search walks the table in order, small enough that a block's index arrays
-# stay near 128 kB each
+# bit patterns read per block of rows, both when the table of distinct
+# magnitudes is gathered and when rows look their texts up: large enough
+# that a block's sorted search walks the table in order, small enough that
+# a block's index arrays stay near 128 kB each
 _LOOKUP_KEYS = 1 << 14
+# the bits of a binary64 other than its sign
+_MAGNITUDE = (1 << 63) - 1
 
 
 def _complex_array_chunks(arr: np.ndarray, depth: int):
     """A complex array as json.dumps writes its nested [re, im] lists.
 
     The entries of S are sums read from one table of exact phases, so
-    equal values are bit-equal and S holds few distinct floats (A2 k=40:
-    121,836 of 1,482,642). The sorted distinct bit patterns of the array
-    are formatted once each with float.__repr__, which is what json
-    writes for a finite float, into a fixed-width bytes table: the longest
-    repr of a double, -2.2250738585072014e-308, has 24 characters. The
-    rows are then taken in blocks of at most _LOOKUP_KEYS bit patterns:
-    a block's patterns are sorted, found in the table by one sorted
-    search and scattered back, so that lookups walk the table in order.
-    Each finite row is one %s fill of the texts it found, and the rows
-    stay lazy: only one block of positions is alive at a time. Keying on
-    bits, not on float equality, keeps -0.0 and 0.0 apart. Rows holding
-    NaN or an infinity take the json path, which spells them NaN and
-    Infinity.
+    equal values are bit-equal and S holds few distinct magnitudes (A2
+    k=40: 63,495 among 1,482,642 floats). The sorted distinct magnitudes,
+    bit patterns with the sign bit cleared, are gathered over blocks of at
+    most _LOOKUP_KEYS bit patterns (_magnitude_table), so that no copy of
+    the array's size is made. Each is formatted once with float.__repr__,
+    which is what json writes for a finite float; repr(-x) is "-" +
+    repr(x) for every finite x, -0.0 included, so one text serves both
+    signs (_signed_texts). The rows are then read in blocks again: a
+    block's magnitudes are sorted, found in the table by one sorted search
+    and scattered back, so that lookups walk the table in order, and the
+    sign bits pick each float's text. Each finite row is its texts joined
+    between the pieces of its layout, and the rows stay lazy: only one
+    block is alive at a time. Rows holding NaN or an infinity take the
+    json path, which spells them NaN and Infinity.
     """
     import numpy as np
 
@@ -230,53 +243,115 @@ def _complex_array_chunks(arr: np.ndarray, depth: int):
         return
     rows = np.atleast_2d(arr)
     bits = np.ascontiguousarray(rows, dtype=np.complex128).view(np.int64)
-    table = np.sort(bits, axis=None)
-    heads = np.empty(len(table), dtype=bool)
-    heads[0] = True
-    np.not_equal(table[1:], table[:-1], out=heads[1:])
-    table = table[heads]
-    del heads
-    text = np.empty(len(table), dtype="S24")
-    for i in range(0, len(table), _REPR_BATCH):
-        text[i:i + _REPR_BATCH] = [
-            repr(x) for x in table[i:i + _REPR_BATCH].view(np.float64).tolist()]
+    per_block = max(1, _LOOKUP_KEYS // bits.shape[1])
+    table = _magnitude_table(bits, per_block)
+    texts = _signed_texts(table)
     row_depth = depth + arr.ndim - 1
-    template = _complex_row_template(rows.shape[1], row_depth)
-    finite = np.isfinite(rows).all(axis=1)
+    # a row is its texts joined between the pieces of its layout: one
+    # allocation of the row's size, where % formatting grows a buffer
+    parts = list(_complex_row_pieces(rows.shape[1], row_depth))
 
-    def positions():
-        """Table positions of each row's bit patterns, a block at a time."""
-        width = bits.shape[1]
-        per_block = max(1, _LOOKUP_KEYS // width)
+    def row_chunks():
+        """Each row's pieces, a block of rows at a time."""
         for i0 in range(0, len(bits), per_block):
-            keys = bits[i0:i0 + per_block].ravel()
+            block = bits[i0:i0 + per_block]
+            found = block & _MAGNITUDE
+            keys = found.ravel()  # a view: the positions overwrite found's keys
             order = keys.argsort()
-            found = np.empty_like(order)
-            found[order] = np.searchsorted(table, keys[order])
-            yield from found.reshape(-1, width)
-
-    def row_chunks(i, found):
-        if finite[i]:
-            yield (template % tuple(text[found].tolist())).decode("ascii")
-        else:
-            yield from _json_chunks(rows[i].tolist(), row_depth)
+            keys[order] = np.searchsorted(table, keys[order])
+            del keys, order
+            signs = (block < 0).view(np.int8)
+            finite = np.isfinite(rows[i0:i0 + per_block]).all(axis=1)
+            for i, ok in enumerate(finite.tolist()):
+                if ok:
+                    parts[1::2] = texts[found[i], signs[i]].tolist()
+                    yield ("", (b"".join(parts).decode("ascii"),))
+                else:
+                    yield ("", _json_chunks(rows[i0 + i].tolist(), row_depth))
 
     if arr.ndim == 1:
-        yield from row_chunks(0, next(positions()))
+        yield from next(row_chunks())[1]
     else:
-        yield from _container_chunks(
-            "[]", (("", row_chunks(i, found)) for i, found in enumerate(positions())),
-            depth)
+        yield from _container_chunks("[]", row_chunks(), depth)
+
+
+def _magnitude_table(bits, per_block: int):
+    """The sorted distinct magnitudes (bit patterns with the sign bit
+    cleared) of a 2-D int64 array, read one block of rows at a time.
+
+    Each block's magnitudes are appended to one buffer; when it is full,
+    the whole is sorted and its repeats dropped in place (_settle), and it
+    grows by doubling. Growing and the final trim are reallocations of
+    that buffer, so no second table is made and the heap is not cut up by
+    a table rebuilt at every size."""
+    import numpy as np
+
+    table = np.empty(0, dtype=np.int64)
+    end = 0
+    for i0 in range(0, len(bits), per_block):
+        block = bits[i0:i0 + per_block]
+        if end + block.size > len(table):
+            end = _settle(table[:end])
+            if 2 * (end + block.size) > len(table):
+                # no view of table is alive here
+                table.resize(2 * (end + block.size), refcheck=False)
+        np.bitwise_and(block, _MAGNITUDE,
+                       out=table[end:end + block.size].reshape(block.shape))
+        end += block.size
+    end = _settle(table[:end])
+    table.resize(end, refcheck=False)
+    return table
+
+
+def _settle(run) -> int:
+    """Sort run in place and move its distinct values to its head, a
+    block at a time; return their number."""
+    import numpy as np
+
+    run.sort()
+    heads = np.empty(len(run), dtype=bool)
+    heads[:1] = True
+    np.not_equal(run[1:], run[:-1], out=heads[1:])
+    size = 0
+    for i in range(0, len(run), _LOOKUP_KEYS):
+        # each block is copied out before the writes, which end at or
+        # before the block's own end
+        distinct = run[i:i + _LOOKUP_KEYS][heads[i:i + _LOOKUP_KEYS]]
+        run[size:size + len(distinct)] = distinct
+        size += len(distinct)
+    return size
+
+
+def _signed_texts(table):
+    """An (n, 2) bytes array over one buffer: [m, 0] is repr of the float
+    with bits table[m], [m, 1] the same text after a minus sign. Each
+    magnitude takes 25 bytes: the minus, then its repr (at most 23
+    characters, 2.2250738585072014e-308) padded with zero bytes, so that
+    column 0 starts one byte after column 1."""
+    import numpy as np
+
+    raw = np.zeros(25 * len(table), dtype=np.uint8)
+    raw[::25] = ord("-")
+    texts = np.ndarray((len(table), 2), dtype="S24", buffer=raw, offset=1,
+                       strides=(25, -1))
+    for i in range(0, len(table), _REPR_BATCH):
+        texts[i:i + _REPR_BATCH, 0] = [
+            repr(x) for x in table[i:i + _REPR_BATCH].view(np.float64).tolist()]
+    return texts
 
 
 @functools.lru_cache(maxsize=16)
-def _complex_row_template(length: int, depth: int) -> bytes:
-    """json.dumps layout of `length` [re, im] pairs at `depth`, with %s
-    in place of every float."""
+def _complex_row_pieces(length: int, depth: int) -> tuple:
+    """json.dumps layout of `length` [re, im] pairs at `depth`, cut at
+    every float: the layout's pieces sit at the even places, a None at
+    each odd place where a float's text goes."""
     inner = "\n" + "  " * (depth + 1)
     pair = "[" + inner + "  %s," + inner + "  %s" + inner + "]"
-    return ("[" + inner + ("," + inner).join([pair] * length)
-            + "\n" + "  " * depth + "]").encode("ascii")
+    layout = ("[" + inner + ("," + inner).join([pair] * length)
+              + "\n" + "  " * depth + "]").encode("ascii")
+    pieces = [None] * (4 * length + 1)
+    pieces[::2] = layout.split(b"%s")
+    return tuple(pieces)
 
 
 def _given(**kwargs) -> dict:

@@ -380,9 +380,17 @@ def _flat_sum(rank: int, m: int, tol: float, max_terms: int):
 
 def _outer_sum(rank: int, m: int, tol: float, max_terms: int):
     """(Z, bound, outer points) of the flat outer sum, rank >= 2, or None when
-    truncation plus rounding cannot meet tol."""
+    truncation plus rounding cannot meet tol or its terms leave binary64."""
+    import numpy as np
+
     zeta = [0.0, 0.0] + [float(_zeta(k)[0]) for k in range(2, m + 1)]
-    side = _outer_side(rank, m, zeta[m], tol / 2)
+    try:
+        side = _outer_side(rank, m, zeta[m], tol / 2)
+        float(math.comb(2 * m - 2, m - 1))  # the largest binomial of _pole_series
+    except OverflowError:
+        # a tail term or a binomial leaves binary64; the partial fractions
+        # would cancel far past any tol long before
+        return None
     total = side ** (rank - 1)
     if total > max_terms:
         raise BudgetExceededError(
@@ -390,11 +398,15 @@ def _outer_sum(rank: int, m: int, tol: float, max_terms: int):
             "raise max_terms or relax target_tol" % (tol, side, rank - 1, max_terms))
     spent = _outer_tail(rank, m, zeta[m], side)
     sums = []
-    for terms, rounding in _flat_blocks(rank, m, zeta, side):
-        sums.append(math.fsum(terms))
-        spent += rounding + _gamma(1) * abs(sums[-1])
-        if not spent <= tol:  # also catches nan
-            return None
+    # terms past binary64 come out inf or nan, and so does their bound
+    with np.errstate(over="ignore", invalid="ignore"):
+        for terms, rounding in _flat_blocks(rank, m, zeta, side):
+            if not spent + rounding <= tol:  # also catches nan and inf
+                return None
+            sums.append(math.fsum(terms))
+            spent += rounding + _gamma(1) * abs(sums[-1])
+            if not spent <= tol:
+                return None
     value = math.fsum(sums)
     return value, spent + _gamma(1) * abs(value), total
 

@@ -10,6 +10,8 @@ import math
 import os
 import re
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -181,6 +183,22 @@ def test_ym2_rank3_flat_limit_at_the_default_tol(capsys):
     assert code == 0
     (_, z, bound), = list(csv.reader(io.StringIO(out)))[1:]
     assert float(bound) <= 1e-10 and float(z) > 1
+
+
+@pytest.mark.parametrize("algebra, genus", [("A3", 150), ("A3", 200), ("A3", 300),
+                                            ("A4", 150)])
+def test_ym2_flat_limit_past_binary64_takes_the_cube(algebra, genus, capsys):
+    # these once ended in an OverflowError (the outer tail's float) or a
+    # ValueError (fsum of inf - inf) with exit 1. 1 <= Z <= zeta(m)^r, as
+    # dim >= prod (lambda_i + 1) and every term but the vacuum's is positive
+    code, out, err = run(["ym2", "--algebra", algebra, "--genus", str(genus),
+                          "--epsilons", "0"], capsys)
+    assert code == 0 and err == ""
+    (_, z, bound), = list(csv.reader(io.StringIO(out)))[1:]
+    assert float(bound) <= 1e-10
+    with mp.workdps(400):
+        upper = mp.zeta(2 * genus - 2) ** int(algebra[1:])
+        assert mp.mpf(z) - mp.mpf(bound) <= 1 and upper <= mp.mpf(z) + mp.mpf(bound)
 
 
 def test_kirillov_report(capsys):
@@ -469,15 +487,18 @@ def test_streamed_json_of_arrays_drawn_from_a_small_pool(payload):
     assert emitted(payload) == json_oracle(payload)
 
 
-@pytest.mark.parametrize("keys", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("keys", [1, 2, 3, 5, 8, 13, 64])
 def test_streamed_json_lookup_blocks_end_anywhere(keys, monkeypatch):
-    # a few bit patterns per lookup block, so that each block holds one or
-    # a few rows and blocks end next to NaN and infinite rows, signed zeros
-    # and +-5e-324
+    # a few bit patterns per block, both where the table of magnitudes is
+    # merged (and its buffer grown and settled) and where rows look their
+    # texts up, so that blocks end next to NaN and infinite rows, signed
+    # zeros, +-5e-324 and x/-x pairs, which share one magnitude, within a
+    # block and across block ends
     monkeypatch.setattr(cli, "_LOOKUP_KEYS", keys)
     c, nan, inf = complex, math.nan, math.inf
     pool = [c(0.5, -0.0), c(-0.0, 0.0), c(5e-324, -5e-324), c(-5e-324, 0.25),
-            c(0.0, 0.1), c(1e300, -1.5)]
+            c(0.0, 0.1), c(1e300, -1.5), c(0.1, -0.1), c(-0.5, 1.5),
+            c(-1e300, -0.25), c(-0.0, -0.0)]
     rows = np.array([[pool[(3 * i + j) % len(pool)] for j in range(3)] for i in range(9)])
     rows[2, 1] = c(nan, 0.0)
     rows[3, 0] = c(0.0, inf)
@@ -536,19 +557,53 @@ def _traced_peak(fn) -> int:
 
 
 def test_report_and_certificate_of_s_stay_within_a_few_copies_of_s():
-    md = s_matrix(build_root_system("A", 2), 20)
-
-    def emit():
+    def emit(md):
         with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
             cli._emit_json({"s": md.s}, SimpleNamespace(output=None))
 
-    assert _traced_peak(emit) <= 1.5 * md.s.nbytes
+    md = s_matrix(build_root_system("A", 2), 20)
+    assert _traced_peak(functools.partial(emit, md)) <= 1.5 * md.s.nbytes
+    # n = 861: the table of 63,495 magnitudes, their texts and a block of
+    # lookups, no copy of S
+    large = s_matrix(build_root_system("A", 2), 40)
+    assert _traced_peak(functools.partial(emit, large)) <= 0.4 * large.s.nbytes
+    del large
     # n = 231 and n = 210: the certificate's row blocks stay below one S
     # also where S is small
     for md in (md, s_matrix(build_root_system("A", 4), 6)):
         certify = functools.partial(modular._certify, md.s, md.t_canonical,
                                     md._lv.conjugation(), 1e-9)
         assert _traced_peak(certify) <= 1.0 * md.s.nbytes
+
+
+def _child_peak_kib(code: str) -> int:
+    """VmHWM, in KiB, of a fresh interpreter after it runs code with stdout
+    to /dev/null. The child reads it itself: ru_maxrss of a child counts
+    the resident set of the pytest process it was forked from."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH")) if p)
+    probe = code + ("\nimport sys\nsys.stderr.write(next(line for line in open("
+                    "'/proc/self/status') if line.startswith('VmHWM:')))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stderr.split()[-2])
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="no /proc/self/status")
+def test_modular_resident_peak_stays_near_one_s():
+    # the whole call, assembly, certificate and report, over the imports:
+    # the only check here that sees a heap cut up by temporaries, which
+    # tracemalloc counts as freed. BLAS keeps a buffer per thread, so the
+    # child runs one thread, as perfbench's children do, and the figure
+    # does not grow with the core count
+    base = _child_peak_kib("import numpy, seifertsum.cli")
+    peak = _child_peak_kib("from seifertsum import cli\n"
+                           "assert cli.main(['modular', '--algebra', 'A2', '--level', '40']) == 0")
+    s_bytes = 861 * 861 * 16  # n = C(42, 2) weights, complex128
+    assert (peak - base) * 1024 <= 1.75 * s_bytes
 
 
 @pytest.mark.parametrize("argv", [
