@@ -21,16 +21,17 @@ import errno
 import functools
 import io
 import itertools
-import json
 import math
 import os
 import re
 import sys
-from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
 from .errors import FRAMING_CONVENTIONS, CertificationError, PreconditionError
+
+TYPE_CHECKING = False  # true for type checkers, which read the import below
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class _Parser(argparse.ArgumentParser):
@@ -146,7 +147,11 @@ def _check_report_dir(output: str) -> None:
 def _emit_json(payload: dict, args) -> None:
     """Write json.dumps(payload + schema, sort_keys=True, indent=2) + newline,
     streamed piece by piece; complex arrays and numbers go out as nested
-    [re, im] lists."""
+    [re, im] lists. json is loaded here, for _json_chunks, so that calls
+    that write CSV or are refused never load it."""
+    global json, _json_string
+    import json
+    from json.encoder import encode_basestring_ascii as _json_string
     payload = dict(payload)
     payload["schema"] = 1
     _write_report(itertools.chain(_json_chunks(payload, 0), ("\n",)), args)
@@ -173,9 +178,12 @@ def _json_chunks(obj, depth: int):
         yield from _container_chunks(
             "{}", [(_json_string(key) + ": ", _json_chunks(value, depth + 1))
                    for key, value in items], depth)
-    elif isinstance(obj, (list, tuple)):
+    elif isinstance(obj, list) or kind is tuple:
         yield from _container_chunks(
             "[]", [("", _json_chunks(value, depth + 1)) for value in obj], depth)
+    elif isinstance(obj, tuple):
+        # a record; json.dumps would write its fields as a bare list
+        raise TypeError("Object of type %s is not JSON serializable" % kind.__name__)
     elif isinstance(obj, complex):
         yield from _json_chunks([float(obj.real), float(obj.imag)], depth)
     elif _is_complex_array(obj):
@@ -747,6 +755,7 @@ def main(argv=None) -> int:
     known, argv = pre.parse_known_args(argv)
     config = {}
     if known.config is not None:
+        import json
         try:
             config = json.loads(Path(known.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:

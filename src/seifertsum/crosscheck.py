@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +35,7 @@ from .verlinde import verlinde_dimension
 from .ym2 import verlinde_ym2_crosscheck, ym2_epsilon_profile, ym2_partition
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     residual: float
@@ -45,8 +44,7 @@ class CheckResult:
     elapsed: float  # excluded from serialised reports, wall time is not reproducible
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     mode: str
     seed: int
     checks: tuple[CheckResult, ...]

@@ -64,9 +64,8 @@ from __future__ import annotations
 import cmath
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     PreconditionError,
@@ -79,32 +78,29 @@ DEFAULT_WEYL_BOUND = 3_628_800  # 10!
 _U = 2.0 ** -53
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(NamedTuple("Weight", [("coords", tuple[int, ...])])):
     """Integer coordinates in the fundamental weight basis."""
 
-    coords: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+    def __new__(cls, coords: Sequence[int]):
+        return super().__new__(cls, tuple(int(c) for c in coords))
 
     @property
     def is_dominant(self) -> bool:
         return all(c >= 0 for c in self.coords)
 
 
-@dataclass(frozen=True)
-class CartanElement:
+class CartanElement(NamedTuple("CartanElement", [("coords", tuple[complex, ...])])):
     """Complex coordinates in the simple coroot basis."""
 
-    coords: tuple[complex, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(complex(c) for c in self.coords))
+    def __new__(cls, coords: Sequence[complex]):
+        return super().__new__(cls, tuple(complex(c) for c in coords))
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(NamedTuple):
     """One Weyl group element.
 
     weight_matrix acts on fundamental-weight coordinates, cartan_matrix is
@@ -125,8 +121,7 @@ class WeylElement:
                      for row in self.cartan_matrix)
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(NamedTuple):
     """Finite root system data for one simple series entry."""
 
     series: str

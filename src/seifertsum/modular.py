@@ -65,7 +65,6 @@ import cmath
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -261,24 +260,24 @@ class _Level:
             -2j * math.pi * central_charge(self.rs, self.level) / 24)
 
 
-@dataclass
 class ModularData:
     """Immutable S/T package for one (algebra, level) pair; its arrays are
     set read-only after certification."""
 
-    rs: RootSystem
-    level: int
-    s: np.ndarray
-    t_canonical: np.ndarray
-    t_bare: np.ndarray
-    conjugation: tuple[int, ...]
-    certificate: dict
-    _lv: _Level = field(repr=False)
     precision_bits = 53  # binary64, the one precision S is assembled in
 
-    def __post_init__(self):
-        for arr in (self.s, self.t_canonical, self.t_bare):
+    def __init__(self, rs: RootSystem, level: int, s: np.ndarray, t_canonical: np.ndarray,
+                 t_bare: np.ndarray, conjugation: tuple[int, ...], certificate: dict, lv: _Level):
+        for arr in (s, t_canonical, t_bare):
             arr.setflags(write=False)
+        self.rs = rs
+        self.level = level
+        self.s = s
+        self.t_canonical = t_canonical
+        self.t_bare = t_bare
+        self.conjugation = conjugation
+        self.certificate = certificate
+        self._lv = lv
 
     @property
     def kappa(self) -> int:
@@ -392,4 +391,4 @@ def s_matrix(rs: RootSystem, level: int, tol: float = DEFAULT_TOL) -> ModularDat
             "threshold %r" % (residuals, tol),
             residuals=residuals, threshold=tol, precision="binary64")
     return ModularData(rs=rs, level=level, s=s, t_canonical=t_canon, t_bare=t_bare,
-                       conjugation=tuple(conj.tolist()), certificate=residuals, _lv=lv)
+                       conjugation=tuple(conj.tolist()), certificate=residuals, lv=lv)

@@ -30,7 +30,7 @@ lam = Lambda + rho for dominant Lambda) are supported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DegenerateOrbitError, PreconditionError, WallProximityError
 from .genera import WALL_MARGIN, _sinc_half, wall_distance
@@ -46,8 +46,7 @@ from .lie import (
 )
 
 
-@dataclass(frozen=True)
-class CoadjointOrbit:
+class CoadjointOrbit(NamedTuple):
     """Orbit through the shifted weight lam; regular means strictly dominant."""
 
     rs: RootSystem

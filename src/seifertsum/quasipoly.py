@@ -15,8 +15,8 @@ dimension, (g-1) dim(g) for g >= 2 and the rank for g = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import PreconditionError, QuasiPolynomialFitError
 from .lie import RootSystem, Weight
@@ -25,14 +25,16 @@ from .verlinde import verlinde_dimension
 DEFAULT_MAX_PERIOD = 4
 
 
-@dataclass(frozen=True)
-class QuasiPolynomial:
-    period: int
-    coeffs: tuple[tuple[Fraction, ...], ...]  # ascending, one tuple per residue
+class QuasiPolynomial(NamedTuple("QuasiPolynomial", [
+        ("period", int),
+        ("coeffs", tuple[tuple[Fraction, ...], ...]),  # ascending, one tuple per residue
+])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.period < 1 or len(self.coeffs) != self.period:
+    def __new__(cls, period, coeffs):
+        if period < 1 or len(coeffs) != period:
             raise PreconditionError("need one coefficient tuple per residue class")
+        return super().__new__(cls, period, coeffs)
 
     @property
     def degree(self) -> int:
@@ -151,8 +153,7 @@ def fit_quasi_polynomial(points, degree_bound: int,
         % (degree_bound, max_period), best_residual=best_residual)
 
 
-@dataclass(frozen=True)
-class PairingReport:
+class PairingReport(NamedTuple):
     genus: int
     labels: tuple[tuple[int, ...], ...]
     levels: tuple[int, ...]

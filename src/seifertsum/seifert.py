@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,8 +86,7 @@ def _cells(lv: _Level, genera, degrees, label_idx) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class ScanCell:
+class ScanCell(NamedTuple):
     genus: int
     degree: int
     level: int

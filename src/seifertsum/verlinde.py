@@ -24,7 +24,7 @@ raises IntegralityError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +33,7 @@ from .lie import RootSystem, Weight
 from .modular import _Level
 
 
-@dataclass(frozen=True)
-class VerlindeTable:
+class VerlindeTable(NamedTuple):
     genus: int
     labels: tuple[Weight, ...]
     rows: tuple[tuple[int, int], ...]  # (level, dimension)

@@ -174,9 +174,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import floordiv, mul
+from typing import NamedTuple
 
 from .errors import BudgetExceededError, CertificationError, PreconditionError
 from .lie import RootSystem, _epsilon_norms, _gamma, _shifted_epsilon, _vandermonde
@@ -188,8 +188,7 @@ _BLOCK = 4096  # points per block; larger blocks cost memory, not time
 _PI = Fraction(3141592653589793238462643383279502884197169399375105820974944, 10 ** 60)
 
 
-@dataclass(frozen=True)
-class YM2Result:
+class YM2Result(NamedTuple):
     value: float
     tail_bound: float
     terms: int
@@ -556,8 +555,7 @@ def ym2_partition(rs: RootSystem, genus: int, epsilon: float,
                      genus=genus, epsilon=epsilon)
 
 
-@dataclass(frozen=True)
-class EpsilonProfile:
+class EpsilonProfile(NamedTuple):
     genus: int
     rows: tuple[tuple[float, float, float], ...]  # (eps, Z, tail_bound)
     flat_value: float | None  # Z(0), None when eps = 0 was not requested
@@ -593,8 +591,7 @@ def ym2_epsilon_profile(rs: RootSystem, genus: int, epsilons,
     return EpsilonProfile(genus=genus, rows=tuple(rows), flat_value=flat)
 
 
-@dataclass(frozen=True)
-class CrosscheckReport:
+class CrosscheckReport(NamedTuple):
     genus: int
     levels: tuple[int, ...]
     scaled: tuple[float, ...]

@@ -36,29 +36,25 @@ from seifertsum.lie import RootSystem, Weight, _form, _vandermonde, build_root_s
 from seifertsum.modular import central_charge
 
 
+def _form_eps(u, v) -> int:
+    """(r+1) <u, v> for weights u, v of A_r in fundamental-weight
+    coordinates, an integer: with epsilon coordinates e_i = u_i + ... + u_r
+    and e_(r+1) = 0, <u, v> = sum e_i f_i - (sum e)(sum f)/(r+1)."""
+    e = list(itertools.accumulate(reversed(u)))[::-1] + [0]
+    f = list(itertools.accumulate(reversed(v)))[::-1] + [0]
+    return len(e) * sum(x * y for x, y in zip(e, f)) - sum(e) * sum(f)
+
+
 def _ip(rs: RootSystem, u, v) -> Fraction:
-    total = Fraction(0)
-    for i, ui in enumerate(u):
-        if ui == 0:
-            continue
-        for j, vj in enumerate(v):
-            if vj:
-                total += Fraction(ui) * rs.gram_fw[i][j] * vj
-    return total
-
-
-def _height(rs: RootSystem, diff) -> Fraction:
-    # coordinates of diff in the simple-root basis, summed
-    total = Fraction(0)
-    for i in range(rs.rank):
-        for j in range(rs.rank):
-            total += Fraction(diff[j]) * rs.gram_fw[j][i]
-    return total
+    return Fraction(_form_eps(u, v), rs.rank + 1)
 
 
 @lru_cache(maxsize=None)
 def weight_multiplicities(rs: RootSystem, lam: Weight) -> dict:
-    """Full weight diagram with multiplicities, by Freudenthal recursion."""
+    """Full weight diagram with multiplicities, by Freudenthal recursion.
+
+    Every inner product is taken as (r+1) <u, v>, an integer; the factor
+    r+1 cancels in 2 acc / denom, and each quotient is checked exact."""
     start = tuple(lam.coords)
     simple = [tuple(row) for row in rs.cartan]
     seen = {start}
@@ -77,28 +73,27 @@ def weight_multiplicities(rs: RootSystem, lam: Weight) -> dict:
         frontier = nxt
     rho = tuple(rs.rho.coords)
     lam_rho = tuple(a + b for a, b in zip(start, rho))
-    norm_top = _ip(rs, lam_rho, lam_rho)
+    norm_top = _form_eps(lam_rho, lam_rho)
+    # the height of lam - mu, its simple-root coordinates summed, is <lam - mu, rho>
     by_height = sorted(
-        seen,
-        key=lambda mu: _height(rs, tuple(a - b for a, b in zip(start, mu))))
+        seen, key=lambda mu: _form_eps(tuple(a - b for a, b in zip(start, mu)), rho))
     mults = {start: 1}
     for mu in by_height:
         if mu == start:
             continue
-        acc = Fraction(0)
+        acc = 0
         for alpha in rs.positive_roots_fw:
             t = 1
             while True:
                 shifted = tuple(c + t * a for c, a in zip(mu, alpha))
                 if shifted not in seen:
                     break
-                acc += mults[shifted] * _ip(rs, shifted, alpha)
+                acc += mults[shifted] * _form_eps(shifted, alpha)
                 t += 1
         mu_rho = tuple(a + b for a, b in zip(mu, rho))
-        denom = norm_top - _ip(rs, mu_rho, mu_rho)
-        value = 2 * acc / denom
-        assert value.denominator == 1 and value >= 1
-        mults[mu] = int(value)
+        value, rem = divmod(2 * acc, norm_top - _form_eps(mu_rho, mu_rho))
+        assert rem == 0 and value >= 1
+        mults[mu] = value
     return mults
 
 

@@ -456,6 +456,19 @@ def test_streamed_json_covers_array_edge_cases():
     assert emitted(payload) == json_oracle(payload)
 
 
+class _Row(list):
+    pass
+
+
+def test_streamed_json_refuses_records():
+    # a record is a tuple, which json.dumps would write as a bare list of its fields
+    for record in (Weight((1, 2)), CartanElement((0.5,)), build_root_system("A", 1)):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            emitted({"nested": [{"w": record}]})
+    payload = {"t": (1, (2.5, "x"), ()), "l": [[], [(0,)]], "sub": _Row([1, _Row()])}
+    assert emitted(payload) == json_oracle(payload)
+
+
 def test_streamed_json_keeps_repeated_and_signed_values_apart():
     # equal bits share one formatted text; -0.0/0.0 and +-5e-324 differ in bits
     # only, and a NaN row takes the json path between two table rows

@@ -15,11 +15,16 @@ import seifertsum
 SRC = str(Path(seifertsum.__file__).resolve().parents[1])
 
 
+# standard modules a call should load only for the work it does: json and
+# fractions cost about 2 ms each to import, dataclasses and inspect about 8 ms
+STDLIB = ("dataclasses", "fractions", "inspect", "json")
+
+
 def loaded_after(code: str) -> set[str]:
-    """The seifertsum modules, mpmath and numpy, loaded after `code` runs in
-    a fresh interpreter."""
+    """The seifertsum modules, mpmath, numpy and the STDLIB modules loaded
+    after `code` runs in a fresh interpreter."""
     report = ("import sys\nprint(*sorted(m for m in sys.modules "
-              "if m in ('mpmath', 'numpy') or m.startswith('seifertsum.')))")
+              "if m in %r or m.startswith('seifertsum.')))" % (("mpmath", "numpy") + STDLIB,))
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code + "\n" + report], check=True,
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
@@ -27,7 +32,8 @@ def loaded_after(code: str) -> set[str]:
 
 
 def test_importing_the_cli_loads_no_subcommand_module():
-    # nor numpy: the report writer only meets arrays once numpy is loaded
+    # nor numpy: the report writer only meets arrays once numpy is loaded;
+    # nor json, which only a JSON report or a --config file loads
     assert loaded_after("import seifertsum.cli") == {"seifertsum.cli", "seifertsum.errors"}
 
 
@@ -44,9 +50,11 @@ def test_importing_the_cli_loads_no_subcommand_module():
 def test_a_ym2_call_loads_only_lie_and_ym2(argv):
     code = "from seifertsum import cli\nassert cli.main(%r) == 0" % (argv,)
     loaded = loaded_after(code)
-    assert loaded - {"numpy"} == {"seifertsum.cli", "seifertsum.errors",
-                                  "seifertsum.lie", "seifertsum.ym2"}
+    # a CSV report loads no json, and no record loads dataclasses
+    assert loaded - {"numpy", "inspect", "fractions"} == {
+        "seifertsum.cli", "seifertsum.errors", "seifertsum.lie", "seifertsum.ym2"}
     assert "numpy" not in loaded or argv[2] == "A3" and argv[-1] == "0"
+    assert "inspect" not in loaded or "numpy" in loaded  # numpy imports inspect itself
 
 
 @pytest.mark.parametrize("argv", [
@@ -55,7 +63,7 @@ def test_a_ym2_call_loads_only_lie_and_ym2(argv):
 ], ids=["lie", "kirillov"])
 def test_lie_and_kirillov_calls_load_no_numpy(argv):
     code = "from seifertsum import cli\nassert cli.main(%r) == 0" % (argv,)
-    assert "numpy" not in loaded_after(code)
+    assert not loaded_after(code) & {"numpy", "dataclasses", "inspect"}
 
 
 # the exact Verlinde dimension reads the level object alone, not the binary64 Seifert sum

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -125,7 +126,10 @@ def test_invariants_match_gram_and_freudenthal_oracles(case):
     rank, coords, other = case
     rs = build_root_system("A", rank)
     w = Weight(coords)
-    assert rs.ip(coords, other) == _ip(rs, coords, other)
+    # the oracle's integer epsilon form against the Gram matrix of the fundamental weights
+    gram = sum(Fraction(u) * rs.gram_fw[i][j] * v
+               for i, u in enumerate(coords) for j, v in enumerate(other))
+    assert rs.ip(coords, other) == _ip(rs, coords, other) == gram
     assert rs.ip(other, other) == _ip(rs, other, other)
     assert casimir(rs, w) == _ip(rs, coords, tuple(c + 2 for c in coords))
     assert rs.level_of(w) == _ip(rs, coords, rs.highest_root_fw)
@@ -217,3 +221,16 @@ def test_dominant_weight_properties(coords):
     assert rs.level_of(w) == sum(coords)
     x0 = CartanElement((0j, 0j))
     assert weyl_character(rs, w, x0)[0] == dim
+
+
+def test_records_normalise_their_coordinates_and_refuse_assignment(a2):
+    # a list and an int64 row both give the record of plain ints that a tuple gives
+    for w in (Weight([1, 2]), Weight(np.array([[1, 2]], dtype=np.int64)[0])):
+        assert w == Weight((1, 2)) and hash(w) == hash(Weight((1, 2)))
+        assert [type(c) for c in w.coords] == [int, int]
+    assert repr(Weight((1, 2))) == "Weight(coords=(1, 2))"
+    x = CartanElement([1, np.float64(0.5)])
+    assert x.coords == (1 + 0j, 0.5 + 0j) and [type(c) for c in x.coords] == [complex, complex]
+    for record, field in ((Weight((1, 2)), "coords"), (x, "coords"), (a2, "rank")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)

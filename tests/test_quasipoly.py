@@ -83,6 +83,8 @@ def test_fit_preconditions():
                              degree_bound=3)
     with pytest.raises(PreconditionError):
         QuasiPolynomial(period=2, coeffs=((Q(1),),))
+    with pytest.raises(PreconditionError):
+        QuasiPolynomial(period=0, coeffs=())
 
 
 def test_pairing_report_rank1_genus2(a1):
