@@ -372,10 +372,8 @@ def _root_system(args):
     from .lie import build_root_system
 
     series, rank = args.algebra or ("A", None)
-    if args.series is not None:
-        series = args.series
-    if args.rank is not None:
-        rank = args.rank
+    series = series if args.series is None else args.series
+    rank = rank if args.rank is None else args.rank
     if rank is None:
         raise PreconditionError(
             "rank not specified; use --algebra A2 or --rank 2")
@@ -471,20 +469,19 @@ def _cmd_seifert(args) -> int:
         if missing:
             sys.stderr.write("seifert: error: --scan needs %s\n" % ", ".join(missing))
             return 64
-        budget = _given(budget=args.budget)
     elif args.level is None or args.genus is None or args.degree is None:
         sys.stderr.write(
             "seifert: error: --level, --genus and --degree are required "
             "unless --scan is given\n")
         return 64
     else:  # one cell is the one-cell scan
-        grid, budget = ([args.genus], [args.degree], [args.level]), {"budget": math.inf}
+        grid = [args.genus], [args.degree], [args.level]
     framing = args.framing or "bare"
     cells = [{"genus": c.genus, "degree": c.degree, "level": c.level,
               "value_re": float(c.value.real), "value_im": float(c.value.imag),
               "modulus": c.modulus, "terms": c.term_count}
              for c in seifert_scan(rs, *grid, labels=labels, framing=framing,
-                                   include_centre_factor=args.centre_factor, **budget)]
+                                   include_centre_factor=args.centre_factor)]
     out = {
         "series": rs.series,
         "rank": rs.rank,
@@ -548,8 +545,7 @@ def _cmd_genera(args) -> int:
         return 64
     buf = io.StringIO()
     writer = csv.writer(buf)
-    coords_header = ["x%d" % (i + 1) for i in range(rs.rank)]
-    writer.writerow(coords_header + ["re", "im"])
+    writer.writerow(["x%d" % (i + 1) for i in range(rs.rank)] + ["re", "im"])
     for point in args.points:
         if len(point) != rs.rank:
             raise PreconditionError("point has %d coordinates, rank is %d"
@@ -669,7 +665,6 @@ def build_parser() -> _Parser:
     p.add_argument("--genera", type=_ints_type, default=())
     p.add_argument("--degrees", type=_ints_type, default=())
     p.add_argument("--levels", type=_ints_type, default=())
-    p.add_argument("--budget", type=int, default=None)
     p.set_defaults(func=_cmd_seifert)
 
     p = sub.add_parser("kirillov", help="orbit transforms at sample points")
@@ -694,8 +689,8 @@ def build_parser() -> _Parser:
     p.add_argument("--epsilons", type=_floats_type, required=True)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--max-terms", type=int, default=None,
-                   help="budget of summed points: outer points of the closed-form "
-                        "eps = 0 sum, dominant weights of the box otherwise")
+                   help="most points summed: outer points of the rank >= 3 "
+                        "eps = 0 sum, weights of the cube or Casimir shell otherwise")
     p.set_defaults(func=_cmd_ym2)
 
     p = sub.add_parser("pairings", help="quasi-polynomial level structure")

@@ -25,7 +25,7 @@ class WeylGroupTooLargeError(PreconditionError):
 
 
 class BudgetExceededError(PreconditionError):
-    """A computation would exceed the configured term budget."""
+    """A computation would exceed the limits it is priced against."""
 
 
 class DegenerateOrbitError(PreconditionError):

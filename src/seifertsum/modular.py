@@ -65,6 +65,7 @@ import cmath
 import functools
 import itertools
 import math
+import types
 
 import numpy as np
 
@@ -72,7 +73,9 @@ from .errors import BudgetExceededError, CertificationError, PreconditionError
 from .lie import RootSystem, Weight, _epsilon_norms
 
 DEFAULT_TOL = 1e-9
-DEFAULT_BUDGET = 50_000_000
+# the two limits price_level holds every level to, before any weight array exists
+MAX_BYTES = 2 * 10 ** 9  # verlinde A4 g2 k90 is priced at 1.15e9
+MAX_OPERATIONS = 10 ** 10  # S at A2 k56 (n = 1653) is priced at 9.1e9
 
 
 def integrable_weights(rs: RootSystem, level: int) -> tuple[Weight, ...]:
@@ -92,6 +95,28 @@ def _weight_array(rank: int, level: int) -> np.ndarray:
         ramp = np.arange(reps.sum()) - np.repeat(reps.cumsum() - reps, reps)
         rows = np.column_stack((np.repeat(rows, reps, axis=0), ramp))
     return rows
+
+
+def price_level(rs: RootSystem, level: int, rows: int = 0, degrees: int = 0,
+                terms: int = 0, s: bool = False) -> int:
+    """n = C(k+r, r) once the level fits MAX_BYTES and MAX_OPERATIONS, else
+    BudgetExceededError naming both figures and both limits. Bytes a weight:
+    8 (2r + 9 + 3P), P = r(r+1)/2, for _Level's arrays and the temporaries of
+    its build and of residues; 16 a row held (S, or a residue top and bottom)
+    and one row's r x r determinant entries, 48 each; 72 a scan degree; for the
+    whole S (s), n rows and the encoder's 33 a float. Operations: n, r^3 a
+    determinant entry, 2 n^3 for the certificate's products, a scan's terms."""
+    r, n = rs.rank, math.comb(level + rs.rank, rs.rank)
+    rows = n if s else rows
+    need = (n * (8 * (2 * r + 9 + 3 * r * (r + 1) // 2) + 16 * rows + 48 * r * r * (rows > 0)
+                 + 72 * degrees + 66 * n * s),
+            n + rows * n * r ** 3 + 2 * n ** 3 * s + terms)
+    if need[0] > MAX_BYTES or need[1] > MAX_OPERATIONS:
+        raise BudgetExceededError(
+            "level %d of %s%d (%d weights) needs %.4g bytes and %.4g operations; the "
+            "limits are %.3g bytes and %.3g operations"
+            % (level, rs.series, r, n, *need, MAX_BYTES, MAX_OPERATIONS))
+    return n
 
 
 def central_charge(rs: RootSystem, level: int) -> float:
@@ -233,21 +258,24 @@ class _Level:
         2^31, for every weight M (see module docstring)."""
         r, r1, kappa = self.rs.rank, self.rs.rank + 1, self.kappa
         z = _roots_mod(p, r1 * kappa)
-        # the factor 2 - w^d - w^-d of each gap d, raised before the product
+        # the factor 2 - w^d - w^-d of each gap d, raised before the product; no
+        # factor is 0 mod p, so by Fermat its power is power mod (p - 1)
         d = r1 * np.arange(kappa)
-        factors = _pow_mod((2 - z[d] - z[-d]) % p, abs(power), p)
-        s0 = np.ones(len(self.es), dtype=np.int64)
-        for gaps in self._gaps.T:
-            s0 = s0 * factors[gaps] % p
+        factors = _pow_mod((2 - z[d] - z[-d]) % p, power % (p - 1), p)
         norm = pow(r1 * kappa ** r, -power, p)  # ((r+1) kappa^r)^-power
-        num, den = (s0 * norm % p, np.ones_like(s0)) if power >= 0 else (np.full_like(s0, norm), s0)
-        if label_idx:  # D(L)/D(0) as top_L bottom_0 / (bottom_L top_0)
-            phases, shift = self._exponents(self.es[[0, *label_idx]])
-            top, bottom = (x.reshape(shift.shape) for x in _det_mod((z[phases] - 1) % p, p))
-            top = top * z[shift] % p
-            for t, b in zip(top[1:], bottom[1:]):
-                num, den = num * t % p * bottom[0] % p, den * b % p * top[0] % p
-        return num * _inverse_mod(den, p) % p
+        terms = np.full(len(self.es), norm, dtype=np.int64)
+        for gaps in self._gaps.T:
+            terms = terms * factors[gaps] % p
+        dets = []  # D(L) as (top, bottom) for L = 0 and each label, a row at a time
+        for i in (0, *label_idx) if label_idx else ():
+            phases, shift = self._exponents(self.es[[i]])
+            top, bottom = _det_mod((z[phases] - 1) % p, p)
+            dets.append((top * z[shift[0]] % p, bottom))
+        den = np.ones_like(terms)
+        for top, bottom in dets[1:]:  # D(L)/D(0) as top_L bottom_0 / (bottom_L top_0)
+            terms = terms * top % p * dets[0][1] % p
+            den = den * bottom % p * dets[0][0] % p
+        return terms * _inverse_mod(den, p) % p if label_idx else terms
 
     def t_diagonals(self):
         """Diagonals of T over the weights, bare and canonical framing.
@@ -261,23 +289,24 @@ class _Level:
 
 
 class ModularData:
-    """Immutable S/T package for one (algebra, level) pair; its arrays are
-    set read-only after certification."""
+    """Immutable S/T package for one (algebra, level) pair: read-only
+    attributes, arrays and certificate mapping."""
 
+    __slots__ = ("rs", "level", "s", "t_canonical", "t_bare", "conjugation", "certificate", "_lv")
     precision_bits = 53  # binary64, the one precision S is assembled in
 
     def __init__(self, rs: RootSystem, level: int, s: np.ndarray, t_canonical: np.ndarray,
                  t_bare: np.ndarray, conjugation: tuple[int, ...], certificate: dict, lv: _Level):
         for arr in (s, t_canonical, t_bare):
             arr.setflags(write=False)
-        self.rs = rs
-        self.level = level
-        self.s = s
-        self.t_canonical = t_canonical
-        self.t_bare = t_bare
-        self.conjugation = conjugation
-        self.certificate = certificate
-        self._lv = lv
+        for name, value in zip(self.__slots__, (rs, level, s, t_canonical, t_bare, conjugation,
+                                                types.MappingProxyType(certificate), lv)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("ModularData is immutable, %r cannot be set" % name)
+
+    __delattr__ = __setattr__
 
     @property
     def kappa(self) -> int:
@@ -373,13 +402,7 @@ def s_matrix(rs: RootSystem, level: int, tol: float = DEFAULT_TOL) -> ModularDat
         raise PreconditionError("tol must be a positive finite number, got %r" % (tol,))
     if level < 1:
         raise PreconditionError("level must be >= 1")
-    n = math.comb(level + rs.rank, rs.rank)  # weights, counted before they are built
-    cost = n * n * (rs.rank + 1) ** 3
-    if cost > DEFAULT_BUDGET:
-        raise BudgetExceededError(
-            "S matrix needs %d determinant operations, budget is %d"
-            % (cost, DEFAULT_BUDGET))
-
+    n = price_level(rs, level, s=True)
     lv = _Level(rs, level)
     t_bare, t_canon = lv.t_diagonals()
     s = lv.label_rows(range(n))

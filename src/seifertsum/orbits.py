@@ -183,10 +183,11 @@ def quantum_character_point(rs: RootSystem, lam_sum: Weight, level: int) -> Cart
 def wilson_weight(rs: RootSystem, label: Weight, lam_sum: Weight, level: int) -> complex:
     """S[label, lam]/S[0, lam], the fibre Wilson line factor, from the two S
     rows it reads (the rows of the certified S, bit for bit)."""
-    from .modular import _Level
+    from .modular import _Level, price_level
 
     if level < 1:
         raise PreconditionError("level must be >= 1")
+    price_level(rs, level, rows=2)
     lv = _Level(rs, level)
     i = lv.index_of(label)
     j = lv.index_of(lam_sum)

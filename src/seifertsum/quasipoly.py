@@ -20,6 +20,7 @@ from typing import NamedTuple
 
 from .errors import PreconditionError, QuasiPolynomialFitError
 from .lie import RootSystem, Weight
+from .modular import price_level
 from .verlinde import verlinde_dimension
 
 DEFAULT_MAX_PERIOD = 4
@@ -38,12 +39,8 @@ class QuasiPolynomial(NamedTuple("QuasiPolynomial", [
 
     @property
     def degree(self) -> int:
-        best = 0
-        for cls in self.coeffs:
-            nonzero = [i for i, c in enumerate(cls) if c != 0]
-            if nonzero:
-                best = max(best, nonzero[-1])
-        return best
+        return max(max((i for i, c in enumerate(cls) if c != 0), default=0)
+                   for cls in self.coeffs)
 
     def leading_by_class(self) -> tuple[Fraction, ...]:
         d = self.degree
@@ -122,28 +119,21 @@ def fit_quasi_polynomial(points, degree_bound: int,
         classes = [[] for _ in range(period)]
         for k, v in pts:
             classes[k % period].append((k, v))
-        if any(len(cls) < degree_bound + 1 for cls in classes):
-            continue
-        if len(pts) < period * (degree_bound + 1) + 1:
+        if (any(len(cls) < degree_bound + 1 for cls in classes)
+                or len(pts) < period * (degree_bound + 1) + 1):
             continue
         evaluated_any = True
         fitted = []
-        worst = Fraction(0)
-        ok = True
+        worst = Fraction(0)  # the fit is exact while this stays 0
         for cls in classes:
-            nodes = cls[:degree_bound + 1]
-            coeffs = _newton_interpolate(nodes)
+            coeffs = _newton_interpolate(cls[:degree_bound + 1])
             for k, v in cls[degree_bound + 1:]:
-                err = abs(_eval_poly(coeffs, Fraction(k)) - v)
-                if err != 0:
-                    ok = False
-                    worst = max(worst, err)
+                worst = max(worst, abs(_eval_poly(coeffs, Fraction(k)) - v))
             fitted.append(_trim(coeffs))
-        if ok:
+        if worst == 0:
             return QuasiPolynomial(period=period, coeffs=tuple(fitted))
         res = float(worst)
-        if best_residual is None or res < best_residual:
-            best_residual = res
+        best_residual = res if best_residual is None else min(best_residual, res)
     if not evaluated_any:
         raise PreconditionError(
             "no candidate period leaves a cross-validation sample; "
@@ -193,6 +183,8 @@ def pairing_report(rs: RootSystem, genus: int, k_min: int, k_max: int,
     if any(rs.level_of(lab) > k_min for lab in labels):
         raise PreconditionError(
             "labels must be integrable at every level of the window")
+    # the horizon's top level is the window's largest, priced before the first is summed
+    price_level(rs, k_max + horizon, rows=len(labels) + bool(labels))
     values = tuple(verlinde_dimension(rs, k, genus, labels) for k in levels)
     qp = fit_quasi_polynomial(zip(levels, values), degree_bound=degree_bound,
                               max_period=max_period)

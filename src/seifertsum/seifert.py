@@ -22,8 +22,8 @@ coordinates e of lam+rho, so the exponent is
 p with period 2(r+1)kappa bit for bit. All (genus, degree) cells of one
 level are contracted together in binary64 (_cells), and a cell's value
 does not depend on the other cells of its scan, so one cell is the scan
-`(cell,) = seifert_scan(rs, [g], [p], [k], budget=math.inf)`. A genus
-whose terms overflow binary64 is refused.
+`(cell,) = seifert_scan(rs, [g], [p], [k])`. A genus whose terms
+overflow binary64 is refused.
 The overall normalisation N is pure convention:
 
 * framing "bare" applies no extra phase; "canonical" multiplies by
@@ -45,11 +45,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FRAMING_CONVENTIONS, BudgetExceededError, PreconditionError
+from .errors import FRAMING_CONVENTIONS, PreconditionError
 from .lie import RootSystem, Weight
-from .modular import _Level, central_charge
-
-DEFAULT_SCAN_BUDGET = 10_000_000
+from .modular import _Level, central_charge, price_level
 
 
 def _cells(lv: _Level, genera, degrees, label_idx) -> dict:
@@ -97,17 +95,11 @@ class ScanCell(NamedTuple):
 
 def seifert_scan(rs: RootSystem, genera, degrees, levels,
                  labels: tuple[Weight, ...] = (), framing: str = "bare",
-                 include_centre_factor: bool = False,
-                 budget: int = DEFAULT_SCAN_BUDGET) -> tuple[ScanCell, ...]:
-    """Grid evaluation with an all-or-nothing term budget.
-
-    The total number of lattice terms over all cells is counted before
-    any cell is evaluated; exceeding the budget refuses the whole scan
-    rather than returning truncated results; the weights of a level are
-    counted, C(k + r, r), without being built. Each level's rows are then
-    built once, one level at a time, and contracted for every
-    (genus, degree) cell.
-    """
+                 include_centre_factor: bool = False) -> tuple[ScanCell, ...]:
+    """Grid evaluation, all or nothing: modular.price_level prices the top
+    level, whose arrays are the largest, with the lattice terms of all cells
+    before any level is built. Each level is then built once, one at a time,
+    and contracted for every (genus, degree) cell."""
     genera = sorted(set(int(g) for g in genera))
     degrees = sorted(set(int(p) for p in degrees))
     levels = sorted(set(int(k) for k in levels))
@@ -118,10 +110,8 @@ def seifert_scan(rs: RootSystem, genera, degrees, levels,
     if framing not in FRAMING_CONVENTIONS:
         raise PreconditionError("unknown framing convention %r" % framing)
     n_weights = {k: math.comb(k + rs.rank, rs.rank) for k in levels}
-    total = sum(n_weights.values()) * len(genera) * len(degrees)
-    if total > budget:
-        raise BudgetExceededError(
-            "scan needs %d lattice terms, budget is %d" % (total, budget))
+    price_level(rs, max(levels, default=0), rows=len(labels), degrees=len(degrees),
+                terms=sum(n_weights.values()) * len(genera) * len(degrees))
     values = {}
     for k in levels:
         lv = _Level(rs, k)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import IntegralityError, PreconditionError
 from .lie import RootSystem, Weight
-from .modular import _Level
+from .modular import _Level, price_level
 
 
 class VerlindeTable(NamedTuple):
@@ -60,6 +60,7 @@ def verlinde_dimension(rs: RootSystem, level: int, genus: int,
         raise PreconditionError("genus must be >= 0")
     if level < 1:
         raise PreconditionError("level must be >= 1")
+    price_level(rs, level, rows=len(labels) + bool(labels))  # row 0 with the labels
     lv = _Level(rs, level)
     label_idx = [lv.index_of(lab) for lab in labels]
     # A <= 2^bits: A is summed in log space, so that an A past the binary64

@@ -625,13 +625,11 @@ def verlinde_ym2_crosscheck(rs: RootSystem, genus: int, levels) -> CrosscheckRep
     flat = ym2_partition(rs, genus, 0.0)
     scaled = []
     for k in ks:
-        v = verlinde_dimension(rs, k, genus)
-        kappa = k + rs.dual_coxeter
-        scaled.append(v / kappa ** d_exp / flat.value)
+        scaled.append(verlinde_dimension(rs, k, genus) / (k + rs.dual_coxeter) ** d_exp
+                      / flat.value)
     first_gap = abs(scaled[1] - scaled[0])
     last_gap = abs(scaled[-1] - scaled[-2])
-    converged = last_gap < first_gap
     return CrosscheckReport(genus=genus, levels=tuple(ks), scaled=tuple(scaled),
                             flat_value=flat.value, fitted_constant=scaled[-1],
                             first_gap=first_gap, last_gap=last_gap,
-                            converged=converged)
+                            converged=last_gap < first_gap)

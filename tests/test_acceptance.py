@@ -34,7 +34,7 @@ ZETA = {2: math.pi**2 / 6, 4: math.pi**4 / 90, 6: math.pi**6 / 945}
 
 
 def _z(rs, level, genus, degree, **kw):
-    (cell,) = seifert_scan(rs, [genus], [degree], [level], budget=math.inf, **kw)
+    (cell,) = seifert_scan(rs, [genus], [degree], [level], **kw)
     return cell
 
 

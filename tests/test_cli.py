@@ -12,6 +12,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -103,6 +104,15 @@ def test_refusals_exit_2(capsys):
     assert run(["lie", "--algebra", "A"], capsys)[0] == 2
     assert run(["verlinde", "--algebra", "A1", "--genus", "-1",
                 "--level", "2"], capsys)[0] == 2
+    # n = C(1004, 4) = 4.2e10 weights: priced and refused before any is built
+    t0 = time.perf_counter()
+    code, out, err = run(["verlinde", "--algebra", "A4", "--genus", "2",
+                          "--levels", "1000"], capsys)
+    assert (code, out) == (2, "")
+    assert time.perf_counter() - t0 < 1.0
+    assert re.search(r"level 1000 of A4 \(42084793751 weights\) needs [0-9.e+]+ bytes and "
+                     r"[0-9.e+]+ operations; the limits are 2e\+09 bytes and 1e\+10 "
+                     r"operations", err)
 
 
 def test_certification_failures_exit_3(capsys):
@@ -363,6 +373,11 @@ def test_scan_refuses_threads_flag(capsys):
     code, out, _ = run(["seifert", "--algebra", "A2", "--scan",
                         "--genera", "0,2", "--degrees", "0,1",
                         "--levels", "1,2", "--threads", "2"], capsys)
+    assert code == 64
+    assert out == ""
+    # nor is there a budget to set: every level is priced by one fixed rule
+    code, out, _ = run(["seifert", "--algebra", "A2", "--scan", "--genera", "0",
+                        "--degrees", "0", "--levels", "1", "--budget", "10"], capsys)
     assert code == 64
     assert out == ""
 

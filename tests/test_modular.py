@@ -9,7 +9,7 @@ import pytest
 
 from oracles import certify_expressions, su2_s_closed, t_diagonals
 from seifertsum import lie, modular
-from seifertsum.errors import CertificationError, PreconditionError
+from seifertsum.errors import BudgetExceededError, CertificationError, PreconditionError
 from seifertsum.lie import Weight, build_root_system, casimir
 from seifertsum.modular import (
     _Level,
@@ -168,6 +168,24 @@ def test_matrices_are_read_only(a1):
     md = s_matrix(a1, 2)
     with pytest.raises(ValueError):
         md.s[0, 0] = 0
+    # the record and its certificate too: neither write may go unnoticed
+    with pytest.raises(AttributeError):
+        md.level = 5
+    with pytest.raises(AttributeError):
+        del md.s
+    with pytest.raises(TypeError):
+        md.certificate["unitarity"] = 0.0
+    assert (md.level, md.kappa) == (2, 4)
+
+
+def test_s_is_priced_by_its_products_before_any_weight(a2, monkeypatch):
+    monkeypatch.setattr(modular, "_weight_array", None)  # any build would raise
+    # A2 k52: 1431 weights, 2 n^3 = 5.9e9 certificate operations, 168 MB with the report
+    assert modular.price_level(a2, 52, s=True) == 1431
+    # A2 k57: 1711 weights, 2 n^3 + n^2 r^3 = 1.004e10
+    with pytest.raises(BudgetExceededError, match=r"level 57 of A2 \(1711 weights\) needs "
+                                                  r"2.407e\+08 bytes and 1.004e\+10 operations"):
+        s_matrix(a2, 57)
 
 
 @pytest.mark.parametrize("rank, level", [
@@ -277,7 +295,8 @@ def test_s_matrix_refuses_a_tolerance_no_matrix_can_meet(tol, monkeypatch):
         s_matrix(build_root_system("A", 2), 20, tol=tol)
 
 
-# A5 k6 and A9 k3 are the largest levels of their ranks within the S budget
+# A2 k40 is the largest S the benchmark builds; A3 k15, A5 k6 and A9 k3 hold
+# 816, 462 and 220 weights
 @pytest.mark.parametrize("rank, level", [(2, 40), (3, 15), (5, 6), (9, 3)])
 def test_reduced_determinant_s_certifies_in_binary64(rank, level):
     md = s_matrix(build_root_system("A", rank), level)

@@ -8,16 +8,18 @@ import numpy as np
 import pytest
 
 from oracles import kac_peterson_s
-from seifertsum import modular
+from seifertsum import modular, seifert
 from seifertsum.errors import BudgetExceededError, PreconditionError
 from seifertsum.lie import Weight, build_root_system
 from seifertsum.modular import _Level, central_charge, s_matrix
+from seifertsum.orbits import wilson_weight
+from seifertsum.quasipoly import pairing_report
 from seifertsum.seifert import ScanCell, seifert_scan
 from seifertsum.verlinde import verlinde_dimension
 
 
 def _z(rs, level, genus, degree, **kw):
-    (cell,) = seifert_scan(rs, [genus], [degree], [level], budget=math.inf, **kw)
+    (cell,) = seifert_scan(rs, [genus], [degree], [level], **kw)
     return cell
 
 
@@ -126,9 +128,17 @@ def test_scan_matches_pointwise(a1):
         assert cell.term_count == cell.level + 1
 
 
-def test_scan_budget_is_all_or_nothing(a1):
-    with pytest.raises(BudgetExceededError):
-        seifert_scan(a1, genera=(0,), degrees=(0,), levels=(9,), budget=5)
+def test_scan_budget_is_all_or_nothing(a1, monkeypatch):
+    def no_level(*args):
+        raise AssertionError("a level was built before the scan was priced")
+
+    monkeypatch.setattr(seifert, "_Level", no_level)
+    # level 9 alone is cheap; 10^10 weights at the top level are over the byte limit
+    with pytest.raises(BudgetExceededError, match=r"level 10000000000 of A1"):
+        seifert_scan(a1, genera=(0,), degrees=(0,), levels=(9, 10 ** 10))
+    # the level fits, but its 2000 x 6 cells hold 1.2e10 lattice terms
+    with pytest.raises(BudgetExceededError, match=r"needs [0-9.e+]+ bytes and 1.2e\+10 operations"):
+        seifert_scan(a1, genera=range(2000), degrees=range(6), levels=(10 ** 6,))
 
 
 def test_budget_refusals_count_weights_without_building_them(monkeypatch):
@@ -137,11 +147,18 @@ def test_budget_refusals_count_weights_without_building_them(monkeypatch):
 
     monkeypatch.setattr(modular, "integrable_weights", enumerate_weights)
     monkeypatch.setattr(modular, "_weight_array", enumerate_weights)
+    a2, a4 = build_root_system("A", 2), build_root_system("A", 4)
     with pytest.raises(BudgetExceededError):
         s_matrix(build_root_system("A", 3), 150)
     with pytest.raises(BudgetExceededError):
-        seifert_scan(build_root_system("A", 2), genera=(0,), degrees=(0,),
-                     levels=(2000,), budget=10)
+        seifert_scan(a2, genera=(0,), degrees=(0,), levels=(100_000,))
+    with pytest.raises(BudgetExceededError):
+        verlinde_dimension(a4, 1000, 2)
+    # the window starts cheap, but its horizon's top level 1005 is priced first
+    with pytest.raises(BudgetExceededError, match="level 1005 of A4"):
+        pairing_report(a4, genus=2, k_min=1, k_max=1000)
+    with pytest.raises(BudgetExceededError):
+        wilson_weight(a2, Weight((1, 0)), Weight((0, 0)), 10 ** 6)
 
 
 def test_scan_deduplicates_and_sorts(a1):
