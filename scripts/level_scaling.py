@@ -2,15 +2,20 @@
 """Growth of fusion dimensions against the flat heat-kernel sum.
 
 Prints V_g(k) / kappa^((g-1) dim) / Z_g(0) over a doubling ladder of
-levels. The column should flatten toward a constant; for su(2) at genus
-2 the limit is 1/pi^2.
+levels. By Witten's volume formula the column tends to the exact limit
+
+    (r+1)^g V(rho)^-m (2 pi)^(-m |Delta+|),  m = 2g - 2,
+
+with V(rho) = prod over positive roots of <rho, alpha> = 1! 2! ... r!,
+which is printed last; for su(2) at genus 2 it is 1/pi^2.
 """
 
 import argparse
 import math
 
 from seifertsum.lie import build_root_system
-from seifertsum.ym2 import verlinde_ym2_crosscheck
+from seifertsum.verlinde import verlinde_dimension
+from seifertsum.ym2 import ym2_partition
 
 
 def main():
@@ -22,18 +27,17 @@ def main():
     args = ap.parse_args()
 
     rs = build_root_system("A", args.rank)
-    levels = [args.kmin * 2**i for i in range(args.doublings)]
-    rep = verlinde_ym2_crosscheck(rs, args.genus, levels)
-
-    print("# A%d genus %d, Z_flat = %.12f" % (args.rank, args.genus,
-                                              rep.flat_value))
+    g, m = args.genus, 2 * args.genus - 2
+    flat = ym2_partition(rs, g, 0.0).value
+    print("# A%d genus %d, Z_flat = %.12f" % (args.rank, g, flat))
     print("%8s  %18s" % ("k", "scaled"))
-    for k, s in zip(rep.levels, rep.scaled):
-        print("%8d  %18.12f" % (k, s))
-    print("# gaps: first %.3e last %.3e  converged=%s"
-          % (rep.first_gap, rep.last_gap, rep.converged))
-    if args.rank == 1 and args.genus == 2:
-        print("# 1/pi^2 = %.12f" % (1 / math.pi**2))
+    for k in (args.kmin * 2**i for i in range(args.doublings)):
+        kappa = k + rs.dual_coxeter
+        scaled = verlinde_dimension(rs, k, g) / kappa ** ((g - 1) * rs.dimension) / flat
+        print("%8d  %18.12g" % (k, scaled))
+    v_rho = math.prod(map(math.factorial, range(1, args.rank + 1)))
+    limit = (args.rank + 1) ** g / v_rho ** m / (2 * math.pi) ** (m * rs.num_positive_roots)
+    print("# limit (r+1)^g V(rho)^-m (2 pi)^(-m |Delta+|) = %.12g" % limit)
 
 
 if __name__ == "__main__":

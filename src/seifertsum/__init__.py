@@ -32,8 +32,7 @@ _EXPORTS = {  # module: the public names it defines
                   "pairing_report"),
     "seifert": ("ScanCell", "seifert_scan"),
     "verlinde": ("VerlindeTable", "verlinde_dimension", "verlinde_table"),
-    "ym2": ("CrosscheckReport", "EpsilonProfile", "YM2Result", "verlinde_ym2_crosscheck",
-            "ym2_epsilon_profile", "ym2_partition"),
+    "ym2": ("EpsilonProfile", "YM2Result", "ym2_epsilon_profile", "ym2_partition"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -562,8 +562,7 @@ def _cmd_ym2(args) -> int:
     from .ym2 import ym2_epsilon_profile
 
     rs = _root_system(args)
-    prof = ym2_epsilon_profile(rs, args.genus, args.epsilons,
-                               **_given(target_tol=args.tol, max_terms=args.max_terms))
+    prof = ym2_epsilon_profile(rs, args.genus, args.epsilons, **_given(target_tol=args.tol))
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["epsilon", "Z", "tail_bound"])
@@ -688,9 +687,6 @@ def build_parser() -> _Parser:
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--epsilons", type=_floats_type, required=True)
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--max-terms", type=int, default=None,
-                   help="most points summed: outer points of the rank >= 3 "
-                        "eps = 0 sum, weights of the cube or Casimir shell otherwise")
     p.set_defaults(func=_cmd_ym2)
 
     p = sub.add_parser("pairings", help="quasi-polynomial level structure")

@@ -32,7 +32,7 @@ from .orbits import (
 from .quasipoly import pairing_report
 from .seifert import seifert_scan
 from .verlinde import verlinde_dimension
-from .ym2 import verlinde_ym2_crosscheck, ym2_epsilon_profile, ym2_partition
+from .ym2 import ym2_epsilon_profile, ym2_partition
 
 
 class CheckResult(NamedTuple):
@@ -243,13 +243,30 @@ def _check_wilson_character_point(rng):
     return worst, "matrix-element ratio against character at the shifted point"
 
 
-def _check_verlinde_ym2_trend(rng):
-    rs = build_root_system("A", 1)
-    rep = verlinde_ym2_crosscheck(rs, genus=2, levels=(20, 40, 80, 160, 320))
-    if not rep.converged:
-        return math.inf, "scaled sequence gaps grew from %g to %g" % (
-            rep.first_gap, rep.last_gap)
-    return rep.last_gap, "scaled dimension growth approaches the flat sum"
+def _check_witten_volume_identity(rng):
+    # Witten's volume formula: the leading coefficient C_g of the Verlinde
+    # polynomial V_g(k) is (r+1)^g V(rho)^-m (2 pi)^(-m |Delta+|) times the flat
+    # sum Z = zeta_W(m), m = 2g - 2, with V(rho) = prod_{alpha>0} <rho, alpha>
+    # = 1! 2! ... r!. C_g is fitted exactly on the levels 1 .. degree + 2, and
+    # the reference for Z, taken at 40 digits, is rounded once.
+    import mpmath
+
+    worst = 0.0
+    for rank, genus in ((1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (3, 2)):
+        rs, m = build_root_system("A", rank), 2 * genus - 2
+        rep = pairing_report(rs, genus, 1, (genus - 1) * rs.dimension + 2)
+        if any(rep.prediction_errors):
+            return math.inf, "A%d g%d fit mispredicts: errors %s" % (
+                rank, genus, list(rep.prediction_errors))
+        v_rho = math.prod(map(math.factorial, range(1, rank + 1)))
+        c = rep.leading_by_class[0] * v_rho ** m  # C_g V(rho)^m
+        with mpmath.workdps(40):
+            ref = float(mpmath.mpf(c.numerator) / c.denominator / (rank + 1) ** genus
+                        * (2 * mpmath.pi) ** (m * rs.num_positive_roots))
+        z = ym2_partition(rs, genus, 0.0)
+        worst = max(worst, abs(z.value - ref) / (z.tail_bound + 2.0 ** -53 * ref))
+    return worst, "exact Verlinde leading coefficients against the flat sum, in " \
+        "units of its bound plus the reference's rounding"
 
 
 _QUICK = (
@@ -270,7 +287,7 @@ _FULL_EXTRA = (
     ("verlinde-gluing", _check_verlinde_gluing, 0.0),
     ("epsilon-profile-monotone", _check_epsilon_profile, 1.0),
     ("wilson-character-point", _check_wilson_character_point, 1e-8),
-    ("verlinde-ym2-trend", _check_verlinde_ym2_trend, 1e-2),
+    ("witten-volume-identity", _check_witten_volume_identity, 1.0),
 )
 
 

@@ -90,6 +90,7 @@ def verlinde_table(rs: RootSystem, genus: int, levels, labels: tuple[Weight, ...
     levels = list(levels)
     if not levels or any(k < 1 for k in levels):
         raise PreconditionError("levels must be >= 1")
+    price_level(rs, max(levels), rows=len(labels) + bool(labels))  # all or nothing
     rows = tuple((k, verlinde_dimension(rs, k, genus, tuple(labels))) for k in levels)
     monotone = None if labels else all(b[1] >= a[1] for a, b in zip(rows, rows[1:]))
     return VerlindeTable(genus=genus, labels=tuple(labels), rows=rows,

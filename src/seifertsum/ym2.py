@@ -161,10 +161,10 @@ the terms, a share per block of _BLOCK terms, with gamma_4 for gamma_2,
 which covers x <= x'/(1 - gamma_2) for the computed x' and E's own
 roundings. That is added to the tail bound; a total above tol is refused.
 
-The term budget counts outer points on the flat path from rank 3 and the
-weights of the chosen stop on the cone, and is checked before any term is
-summed; a refusal names the size the tolerance needed. The closed form
-sums no terms and counts as one.
+The term budget, MAX_TERMS, counts outer points on the flat path from
+rank 3 and the weights of the chosen stop on the cone, and is checked
+before any term is summed; a refusal names the size the tolerance needed.
+The closed form sums no terms and counts as one.
 
 Genus must be at least 2; the g < 2 sums diverge at eps = 0 and are
 refused rather than regularised.
@@ -182,7 +182,7 @@ from .errors import BudgetExceededError, CertificationError, PreconditionError
 from .lie import RootSystem, _epsilon_norms, _gamma, _shifted_epsilon, _vandermonde
 
 DEFAULT_TOL = 1e-10
-DEFAULT_MAX_TERMS = 2_000_000
+MAX_TERMS = 2_000_000
 _BLOCK = 4096  # points per block; larger blocks cost memory, not time
 # pi truncated to 60 decimals: _PI <= pi < _PI + 1e-60
 _PI = Fraction(3141592653589793238462643383279502884197169399375105820974944, 10 ** 60)
@@ -365,19 +365,19 @@ def _flat_blocks(rank: int, m: int, zeta: list, side: int):
         yield _flat_block(t, m, zeta, table, offset)
 
 
-def _flat_sum(rank: int, m: int, tol: float, max_terms: int):
+def _flat_sum(rank: int, m: int, tol: float):
     """(Z, bound, points) at eps = 0: in closed form at rank <= 2, whatever
     its bound, and from rank 3 by the outer sum, or None when its
     truncation plus rounding cannot meet tol."""
     if rank >= 3:
-        return _outer_sum(rank, m, tol, max_terms)
+        return _outer_sum(rank, m, tol)
     e = m * rank * (rank + 1) // 2  # |Delta+| m
     q = _flat_rational(rank, m)
     value = q.numerator * _PI.numerator ** e / (q.denominator * _PI.denominator ** e)
     return value, (_gamma(1) + 2e-60 * e) * value, 1
 
 
-def _outer_sum(rank: int, m: int, tol: float, max_terms: int):
+def _outer_sum(rank: int, m: int, tol: float):
     """(Z, bound, outer points) of the flat outer sum, rank >= 2, or None when
     truncation plus rounding cannot meet tol or its terms leave binary64."""
     import numpy as np
@@ -391,10 +391,10 @@ def _outer_sum(rank: int, m: int, tol: float, max_terms: int):
         # would cancel far past any tol long before
         return None
     total = side ** (rank - 1)
-    if total > max_terms:
+    if total > MAX_TERMS:
         raise BudgetExceededError(
             "certifying tol %g at eps = 0 needs %d^%d outer points, budget %d; "
-            "raise max_terms or relax target_tol" % (tol, side, rank - 1, max_terms))
+            "relax target_tol" % (tol, side, rank - 1, MAX_TERMS))
     spent = _outer_tail(rank, m, zeta[m], side)
     sums = []
     # terms past binary64 come out inf or nan, and so does their bound
@@ -500,31 +500,31 @@ def _cone_terms(rank: int, m: int, eps: float, box: int | None = None,
         yield terms, math.fsum(shares)
 
 
-def _cone_sum(rank: int, m: int, eps: float, tol: float, max_terms: int):
+def _cone_sum(rank: int, m: int, eps: float, tol: float):
     """(Z, bound, points) summed over the cube or, at eps > 0, the Casimir
     shell, whichever holds fewer points; both counts are taken, and the
     budget checked, before any term is summed."""
     box = 16
-    while (box + 1) ** rank <= max_terms and _box_tail_bound(rank, m, eps, box) > tol:
+    while (box + 1) ** rank <= MAX_TERMS and _box_tail_bound(rank, m, eps, box) > tol:
         box *= 2
     stop, points = {"box": box}, (box + 1) ** rank
     tail = _box_tail_bound(rank, m, eps, box)
     shell = _shell(rank, m, eps, tol / 2) if eps > 0 else None
     if shell is not None:
-        limit, count = min(points - 1, max_terms), 0
+        limit, count = min(points - 1, MAX_TERMS), 0
         for *_, n in _cone_lines(rank, cap=shell[0]):
             count += n
             if count > limit:
                 break
         else:
             stop, points, tail = {"cap": shell[0]}, count, shell[1]
-    if points > max_terms:
+    if points > MAX_TERMS:
         raise BudgetExceededError(
             "certifying tol %g needs a box of at least %d^%d dominant weights%s, "
-            "budget %d; raise max_terms or relax target_tol"
+            "budget %d; relax target_tol"
             % (tol, box + 1, rank,
-               "" if shell is None else " or a Casimir shell of more than %d" % max_terms,
-               max_terms))
+               "" if shell is None else " or a Casimir shell of more than %d" % MAX_TERMS,
+               MAX_TERMS))
     shares = []  # E (module docstring), one share per block
     value = math.fsum(itertools.chain.from_iterable(
         shares.append(e) or block for block, e in _cone_terms(rank, m, eps, **stop)))
@@ -533,8 +533,7 @@ def _cone_sum(rank: int, m: int, eps: float, tol: float, max_terms: int):
 
 
 def ym2_partition(rs: RootSystem, genus: int, epsilon: float,
-                  target_tol: float = DEFAULT_TOL,
-                  max_terms: int = DEFAULT_MAX_TERMS) -> YM2Result:
+                  target_tol: float = DEFAULT_TOL) -> YM2Result:
     """Certified evaluation of Z_g(eps)."""
     if genus < 2:
         raise PreconditionError("genus must be >= 2, the sum diverges below that")
@@ -544,8 +543,8 @@ def ym2_partition(rs: RootSystem, genus: int, epsilon: float,
         raise PreconditionError(
             "target_tol must be a positive finite number, got %r" % (target_tol,))
     m = 2 * genus - 2
-    flat = _flat_sum(rs.rank, m, target_tol, max_terms) if epsilon == 0 else None
-    value, bound, terms = flat or _cone_sum(rs.rank, m, epsilon, target_tol, max_terms)
+    flat = _flat_sum(rs.rank, m, target_tol) if epsilon == 0 else None
+    value, bound, terms = flat or _cone_sum(rs.rank, m, epsilon, target_tol)
     if bound > target_tol:
         raise CertificationError("tol %g is below the bound %g on the sum's tail and rounding"
                                  % (target_tol, bound))
@@ -562,8 +561,7 @@ class EpsilonProfile(NamedTuple):
 
 
 def ym2_epsilon_profile(rs: RootSystem, genus: int, epsilons,
-                        target_tol: float = DEFAULT_TOL,
-                        max_terms: int = DEFAULT_MAX_TERMS) -> EpsilonProfile:
+                        target_tol: float = DEFAULT_TOL) -> EpsilonProfile:
     """Z_g on a list of couplings, checked for monotonicity.
 
     Every term falls as eps grows, so Z(eps2) <= Z(eps1) + 4 target_tol
@@ -578,7 +576,7 @@ def ym2_epsilon_profile(rs: RootSystem, genus: int, epsilons,
         raise PreconditionError("epsilon must be >= 0")
     rows = []
     for e in eps_list:
-        res = ym2_partition(rs, genus, e, target_tol, max_terms)
+        res = ym2_partition(rs, genus, e, target_tol)
         rows.append((e, res.value, res.tail_bound))
     slack = 4 * target_tol
     for (e1, z1, _), (e2, z2, _) in zip(rows, rows[1:]):
@@ -589,47 +587,3 @@ def ym2_epsilon_profile(rs: RootSystem, genus: int, epsilons,
                 % (e1, z1, e2, z2, slack))
     flat = rows[0][1] if rows and rows[0][0] == 0.0 else None
     return EpsilonProfile(genus=genus, rows=tuple(rows), flat_value=flat)
-
-
-class CrosscheckReport(NamedTuple):
-    genus: int
-    levels: tuple[int, ...]
-    scaled: tuple[float, ...]
-    flat_value: float
-    fitted_constant: float
-    first_gap: float
-    last_gap: float
-    converged: bool
-
-
-def verlinde_ym2_crosscheck(rs: RootSystem, genus: int, levels) -> CrosscheckReport:
-    """Ratio convergence between scaled Verlinde growth and Z_g(0).
-
-    The Verlinde dimension grows like kappa^D with D = (g-1) dim(g), and
-    V_g(k) kappa^-D / Z_g(0) tends to the exact limit
-
-        |Z(G)| (r+1)^(g-1) V(rho)^(2-2g) (2 pi)^(-(2g-2)|Delta+|),
-
-    with V(rho) = prod over positive roots of <rho, alpha> (Witten's volume
-    formula; 1/pi^2 for A1 at g = 2). Only the trend is asserted here: the
-    increments of the sequence must shrink.
-    """
-    from .verlinde import verlinde_dimension
-
-    ks = sorted(set(int(k) for k in levels))
-    if len(ks) < 4:
-        raise PreconditionError("need at least 4 increasing levels")
-    if genus < 2:
-        raise PreconditionError("genus must be >= 2")
-    d_exp = (genus - 1) * rs.dimension
-    flat = ym2_partition(rs, genus, 0.0)
-    scaled = []
-    for k in ks:
-        scaled.append(verlinde_dimension(rs, k, genus) / (k + rs.dual_coxeter) ** d_exp
-                      / flat.value)
-    first_gap = abs(scaled[1] - scaled[0])
-    last_gap = abs(scaled[-1] - scaled[-2])
-    return CrosscheckReport(genus=genus, levels=tuple(ks), scaled=tuple(scaled),
-                            flat_value=flat.value, fitted_constant=scaled[-1],
-                            first_gap=first_gap, last_gap=last_gap,
-                            converged=last_gap < first_gap)

@@ -95,6 +95,9 @@ def test_usage_errors_exit_64(capsys):
     # predictions are always re-derived; the switch that skipped them is gone
     assert run(["pairings", "--algebra", "A1", "--genus", "2", "--kmin", "1",
                 "--kmax", "3", "--no-check"], capsys)[0] == 64
+    # the ym2 term budget is a constant, ym2.MAX_TERMS
+    assert run(["ym2", "--algebra", "A1", "--genus", "2", "--epsilons", "0",
+                "--max-terms", "10"], capsys)[0] == 64
 
 
 def test_refusals_exit_2(capsys):
@@ -104,15 +107,17 @@ def test_refusals_exit_2(capsys):
     assert run(["lie", "--algebra", "A"], capsys)[0] == 2
     assert run(["verlinde", "--algebra", "A1", "--genus", "-1",
                 "--level", "2"], capsys)[0] == 2
-    # n = C(1004, 4) = 4.2e10 weights: priced and refused before any is built
-    t0 = time.perf_counter()
-    code, out, err = run(["verlinde", "--algebra", "A4", "--genus", "2",
-                          "--levels", "1000"], capsys)
-    assert (code, out) == (2, "")
-    assert time.perf_counter() - t0 < 1.0
-    assert re.search(r"level 1000 of A4 \(42084793751 weights\) needs [0-9.e+]+ bytes and "
-                     r"[0-9.e+]+ operations; the limits are 2e\+09 bytes and 1e\+10 "
-                     r"operations", err)
+    # n = C(1004, 4) = 4.2e10 weights: priced and refused before any is built,
+    # also after a level that fits, which a table prices with the largest
+    for levels in ("1000", "60,1000"):
+        t0 = time.perf_counter()
+        code, out, err = run(["verlinde", "--algebra", "A4", "--genus", "2",
+                              "--levels", levels], capsys)
+        assert (code, out) == (2, "")
+        assert time.perf_counter() - t0 < 1.0
+        assert re.search(r"level 1000 of A4 \(42084793751 weights\) needs [0-9.e+]+ bytes and "
+                         r"[0-9.e+]+ operations; the limits are 2e\+09 bytes and 1e\+10 "
+                         r"operations", err)
 
 
 def test_certification_failures_exit_3(capsys):

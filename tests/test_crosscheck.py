@@ -77,3 +77,23 @@ def test_epsilon_profile_check_holds_each_row_to_its_bound(monkeypatch):
         assert check.passed is passed and check.threshold == 1.0
         # a check that raised would read inf here, not a measured deviation
         assert math.isfinite(check.residual) and (check.residual > 1.5) is not passed
+
+
+def test_witten_volume_identity_holds_each_sum_to_its_bound(monkeypatch):
+    # the exact Verlinde leading coefficients meet every flat sum within its
+    # bound; a sum moved by ten times its bound fails, and by a tenth passes
+    partition = crosscheck.ym2_partition
+
+    def moved(factor):
+        def shifted(*args, **kwargs):
+            res = partition(*args, **kwargs)
+            return res._replace(value=res.value + factor * res.tail_bound)
+        return shifted
+
+    for patch, passed in ((partition, True), (moved(0.1), True), (moved(10.0), False)):
+        monkeypatch.setattr(crosscheck, "ym2_partition", patch)
+        (check,) = [c for c in run_crosschecks("full").checks
+                    if c.name == "witten-volume-identity"]
+        assert check.passed is passed and check.threshold == 1.0
+        # a check that raised would read inf here, not a measured deviation
+        assert math.isfinite(check.residual) and (check.residual > 1.5) is not passed

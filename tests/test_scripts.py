@@ -1,5 +1,6 @@
 """The scripts under scripts/ run end to end on small arguments."""
 
+import math
 import os
 import subprocess
 import sys
@@ -27,6 +28,18 @@ def test_script_runs(name, args):
     proc = run_script(name, *args)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_level_scaling_approaches_its_printed_limit():
+    # for A1 at genus 2 the scaled value is (1 - 1/kappa^2)/pi^2 and the limit 1/pi^2
+    proc = run_script("level_scaling.py", "--kmin", "4", "--doublings", "4")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    rows = [line.split() for line in lines if line.split()[0].isdigit()]
+    assert [int(k) for k, _ in rows] == [4, 8, 16, 32]
+    limit = float(lines[-1].rsplit("=", 1)[1])
+    assert abs(limit - 1 / math.pi ** 2) < 1e-12
+    assert abs(float(rows[-1][1]) - limit) < 1e-2
 
 
 def test_degree_phase_scan_leaves_vanishing_phases_undefined():

@@ -14,8 +14,8 @@ from oracles import (
     fusion_coefficients,
     verlinde_exact,
 )
-from seifertsum import verlinde
-from seifertsum.errors import IntegralityError, PreconditionError
+from seifertsum import modular, verlinde
+from seifertsum.errors import BudgetExceededError, IntegralityError, PreconditionError
 from seifertsum.lie import Weight, build_root_system
 from seifertsum.modular import _Level, integrable_weights
 from seifertsum.seifert import seifert_scan
@@ -244,6 +244,17 @@ def test_table_structure(a1):
     assert with_labels.monotone_nondecreasing is None
     with pytest.raises(PreconditionError):
         verlinde_table(a1, 1, [])
+
+
+def test_table_is_priced_before_its_first_level(monkeypatch):
+    # k = 60 fits the limits and k = 1000 does not: the table is refused
+    # before k = 60 is summed, not after
+    def no_build(*args):
+        raise AssertionError("weights built before the table was priced")
+
+    monkeypatch.setattr(modular, "_weight_array", no_build)
+    with pytest.raises(BudgetExceededError, match="level 1000 of A4"):
+        verlinde_table(build_root_system("A", 4), 2, [60, 1000])
 
 
 @pytest.mark.parametrize("rank,genus,level,exact", [

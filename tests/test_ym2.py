@@ -29,7 +29,6 @@ from seifertsum.quasipoly import pairing_report
 from seifertsum.ym2 import (
     DEFAULT_TOL,
     YM2Result,
-    verlinde_ym2_crosscheck,
     ym2_epsilon_profile,
     ym2_partition,
 )
@@ -213,37 +212,33 @@ def test_profile_refuses_a_rising_z(a1, monkeypatch):
         assert text in msg
 
 
-def test_growth_ratio_against_block_dimensions(a1):
-    rep = verlinde_ym2_crosscheck(a1, 2, (20, 40, 80, 160, 320))
-    assert rep.converged
-    assert rep.last_gap < rep.first_gap
-    # kappa^3/6 growth divided by zeta(2) lands on 1/pi^2
-    assert abs(rep.fitted_constant - 1 / math.pi**2) < 5e-3
-
-
-def test_budget_errors_are_loud(a1, a2, a3):
+def test_budget_errors_are_loud(a1, a2, a3, monkeypatch):
     # a flat sum at rank <= 2 is a closed form with nothing to budget; a
-    # rank-1 box and a rank-3 outer sum have
-    assert _run(a2, 2, 0.0, max_terms=1).terms == 1
-    with pytest.raises(BudgetExceededError, match=r"box of at least 17\^1 dominant weights"):
-        _run(a1, 2, 0.5, max_terms=10)
-    with pytest.raises(BudgetExceededError, match=r"needs 209\^2 outer points, budget 100"):
-        _run(a3, 2, 0.0, target_tol=1e-10, max_terms=100)
-
-
-def test_first_box_is_checked_against_the_budget(a2, monkeypatch):
+    # rank-1 box and a rank-3 outer sum have, and are refused before any term
     def no_sum(*args, **kwargs):
         raise AssertionError("summed past the budget")
 
     monkeypatch.setattr(ym2, "_cone_terms", no_sum)
-    # the first box, 17^2 = 289 weights, and the shell, 10, exceed this budget
-    with pytest.raises(BudgetExceededError, match=r"17\^2 dominant weights or a Casimir "
-                                                  r"shell of more than 5, budget 5"):
-        _run(a2, 3, 1.0, target_tol=1e-3, max_terms=5)
-    # 17^6 = 24.1M weights, and a shell of 1.6M, against this budget
-    with pytest.raises(BudgetExceededError, match=r"17\^6 dominant weights or a Casimir "
-                                                  r"shell of more than 100000, budget 100000"):
-        _run(build_root_system("A", 6), 3, 0.05, max_terms=10 ** 5)
+    monkeypatch.setattr(ym2, "_flat_blocks", no_sum)
+    assert ym2.MAX_TERMS == 2_000_000
+    assert _run(a2, 2, 0.0).terms == 1
+    with pytest.raises(BudgetExceededError, match=r"box of at least 2097153\^1 dominant weights"):
+        _run(a1, 2, 1e-12)
+    with pytest.raises(BudgetExceededError, match=r"needs 2081\^2 outer points, budget 2000000"):
+        _run(a3, 2, 0.0, target_tol=1e-15)
+
+
+def test_first_box_is_checked_against_the_budget(monkeypatch):
+    def no_sum(*args, **kwargs):
+        raise AssertionError("summed past the budget")
+
+    monkeypatch.setattr(ym2, "_cone_terms", no_sum)
+    # the first box, 17^r weights (24.1M and 410M), and the shell both
+    # exceed the budget
+    for rank, genus, eps in ((6, 3, 0.02), (7, 2, 0.05)):
+        with pytest.raises(BudgetExceededError, match=r"17\^%d dominant weights or a Casimir "
+                           r"shell of more than 2000000, budget 2000000" % rank):
+            _run(build_root_system("A", rank), genus, eps)
 
 
 def test_preconditions(a1):
@@ -255,10 +250,6 @@ def test_preconditions(a1):
         _run(a1, 2, 0.0, target_tol=0.0)
     with pytest.raises(PreconditionError):
         ym2_epsilon_profile(a1, 2, (-1.0, 0.0))
-    with pytest.raises(PreconditionError):
-        verlinde_ym2_crosscheck(a1, 2, (5, 10))
-    with pytest.raises(PreconditionError):
-        verlinde_ym2_crosscheck(a1, 1, (5, 10, 20, 40))
 
 
 def test_result_metadata(a1):
@@ -339,11 +330,11 @@ def test_flat_sum_falls_back_to_the_box_where_rounding_needs_it(a3, monkeypatch)
     assert _run(a3, 2, 0.0).terms == 209 ** 2 and boxes == []
     # at g = 3 the outer sum's worst-case rounding bound passes tol, while
     # the 65^3 box meets it; both enclose the outer sum at a looser tol
-    assert ym2._flat_sum(3, 4, DEFAULT_TOL, 10 ** 6) is None
+    assert ym2._flat_sum(3, 4, DEFAULT_TOL) is None
     res = _run(a3, 3, 0.0)
     assert boxes == [((3, 4, 0.0), {"box": 64})] and res.terms == 65 ** 3
     assert res.tail_bound <= DEFAULT_TOL
-    value, bound, _ = ym2._flat_sum(3, 4, 1e-8, 10 ** 6)
+    value, bound, _ = ym2._flat_sum(3, 4, 1e-8)
     assert abs(res.value - value) <= res.tail_bound + bound
 
 
@@ -424,8 +415,8 @@ def test_rank3_flat_sum_against_a_brute_force_box(a3):
 @pytest.mark.parametrize("rank, genus, leading", [
     (1, 2, Fraction(1, 6)), (1, 3, Fraction(1, 180)),
     (2, 2, Fraction(1, 20160)), (2, 3, Fraction(19, 41513472000)),
-    (3, 2, Fraction(23, 653837184000)),
-], ids=["A1-g2", "A1-g3", "A2-g2", "A2-g3", "A3-g2"])
+    (3, 2, Fraction(23, 653837184000)), (3, 3, Fraction(14081, 64814699109633048576000000)),
+], ids=["A1-g2", "A1-g3", "A2-g2", "A2-g3", "A3-g2", "A3-g3"])
 def test_witten_volume_identity(rank, genus, leading):
     # the leading coefficient of the Verlinde polynomial V_g(k) (the exact
     # pairings fits) is |Z(G)| (r+1)^(g-1) V(rho)^(2-2g) (2 pi)^(-(2g-2)|Delta+|)
