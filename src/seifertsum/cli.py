@@ -9,7 +9,8 @@ certification or integrality, 64 usage error.
 The algebra can be named either combined (--algebra A2) or split
 (--series A --rank 2). A JSON config file can preload any subcommand
 option by its dest name (--config path, accepted before or after the
-subcommand); explicit flags win over the file. --output writes the
+subcommand); explicit flags win over the file, and a key that names no
+option of any subcommand is a usage error. --output writes the
 report to a file instead of stdout.
 """
 
@@ -717,11 +718,18 @@ def _config_text(value) -> str:
 
 
 def _apply_config(parser: _Parser, config: dict, argv) -> None:
-    """Preload the options of the subcommand in argv from config."""
+    """Preload the options of the subcommand in argv from config. A key that
+    names an option of another subcommand is accepted, so that one file can
+    serve every subcommand; a key that names none is a usage error."""
     # argparse runs an option's type only on a string default, so a typed
     # option's value goes in as its flag's text; a string default breaks the
     # append action, so an appended --label's items are typed here instead
     (choices,) = (action.choices for action in parser._subparsers._group_actions)
+    unknown = sorted(set(config).difference(
+        *({arg.dest for arg in p._actions if arg.default is not argparse.SUPPRESS}
+          for p in choices.values())))
+    if unknown:
+        parser.error("config keys that name no option: %s" % ", ".join(unknown))
     sp = choices.get(next((a for a in argv if not a.startswith("-")), None))
     for arg in sp._actions if sp else ():
         if arg.dest in config:

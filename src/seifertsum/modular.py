@@ -76,6 +76,9 @@ DEFAULT_TOL = 1e-9
 # the two limits price_level holds every level to, before any weight array exists
 MAX_BYTES = 2 * 10 ** 9  # verlinde A4 g2 k90 is priced at 1.15e9
 MAX_OPERATIONS = 10 ** 10  # S at A2 k56 (n = 1653) is priced at 9.1e9
+# operations a scan's lattice term is priced at: a term takes about 175 ns, a
+# multiply-add of S's certificate about 0.47 ns (A2 k52: 5.9e9 in 2.8 s)
+TERM_OPERATIONS = 350
 
 
 def integrable_weights(rs: RootSystem, level: int) -> tuple[Weight, ...]:
@@ -105,12 +108,13 @@ def price_level(rs: RootSystem, level: int, rows: int = 0, degrees: int = 0,
     its build and of residues; 16 a row held (S, or a residue top and bottom)
     and one row's r x r determinant entries, 48 each; 72 a scan degree; for the
     whole S (s), n rows and the encoder's 33 a float. Operations: n, r^3 a
-    determinant entry, 2 n^3 for the certificate's products, a scan's terms."""
+    determinant entry, 2 n^3 for the certificate's products, TERM_OPERATIONS a
+    scan's term."""
     r, n = rs.rank, math.comb(level + rs.rank, rs.rank)
     rows = n if s else rows
     need = (n * (8 * (2 * r + 9 + 3 * r * (r + 1) // 2) + 16 * rows + 48 * r * r * (rows > 0)
                  + 72 * degrees + 66 * n * s),
-            n + rows * n * r ** 3 + 2 * n ** 3 * s + terms)
+            n + rows * n * r ** 3 + 2 * n ** 3 * s + TERM_OPERATIONS * terms)
     if need[0] > MAX_BYTES or need[1] > MAX_OPERATIONS:
         raise BudgetExceededError(
             "level %d of %s%d (%d weights) needs %.4g bytes and %.4g operations; the "

@@ -19,6 +19,16 @@ below 2^31, largest first, are taken until their product exceeds 2A + 1,
 and V is the symmetric residue of the Chinese remainder theorem. One more
 prime is a witness: a residue that disagrees with it, or a negative V,
 raises IntegralityError.
+
+Without labels, V_g(k) is a polynomial in k of degree D = (g-1) dim G for
+every k >= 0, g >= 2 and G = SU(r+1). It is dim H^0(M, L^k) on the moduli
+space M of semistable SU(r+1) bundles over a curve of genus g, with L the
+ample generator of Pic(M) (Beauville-Laszlo, Comm. Math. Phys. 164
+(1994)). The higher cohomology of L^k vanishes for k >= 0
+(Kumar-Narasimhan-Ramanathan, Math. Ann. 300 (1994)), so V_g(k) equals
+chi(M, L^k), which is a polynomial in k of degree dim M = D (Snapper; see
+Kleiman, Ann. of Math. 84 (1966)). Its leading coefficient C_g is then
+Delta^D V(0) / D! over the levels 0 .. D, with V_g(0) = 1 (_leading_coefficient).
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import IntegralityError, PreconditionError
+from .errors import CertificationError, IntegralityError, PreconditionError
 from .lie import RootSystem, Weight
 from .modular import _Level, price_level
 
@@ -95,3 +105,21 @@ def verlinde_table(rs: RootSystem, genus: int, levels, labels: tuple[Weight, ...
     monotone = None if labels else all(b[1] >= a[1] for a, b in zip(rows, rows[1:]))
     return VerlindeTable(genus=genus, labels=tuple(labels), rows=rows,
                          monotone_nondecreasing=monotone)
+
+
+def _leading_coefficient(rs: RootSystem, genus: int):
+    """C_g of the unlabelled V_g(k), genus >= 2, exactly, as a Fraction: the D-th
+    difference of V over the levels 0 .. D, divided by D!. Level D + 1 checks the
+    degree: the (D+1)-th difference of a polynomial of degree D is 0."""
+    from fractions import Fraction
+
+    degree = (genus - 1) * rs.dimension
+    diffs = [1] + [v for _, v in verlinde_table(rs, genus, range(1, degree + 2)).rows]
+    for _ in range(degree):
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    if diffs[0] != diffs[1]:
+        raise CertificationError(
+            "V_%d(k) of %s%d over k = 0 .. %d is not a polynomial of degree %d: its "
+            "difference of order %d is %d, not 0"
+            % (genus, rs.series, rs.rank, degree + 1, degree, degree + 1, diffs[1] - diffs[0]))
+    return Fraction(diffs[0], math.factorial(degree))

@@ -8,7 +8,7 @@ certified bound on its error. Write m = 2g - 2, r for the rank and
 u = 2^-53 for the unit roundoff of binary64.
 
 Flat limit (eps = 0), rank <= 2: Z = zeta_W(m) is an exact rational q
-times pi^(|Delta+| m), summed with no outer sum.
+times pi^(|Delta+| m), with q in closed form.
 
 * Rank 1 is zeta(m) = (-1)^(m/2+1) B_m 2^(m-1) pi^m / m!. For A2, dim =
   ab(a+b)/2 at Lambda + rho = (a, b), so Z = 2^m T(m, m, m) with the
@@ -33,64 +33,18 @@ times pi^(|Delta+| m), summed with no outer sum.
   e <= 10^60, and the computed Z' is within (gamma_1 + 2 e 10^-60) Z'
   of Z: the bound. A tol below it is refused.
 
-Flat limit, rank >= 3: the last coordinate in closed form.
-
-* Split the shifted coordinates Lambda + rho = (a, c) into the outer ones
-  a = (a_1 .. a_{r-1}) and the last one c >= 1, and put
-  t_i = a_i + ... + a_{r-1}, t_r = 0. The epsilon coordinates are t_i + c,
-  so dim = dim_{A_{r-1}}(a) prod_{i<=r} (t_i + c) / r!.
-* The t_i are distinct, so prod_i (c + t_i)^-m has r poles of order m:
-  it is sum_{j, k<=m} R_jk (c + t_j)^-k, with R_jk the x^(m-k) Taylor
-  coefficient of prod_{i != j} (x + t_i - t_j)^-m. Summing over c >= 1,
-  sum_c (c + t)^-k = zeta(k) - H_t^(k) for k >= 2, and the k = 1
-  coefficients add up to 0 (the product decays like c^-rm), so together
-  they give -sum_j R_j1 H_{t_j}. Hence
-
-      F(a) = (r!/dim_{A_{r-1}}(a))^m [sum_{j, k>=2} R_jk (zeta(k) - H^(k)_{t_j})
-                                     - sum_j R_j1 H_{t_j}],
-
-  and only a runs over a box [1, L]^(r-1): L^(r-1) outer points in place of
-  about L^r box points.
-* zeta(k) is the Euler-Maclaurin sum with N = 16 and B_2 .. B_12, evaluated
-  in exact rationals and rounded once. Its remainder is at most the first
-  omitted term, |B_14/14!| k(k+1)...(k+12) 16^-(k+13), which is 1.02e-18 at
-  k = 2 and falls with k: below u zeta(k). H^(k)_t is the running sum of
-  the n^-k, n <= t, one table per block of outer points (rank 2 carries the
-  last entry of the previous block's table, as its t_1 = a_1 only grows).
-  No mpmath is involved.
-* Outer tail. As t_r = 0, sum_c prod_i (c + t_i)^-m <= zeta(m)
-  prod_{i<r} (t_i + 1)^-m, so F(a) <= zeta(m) D(a)^-m with
-  D(a) = dim_{A_{r-1}}(a) prod_{i<r} (t_i + 1) / r!, the A_r dimension at
-  Lambda + rho = (a, 1). D is the product over the roots e_i - e_j,
-  i < j <= r + 1, of the sums s_i + ... + s_{j-1} divided by j - i, where
-  s = (a, 1) >= 1. Outside the box some a_p > L. The N_p = p(r+1-p) roots
-  with i <= p < j are then each >= a_p, the other simple roots give a_l,
-  and every other factor is >= 1, so D(a) >= a_p^N_p prod_{l != p} a_l / K_p
-  with K_p = prod_{i<=p<j} (j - i). Summing each a_l, l != p, over all n >= 1
-  (zeta(m) each) and a_p over n > L, with sum_{n>L} n^-s <= L^(1-s)/(s-1):
-
-      tail(L) <= zeta(m)^(r-1) sum_{p<r} K_p^m L^(1 - N_p m) / (N_p m - 1).
-
-  For A2 this is 2^m zeta(m) L^(1-2m)/(2m-1). L is the smallest side with
-  tail(L) <= tol/2, the other half of tol being left to rounding; the
-  search starts where the p = 1 term alone, which decays slowest, meets
-  tol/2.
-* Rounding is part of the certificate. If every path from the exact inputs
-  to a computed sum of products passes through at most n roundings, the
-  error is at most gamma_n = nu/(1 - nu) times the same expression with
-  every input and operation replaced by its absolute value (Higham,
-  Accuracy and Stability of Numerical Algorithms, 2nd ed., Lemma 3.3). That
-  absolute value is summed next to F(a), with the majorant series
-  prod_{i != j} (|t_i - t_j| - x)^-m in place of R_jk and zeta(k) + H in
-  place of zeta(k) - H. The path lengths are counted in _flat_block; pole j
-  adds t_j for its running sum H_{t_j}. Block sums and their total are
-  math.fsum'd, each correctly rounded (gamma_1 of its absolute value).
-  The pieces cancel more as m grows: at a = 1 they reach C(2m-2, m-1)
-  times the result.
-* Fallback. The flat sum stops as soon as tail(L) plus the rounding bound
-  spent so far exceeds tol, and Z is then summed over the cube below, whose
-  tail is tiny exactly where m is large, with the cone's rounding bound
-  below. The choice rests only on these computed bounds.
+Flat limit, rank >= 3, genus 2: q from the Verlinde polynomial. Witten's
+volume formula (J. Geom. Phys. 9 (1992)) gives zeta_W(m) = C_g V(rho)^m
+(2 pi)^(m |Delta+|) / (r+1)^g, V(rho) = 1! 2! ... r!, with C_g the leading
+coefficient of the unlabelled Verlinde number V_g(k), a polynomial in k of
+degree D = (g-1) dim G (verlinde module docstring, which cites the theorem).
+So q = C_g V(rho)^m 2^(m |Delta+|) / (r+1)^g exactly, and Z is rounded once
+as above, with the same bound. C_g is the D-th difference of V_g over the
+levels 0 .. D, divided by D!, and level D + 1 checks the degree
+(verlinde._leading_coefficient); modular.price_level prices the top level
+before the first is summed, so A5 g2 (levels up to 36) is summed and A6 g2
+(level 49, 28,989,675 weights) is refused. At genus >= 3 the levels grow with
+D, and the flat sum takes the cube below.
 
 Cone (eps > 0, and the flat fallback): the dominant weights are
 enumerated line by line in itertools.product order of the labels (the
@@ -161,10 +115,11 @@ the terms, a share per block of _BLOCK terms, with gamma_4 for gamma_2,
 which covers x <= x'/(1 - gamma_2) for the computed x' and E's own
 roundings. That is added to the tail bound; a total above tol is refused.
 
-The term budget, MAX_TERMS, counts outer points on the flat path from
-rank 3 and the weights of the chosen stop on the cone, and is checked
-before any term is summed; a refusal names the size the tolerance needed.
-The closed form sums no terms and counts as one.
+The term budget, MAX_TERMS, counts the weights of the chosen stop on the
+cone, and is checked before any term is summed; a refusal names the size
+the tolerance needed. The flat sums are not held to it: the closed form
+sums no terms and counts as one, and the genus-2 route from rank 3 counts
+the weights of its levels 1 .. D + 1, which modular.price_level prices.
 
 Genus must be at least 2; the g < 2 sums diverge at eps = 0 and are
 refused rather than regularised.
@@ -179,7 +134,7 @@ from operator import floordiv, mul
 from typing import NamedTuple
 
 from .errors import BudgetExceededError, CertificationError, PreconditionError
-from .lie import RootSystem, _epsilon_norms, _gamma, _shifted_epsilon, _vandermonde
+from .lie import RootSystem, _gamma, _shifted_epsilon, _vandermonde
 
 DEFAULT_TOL = 1e-10
 MAX_TERMS = 2_000_000
@@ -236,178 +191,25 @@ def _zeta(k: int) -> tuple[Fraction, Fraction]:
         fact *= (2 * j + 1) * (2 * j + 2)
 
 
-def _outer_tail(rank: int, m: int, zeta_m: float, side: int) -> float:
-    """The bound tail(L) of the module docstring at L = side."""
-    total = Fraction(0)
-    for p in range(1, rank):
-        n_p = p * (rank + 1 - p)
-        k_p = math.prod(j - i for i in range(1, p + 1) for j in range(p + 1, rank + 2))
-        total += Fraction(k_p ** m, (n_p * m - 1) * side ** (n_p * m - 1))
-    return zeta_m ** (rank - 1) * float(total)
+def _flat_sum(rs: RootSystem, m: int):
+    """(Z, bound, terms) at eps = 0, Z = q Pi^e rounded once, e = |Delta+| m:
+    q in closed form at rank <= 2, whatever its bound, and from the Verlinde
+    polynomial at genus 2 from rank 3; None from rank 3 at genus >= 3."""
+    rank = rs.rank
+    e = m * rank * (rank + 1) // 2
+    if rank <= 2:
+        q, terms = _flat_rational(rank, m), 1
+    elif m == 2:
+        from .verlinde import _leading_coefficient
 
-
-def _outer_side(rank: int, m: int, zeta_m: float, target: float) -> int:
-    """The smallest side L with tail(L) <= target."""
-    # the p = 1 term alone, zeta^(r-1) (r!)^m L^(1-rm) / (rm-1), reaches
-    # target at L0 <= L, and the others are small by then
-    log_c = (rank - 1) * math.log(zeta_m) + m * math.log(math.factorial(rank)) \
-        - math.log(rank * m - 1)
-    side = max(1, math.floor(math.exp((log_c - math.log(target)) / (rank * m - 1))))
-    while _outer_tail(rank, m, zeta_m, side) > target:
-        side += 1
-    return side
-
-
-def _pole_series(tf: np.ndarray, j: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Taylor coefficients of x^0 .. x^(m-1) of prod_{i != j} (x + t_i - t_j)^-m
-    and of its majorant prod_{i != j} (|t_i - t_j| - x)^-m, as (m, n) arrays,
-    for the rows t of the (n, r) float array tf."""
-    import numpy as np
-
-    n = len(tf)
-    ser = np.zeros((m, n))
-    ser[0] = 1.0
-    bar = ser.copy()
-    binom = [float(math.comb(m + q - 1, q)) for q in range(m)]
-    for i in range(tf.shape[1]):
-        if i == j:
-            continue
-        inv = 1.0 / (tf[:, i] - tf[:, j])
-        p = inv.copy()
-        for _ in range(m - 1):
-            p *= inv
-        # (x + d)^-m = sum_q C(m+q-1, q) d^-m (-1/d)^q x^q
-        f = np.empty((m, n))
-        for q in range(m):
-            f[q] = binom[q] * p
-            p = p * -inv
-        fb = np.abs(f)
-        new, new_bar = np.zeros((m, n)), np.zeros((m, n))
-        for q in range(m):
-            new[q:] += f[q] * ser[:m - q]
-            new_bar[q:] += fb[q] * bar[:m - q]
-        ser, bar = new, new_bar
-    return ser, bar
-
-
-def _flat_depth(r: int, m: int) -> int:
-    """Roundings on the longest path to F(a), but for the t_j additions of
-    pole j's running sum H_{t_j}: q^m, R_jk (its factors' powers, binomial
-    and product, then one convolution per factor), zeta - H (the powers
-    n^-k and the subtraction), the product R (zeta - H), the sums over k
-    and j, and the product with q^m."""
-    return ((m * (1 + r * (r - 1)) + m - 1) + (2 * m + 1 + (r - 1) * (m + 1))
-            + (m + 1) + 1 + (m + r) + 1)
-
-
-def _flat_block(t: np.ndarray, m: int, zeta: list, table: np.ndarray,
-                offset: int) -> tuple[list, float]:
-    """The terms F(a) of the outer points with rows t = (t_1 .. t_r) of an (n, r)
-    int64 array, and the bound on their summed rounding errors. zeta[k] is
-    zeta(k) as a float; table[k - 1, t - offset] is H^(k)_t for the t > 0
-    of these rows."""
-    import numpy as np
-
-    n, r = t.shape
-    tf = t.astype(float)
-    # q = r!/dim_{A_{r-1}}(a): one conversion, a division and a product per pair
-    q = np.full(n, float(math.factorial(r)))
-    for i in range(r):
-        for j in range(i + 1, r):
-            q *= (j - i) / (tf[:, i] - tf[:, j])
-    pre = q.copy()
-    for _ in range(m - 1):
-        pre *= q
-    depth = _flat_depth(r, m)
-    value, bound = np.zeros(n), np.zeros(n)
-    for j in range(r):
-        ser, bar = _pole_series(tf, j, m)
-        h = table[:, t[:, j] - offset] if j < r - 1 else np.zeros((m, n))  # t_r = 0
-        part, mag = -ser[m - 1] * h[0], bar[m - 1] * h[0]  # k = 1
-        for k in range(2, m + 1):
-            part += ser[m - k] * (zeta[k] - h[k - 1])
-            mag += bar[m - k] * (zeta[k] + h[k - 1])
-        value += part
-        bound += _gamma(depth + t[:, j]) * mag
-    return (pre * value).tolist(), float(np.sum(pre * bound))
-
-
-def _harmonic_table(m: int, last: int, carry: np.ndarray, high: int) -> np.ndarray:
-    """H^(k)_t in row k - 1 and column t - last, for k = 1..m and
-    t = last..high, continuing the running sums carry = H^(k)_last."""
-    import numpy as np
-
-    powers = np.empty((m, high - last + 1))
-    powers[:, 0] = carry
-    powers[0, 1:] = 1.0 / np.arange(last + 1, high + 1)
-    for k in range(1, m):
-        powers[k, 1:] = powers[k - 1, 1:] * powers[0, 1:]
-    return np.cumsum(powers, axis=1)  # add.accumulate: sequential, as the bound counts
-
-
-def _flat_blocks(rank: int, m: int, zeta: list, side: int):
-    """Yield the terms F(a) of the outer points a in [1, side]^(r-1), r >= 2,
-    _BLOCK at a time in itertools.product order, each list with the bound
-    on its rounding."""
-    import numpy as np
-
-    total = side ** (rank - 1)
-    strides = np.array([side ** k for k in range(rank - 2, -1, -1)], dtype=np.int64)
-    last, carry = 0, np.zeros(m)  # H^(k)_last, where the previous table ended
-    for start in range(0, total, _BLOCK):
-        flat = np.arange(start, min(start + _BLOCK, total))
-        t = _epsilon_norms(flat[:, None] // strides % side + 1)[0]
-        low, high = int(t[:, rank - 2].min()), int(t[:, 0].max())
-        if low <= last:
-            last, carry = 0, np.zeros(m)
-        table, offset = _harmonic_table(m, last, carry, high), last
-        last, carry = high, table[:, -1]
-        yield _flat_block(t, m, zeta, table, offset)
-
-
-def _flat_sum(rank: int, m: int, tol: float):
-    """(Z, bound, points) at eps = 0: in closed form at rank <= 2, whatever
-    its bound, and from rank 3 by the outer sum, or None when its
-    truncation plus rounding cannot meet tol."""
-    if rank >= 3:
-        return _outer_sum(rank, m, tol)
-    e = m * rank * (rank + 1) // 2  # |Delta+| m
-    q = _flat_rational(rank, m)
-    value = q.numerator * _PI.numerator ** e / (q.denominator * _PI.denominator ** e)
-    return value, (_gamma(1) + 2e-60 * e) * value, 1
-
-
-def _outer_sum(rank: int, m: int, tol: float):
-    """(Z, bound, outer points) of the flat outer sum, rank >= 2, or None when
-    truncation plus rounding cannot meet tol or its terms leave binary64."""
-    import numpy as np
-
-    zeta = [0.0, 0.0] + [float(_zeta(k)[0]) for k in range(2, m + 1)]
-    try:
-        side = _outer_side(rank, m, zeta[m], tol / 2)
-        float(math.comb(2 * m - 2, m - 1))  # the largest binomial of _pole_series
-    except OverflowError:
-        # a tail term or a binomial leaves binary64; the partial fractions
-        # would cancel far past any tol long before
+        v_rho = math.prod(map(math.factorial, range(1, rank + 1)))
+        q = _leading_coefficient(rs, 2) * Fraction(v_rho ** m * 2 ** e, (rank + 1) ** 2)
+        # the weights of levels 1 .. D + 1, D = dim G: sum_k C(k+r, r) = C(D+r+2, r+1) - 1
+        terms = math.comb(rs.dimension + rank + 2, rank + 1) - 1
+    else:
         return None
-    total = side ** (rank - 1)
-    if total > MAX_TERMS:
-        raise BudgetExceededError(
-            "certifying tol %g at eps = 0 needs %d^%d outer points, budget %d; "
-            "relax target_tol" % (tol, side, rank - 1, MAX_TERMS))
-    spent = _outer_tail(rank, m, zeta[m], side)
-    sums = []
-    # terms past binary64 come out inf or nan, and so does their bound
-    with np.errstate(over="ignore", invalid="ignore"):
-        for terms, rounding in _flat_blocks(rank, m, zeta, side):
-            if not spent + rounding <= tol:  # also catches nan and inf
-                return None
-            sums.append(math.fsum(terms))
-            spent += rounding + _gamma(1) * abs(sums[-1])
-            if not spent <= tol:
-                return None
-    value = math.fsum(sums)
-    return value, spent + _gamma(1) * abs(value), total
+    value = q.numerator * _PI.numerator ** e / (q.denominator * _PI.denominator ** e)
+    return value, (_gamma(1) + 2e-60 * e) * value, terms
 
 
 def _box_tail_bound(rank: int, m: int, eps: float, box: int) -> float:
@@ -543,7 +345,7 @@ def ym2_partition(rs: RootSystem, genus: int, epsilon: float,
         raise PreconditionError(
             "target_tol must be a positive finite number, got %r" % (target_tol,))
     m = 2 * genus - 2
-    flat = _flat_sum(rs.rank, m, target_tol) if epsilon == 0 else None
+    flat = _flat_sum(rs, m) if epsilon == 0 else None
     value, bound, terms = flat or _cone_sum(rs.rank, m, epsilon, target_tol)
     if bound > target_tol:
         raise CertificationError("tol %g is below the bound %g on the sum's tail and rounding"

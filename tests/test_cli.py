@@ -120,6 +120,19 @@ def test_refusals_exit_2(capsys):
                          r"operations", err)
 
 
+def test_flat_a6_genus_two_is_refused_before_any_level(capsys, monkeypatch):
+    # its Verlinde levels reach 49: C(55, 6) = 28,989,675 weights
+    from seifertsum import verlinde
+
+    def no_level(*args):
+        raise AssertionError("a level was built before it was priced")
+
+    monkeypatch.setattr(verlinde, "_Level", no_level)
+    code, out, err = run(["ym2", "--algebra", "A6", "--genus", "2", "--epsilons", "0"], capsys)
+    assert (code, out) == (2, "")
+    assert "refused: level 49 of A6 (28989675 weights) needs" in err
+
+
 def test_certification_failures_exit_3(capsys):
     # no binary64 S meets 1e-30; a tol of 0 is refused (exit 2)
     code, _, err = run(["modular", "--algebra", "A1", "--level", "3",
@@ -337,6 +350,20 @@ def test_config_labels_go_through_the_weight_type(tmp_path, capsys):
     code, out, _ = run(a2 + ["--config", str(cfg)], capsys)
     assert code == 0 and out == run(a2 + ["--label", "1,0"], capsys)[1]
     assert json.loads(out)["labels"] == [[1, 0]]
+
+
+def test_config_keys_that_name_no_option_are_refused(tmp_path, capsys):
+    # a removed option and a misspelt one; neither names an option of any subcommand
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max_terms": 10, "tool": 1e-3}))
+    ym2 = ["ym2", "--algebra", "A1", "--genus", "2", "--epsilons", "0"]
+    code, out, err = run(ym2 + ["--config", str(cfg)], capsys)
+    assert (code, out) == (64, "")
+    assert err.endswith("error: config keys that name no option: max_terms, tool\n")
+    # a key of another subcommand is accepted, so that one file serves every subcommand
+    cfg.write_text(json.dumps({"levels": [5], "kmax": 8, "tol": 1e-3}))
+    code, out, _ = run(ym2 + ["--config", str(cfg)], capsys)
+    assert code == 0 and out == run(ym2 + ["--tol", "1e-3"], capsys)[1]
 
 
 def test_config_file_errors(tmp_path, capsys):

@@ -38,8 +38,8 @@ def test_importing_the_cli_loads_no_subcommand_module():
 
 
 # the flat sums compute their zeta values themselves: mpmath would cost ym2
-# about 4 MB of RSS; only the flat outer sum of rank >= 3 builds arrays, so
-# only it may load numpy
+# about 4 MB of RSS; only the flat genus-2 sum of rank >= 3 reads Verlinde
+# levels, so only it may load verlinde, modular and numpy
 @pytest.mark.parametrize("argv", [
     ["ym2", "--algebra", "A1", "--genus", "2", "--epsilons", "0"],
     ["ym2", "--algebra", "A2", "--genus", "2", "--epsilons", "0"],
@@ -50,10 +50,11 @@ def test_importing_the_cli_loads_no_subcommand_module():
 def test_a_ym2_call_loads_only_lie_and_ym2(argv):
     code = "from seifertsum import cli\nassert cli.main(%r) == 0" % (argv,)
     loaded = loaded_after(code)
+    verlinde = {"numpy", "seifertsum.modular", "seifertsum.verlinde"}
     # a CSV report loads no json, and no record loads dataclasses
-    assert loaded - {"numpy", "inspect", "fractions"} == {
+    assert loaded - verlinde - {"inspect", "fractions"} == {
         "seifertsum.cli", "seifertsum.errors", "seifertsum.lie", "seifertsum.ym2"}
-    assert "numpy" not in loaded or argv[2] == "A3" and argv[-1] == "0"
+    assert not loaded & verlinde or argv[2] == "A3" and argv[-1] == "0"
     assert "inspect" not in loaded or "numpy" in loaded  # numpy imports inspect itself
 
 

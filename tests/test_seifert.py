@@ -136,9 +136,13 @@ def test_scan_budget_is_all_or_nothing(a1, monkeypatch):
     # level 9 alone is cheap; 10^10 weights at the top level are over the byte limit
     with pytest.raises(BudgetExceededError, match=r"level 10000000000 of A1"):
         seifert_scan(a1, genera=(0,), degrees=(0,), levels=(9, 10 ** 10))
-    # the level fits, but its 2000 x 6 cells hold 1.2e10 lattice terms
-    with pytest.raises(BudgetExceededError, match=r"needs [0-9.e+]+ bytes and 1.2e\+10 operations"):
+    # the level fits, but its 2000 x 6 cells hold 1.2e10 lattice terms, priced
+    # at TERM_OPERATIONS = 350 operations each
+    with pytest.raises(BudgetExceededError, match=r"needs [0-9.e+]+ bytes and 4.2e\+12 operations"):
         seifert_scan(a1, genera=range(2000), degrees=range(6), levels=(10 ** 6,))
+    # 1e8 terms, more than ten seconds of lattice sums, are 3.5e10 operations
+    with pytest.raises(BudgetExceededError, match=r"needs [0-9.e+]+ bytes and 3.5e\+10 operations"):
+        seifert_scan(a1, genera=range(100), degrees=range(10), levels=(10 ** 5,))
 
 
 def test_budget_refusals_count_weights_without_building_them(monkeypatch):

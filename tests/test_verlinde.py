@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,12 @@ from oracles import (
     verlinde_exact,
 )
 from seifertsum import modular, verlinde
-from seifertsum.errors import BudgetExceededError, IntegralityError, PreconditionError
+from seifertsum.errors import (
+    BudgetExceededError,
+    CertificationError,
+    IntegralityError,
+    PreconditionError,
+)
 from seifertsum.lie import Weight, build_root_system
 from seifertsum.modular import _Level, integrable_weights
 from seifertsum.seifert import seifert_scan
@@ -255,6 +261,25 @@ def test_table_is_priced_before_its_first_level(monkeypatch):
     monkeypatch.setattr(modular, "_weight_array", no_build)
     with pytest.raises(BudgetExceededError, match="level 1000 of A4"):
         verlinde_table(build_root_system("A", 4), 2, [60, 1000])
+
+
+@pytest.mark.parametrize("rank, genus, leading", [
+    (1, 2, Fraction(1, 6)), (1, 3, Fraction(1, 180)), (2, 2, Fraction(1, 20160)),
+    (3, 2, Fraction(23, 653837184000))])
+def test_leading_coefficient_is_the_top_difference(rank, genus, leading):
+    assert verlinde._leading_coefficient(build_root_system("A", rank), genus) == leading
+
+
+@pytest.mark.parametrize("level", [1, 8, 16])
+def test_leading_coefficient_checks_the_degree(a3, monkeypatch, level):
+    # one level moved by 1 moves the 16th difference over 0 .. 16 by +-C(16, k):
+    # the integers are no polynomial of degree 15, and nothing is read off them
+    exact = verlinde.verlinde_dimension
+    monkeypatch.setattr(verlinde, "verlinde_dimension", lambda rs, k, *args: exact(
+        rs, k, *args) + (k == level))
+    with pytest.raises(CertificationError, match=r"V_2\(k\) of A3 over k = 0 \.\. 16 is "
+                       r"not a polynomial of degree 15: its difference of order 16 is -?\d+"):
+        verlinde._leading_coefficient(a3, 2)
 
 
 @pytest.mark.parametrize("rank,genus,level,exact", [

@@ -26,6 +26,7 @@ from seifertsum.errors import (
 )
 from seifertsum.lie import _form, _shifted_epsilon, _vandermonde, build_root_system
 from seifertsum.quasipoly import pairing_report
+from seifertsum.verlinde import _leading_coefficient
 from seifertsum.ym2 import (
     DEFAULT_TOL,
     YM2Result,
@@ -90,7 +91,7 @@ def test_rank2_flat_sum_against_brute_force(a2):
 
 def test_rank2_flat_sum_is_pinned(a2):
     # the Mordell-Tornheim value 4 T(2,2,2) = 4 pi^6 / 2835 in closed form,
-    # rounded once: no outer sum, and a bound of one rounding
+    # rounded once: no terms summed, and a bound of one rounding
     res = _run(a2, 2, 0.0, target_tol=1e-6)
     assert repr(res.value) == "1.3564574159792655"
     assert res.terms == 1
@@ -212,20 +213,20 @@ def test_profile_refuses_a_rising_z(a1, monkeypatch):
         assert text in msg
 
 
-def test_budget_errors_are_loud(a1, a2, a3, monkeypatch):
+def test_budget_errors_are_loud(a1, a2, monkeypatch):
     # a flat sum at rank <= 2 is a closed form with nothing to budget; a
-    # rank-1 box and a rank-3 outer sum have, and are refused before any term
+    # rank-1 box and the flat A4 g3 cube have, and are refused before any term
     def no_sum(*args, **kwargs):
         raise AssertionError("summed past the budget")
 
     monkeypatch.setattr(ym2, "_cone_terms", no_sum)
-    monkeypatch.setattr(ym2, "_flat_blocks", no_sum)
     assert ym2.MAX_TERMS == 2_000_000
     assert _run(a2, 2, 0.0).terms == 1
     with pytest.raises(BudgetExceededError, match=r"box of at least 2097153\^1 dominant weights"):
         _run(a1, 2, 1e-12)
-    with pytest.raises(BudgetExceededError, match=r"needs 2081\^2 outer points, budget 2000000"):
-        _run(a3, 2, 0.0, target_tol=1e-15)
+    with pytest.raises(BudgetExceededError, match=r"box of at least 65\^4 dominant weights, "
+                       r"budget 2000000"):
+        _run(build_root_system("A", 4), 3, 0.0)
 
 
 def test_first_box_is_checked_against_the_budget(monkeypatch):
@@ -303,6 +304,48 @@ def _encloses(res, reference) -> bool:
     return abs(Fraction(res.value) - Fraction(reference)) <= Fraction(res.tail_bound)
 
 
+def _flat_q(rs, genus):
+    """q = Z / pi^(m |Delta+|) at eps = 0 from the Verlinde polynomial's leading
+    coefficient, by Witten's volume formula."""
+    m = 2 * genus - 2
+    v_rho = _vandermonde(_shifted_epsilon((0,) * rs.rank))
+    return _leading_coefficient(rs, genus) * Fraction(
+        v_rho ** m * 2 ** (m * len(rs.positive_roots)), (rs.rank + 1) ** genus)
+
+
+def _q_pi(q, e):
+    """q pi^e to 35 digits."""
+    with mpmath.workdps(40):
+        return mpmath.nstr(mpmath.mpf(q.numerator) / q.denominator * mpmath.pi ** e, 35)
+
+
+@pytest.mark.parametrize("rank, genus", [(1, 2), (2, 2), (2, 3)])
+def test_verlinde_polynomial_gives_the_closed_form(rank, genus):
+    assert _flat_q(build_root_system("A", rank), genus) == ym2._flat_rational(rank, 2 * genus - 2)
+
+
+# the outer sum that summed these before printed Z = 1.1985582628797393 with
+# bound 5.03e-11 at A3, and 1.1174328756238634 with bound 6.67e-11 at A4
+@pytest.mark.parametrize("rank, q, outer, outer_bound", [
+    (3, Fraction(92, 70945875), 1.1985582628797393, 5.03e-11),
+    (4, Fraction(1024, 8036666859375), 1.1174328756238634, 6.67e-11)], ids=["A3", "A4"])
+def test_genus_two_flat_sum_reads_q_off_the_verlinde_polynomial(rank, q, outer, outer_bound):
+    rs = build_root_system("A", rank)
+    assert _flat_q(rs, 2) == q
+    res = _run(rs, 2, 0.0)
+    assert _encloses(res, _q_pi(q, 2 * len(rs.positive_roots)))
+    assert res.tail_bound <= 2.0 ** -51 * res.value
+    assert abs(res.value - outer) <= outer_bound
+
+
+def test_a5_genus_two_flat_sum_is_summed():
+    # refused before on 40^4 outer points; levels 1 .. 36 of A5 now give q
+    res = _run(build_root_system("A", 5), 2, 0.0)
+    q = Fraction(6096289792, 4659159510015705904584375)
+    assert _encloses(res, _q_pi(q, 30))
+    assert res.tail_bound <= 2.0 ** -51 * res.value
+
+
 @pytest.mark.parametrize("genus", [2, 3, 4, 5, 6])
 def test_rank1_flat_bound_encloses_zeta_from_bernoulli_numbers(a1, genus):
     n = genus - 1  # zeta(2n) = |B_2n| (2 pi)^2n / (2 (2n)!)
@@ -327,35 +370,18 @@ def test_flat_sum_falls_back_to_the_box_where_rounding_needs_it(a3, monkeypatch)
     cone_terms = ym2._cone_terms
     monkeypatch.setattr(ym2, "_cone_terms", lambda *args, **kwargs: boxes.append(
         (args, kwargs)) or cone_terms(*args, **kwargs))
-    assert _run(a3, 2, 0.0).terms == 209 ** 2 and boxes == []
-    # at g = 3 the outer sum's worst-case rounding bound passes tol, while
-    # the 65^3 box meets it; both enclose the outer sum at a looser tol
-    assert ym2._flat_sum(3, 4, DEFAULT_TOL) is None
+    # g = 2 reads q off the Verlinde levels 1 .. 16, C(20, 4) - 1 weights in all
+    assert _run(a3, 2, 0.0).terms == math.comb(20, 4) - 1 and boxes == []
+    # from g = 3 the flat sum takes the 65^3 box, which encloses q pi^e with
+    # q from the Verlinde polynomial
+    assert ym2._flat_sum(a3, 4) is None
     res = _run(a3, 3, 0.0)
     assert boxes == [((3, 4, 0.0), {"box": 64})] and res.terms == 65 ** 3
     assert res.tail_bound <= DEFAULT_TOL
-    value, bound, _ = ym2._flat_sum(3, 4, 1e-8)
-    assert abs(res.value - value) <= res.tail_bound + bound
-
-
-@pytest.mark.parametrize("genus", range(2, 7))
-def test_rank2_outer_sum_meets_the_closed_form(genus):
-    # the outer-sum kernel serves rank >= 3 only; at rank 2 it must meet the
-    # closed form within its tail and rounding bound, also where that bound
-    # is too loose for the flat path to accept it (g >= 3 at this tol)
-    m, tol = 2 * genus - 2, 1e-12
-    zeta = [0.0, 0.0] + [float(ym2._zeta(k)[0]) for k in range(2, m + 1)]
-    side = ym2._outer_side(2, m, zeta[m], tol / 2)
-    bound, sums = ym2._outer_tail(2, m, zeta[m], side), []
-    for terms, rounding in ym2._flat_blocks(2, m, zeta, side):
-        sums.append(math.fsum(terms))
-        bound += rounding + ym2._gamma(1) * abs(sums[-1])
-    value = math.fsum(sums)
-    bound += ym2._gamma(1) * abs(value)
-    q = ym2._flat_rational(2, m)
+    q = _flat_q(a3, 3)
     with mpmath.workdps(40):
-        exact = mpmath.mpf(q.numerator) / q.denominator * mpmath.pi ** (3 * m)
-        assert abs(mpmath.mpf(value) - exact) <= bound
+        assert _encloses(res, mpmath.nstr(mpmath.mpf(q.numerator) / q.denominator
+                                          * mpmath.pi ** 24, 35))
 
 
 def test_box_bound_covers_rounding_at_every_coupling(a1):
@@ -416,7 +442,8 @@ def test_rank3_flat_sum_against_a_brute_force_box(a3):
     (1, 2, Fraction(1, 6)), (1, 3, Fraction(1, 180)),
     (2, 2, Fraction(1, 20160)), (2, 3, Fraction(19, 41513472000)),
     (3, 2, Fraction(23, 653837184000)), (3, 3, Fraction(14081, 64814699109633048576000000)),
-], ids=["A1-g2", "A1-g3", "A2-g2", "A2-g3", "A3-g2", "A3-g3"])
+    (4, 2, Fraction(1, 27303661403504640000)),
+], ids=["A1-g2", "A1-g3", "A2-g2", "A2-g3", "A3-g2", "A3-g3", "A4-g2"])
 def test_witten_volume_identity(rank, genus, leading):
     # the leading coefficient of the Verlinde polynomial V_g(k) (the exact
     # pairings fits) is |Z(G)| (r+1)^(g-1) V(rho)^(2-2g) (2 pi)^(-(2g-2)|Delta+|)
