@@ -202,7 +202,7 @@ def _check_verlinde_gluing(rng):
 
 def _check_epsilon_profile(rng):
     # Each row of the A1 genus-2 profile against a reference summed apart from
-    # the box code: pi^2/6 at eps = 0, else theta(eps) = sum_{n<=1000} n^-2
+    # the shell code: pi^2/6 at eps = 0, else theta(eps) = sum_{n<=1000} n^-2
     # exp(-eps (n^2-1)/4) (dim n, casimir (n^2-1)/2), whose terms past n = 1000
     # are below exp(-31000). pi^2/6 takes 5 roundings (pi twice through the
     # square, pow within one ulp, the division). A theta term takes 5 (pow and
@@ -249,8 +249,8 @@ def _check_witten_volume_identity(rng):
     # sum Z = zeta_W(m), m = 2g - 2, with V(rho) = prod_{alpha>0} <rho, alpha>
     # = 1! 2! ... r!. C_g is fitted exactly on the levels 1 .. degree + 2, and
     # the reference for Z, taken at 40 digits, is rounded once. A3 is taken at
-    # g3, where Z is summed over the cube: at g2, Z is read off the same
-    # Verlinde integers as the fit, so the check would compare them with
+    # g3, where Z is summed over the dimension shell: at g2, Z is read off the
+    # same Verlinde integers as the fit, so the check would compare them with
     # themselves.
     import mpmath
 

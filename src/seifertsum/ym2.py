@@ -44,57 +44,49 @@ levels 0 .. D, divided by D!, and level D + 1 checks the degree
 (verlinde._leading_coefficient); modular.price_level prices the top level
 before the first is summed, so A5 g2 (levels up to 36) is summed and A6 g2
 (level 49, 28,989,675 weights) is refused. At genus >= 3 the levels grow with
-D, and the flat sum takes the cube below.
+D, and the flat sum takes the dominant cone below.
 
-Cone (eps > 0, and the flat fallback): the dominant weights are
-enumerated line by line in itertools.product order of the labels (the
-last one fastest), and every label stops either at a cube side L or at a
-Casimir shell, whichever stop holds fewer weights.
+Cone (eps > 0, and eps = 0 from rank 3 at genus >= 3): the dominant
+weights are walked line by line in itertools.product order of the labels
+(the last one fastest). Each label stops where the weight with the later
+labels at 0 leaves the dimension shell dim <= X or, at eps > 0, the
+Casimir shell (r+1) casimir <= cap; both grow in every label, as no
+factor <Lambda+rho, alpha> of dim falls and the inverse Cartan matrix is
+positive.
 
-* Cube: labels <= L. The tail is bounded by dim(Lambda) >=
-  prod(coord_i + 1), the full-chain factor dim >= prod * (|Lambda| + r)/r
-  for rank >= 2, and <Lambda, Lambda> >= L^2/4 outside the cube (smallest
-  eigenvalue of the inverse Cartan matrix exceeds 1/4 in the A series),
-  giving
+* Tails. The simple roots give the factors lambda_i + 1 of dim and the
+  other factors are at least 1, so dim >= prod (lambda_i + 1), and dim^-s
+  sums to at most zeta(s)^r <= (s/(s-1))^r over the cone for s > 1. Out
+  of the dimension shell dim >= X + 1, so for any 1 < s < m
 
-      tail <= r 2^(r-1) (L+1)^(1-m)/(m-1)
-              * (r/(L+1+r))^(m [rank>=2])
-              * exp(-eps L^2 / 8),
+      tail <= (s/(s-1))^r (X+1)^-(m-s),
 
-  and L is the first of 16, 32, 64, ... with tail <= tol.
-* Shell: (r+1) casimir <= cap. The simple roots give the factors
-  lambda_i + 1 of dim Lambda = prod_{alpha>0} <Lambda+rho, alpha>/<rho, alpha>
-  and every other factor is at least 1, so dim >= prod (lambda_i + 1),
-  whose m-th inverse powers sum to zeta(m)^r over the cone. Outside the
-  shell (r+1) casimir >= cap + 1, so
-
-      tail <= zeta(m)^r exp(-eps (cap + 1) / (2 (r+1))),
-
-  and cap is the smallest with tail <= tol/2, the other half of tol being
-  left to rounding. Stopping label by label is valid because the casimir
-  grows in every label: casimir(Lambda + omega_i) - casimir(Lambda) =
-  <omega_i, omega_i> + 2 <omega_i, Lambda + rho> > 0, as every entry of
-  the inverse Cartan matrix is positive. Once the weight with the later
-  labels at 0 leaves the shell, every larger value of the label does too.
-* Choice. The cube holds (L+1)^r weights. The shell's are counted line by
-  line, and the count stops once it reaches the cube's or passes the
-  budget; ties keep the cube. Both counts are taken before any term is
-  summed. The shell wins at moderate eps (A5, g = 2, eps = 1, tol 1e-3:
-  18 weights against 17^5), the cube where the decay of dim^-m alone
-  nearly meets tol (large genus, eps near 0). The flat fallback has no
-  shell and takes the cube.
+  X the smallest integer that meets its share of tol at the s on the grid
+  1 + j/64 where X is smallest. Out of the Casimir shell, tail <= zeta(m)^r
+  exp(-eps (cap + 1)/(2 (r+1))), cap the smallest that meets its share.
+* Shares. A term left out lies out of one shell or the other, so the
+  tails add. At eps = 0 the dimension tail gets tol/2; at eps > 0 each
+  gets tol/4, or the dimension tail tol/2 where eps is too small for a
+  cap that binary64 can tell apart. Rounding keeps the other half. The
+  squares <Lambda+rho, alpha>^2 sum to (r+1) |Lambda+rho|^2 = (r+1) casimir
+  + M(rho), so by AM-GM dim <= ((cap + M(rho))/|Delta+|)^(|Delta+|/2)/V(rho)
+  in the Casimir shell. Where that is at most X, with cap at tol/2 and X
+  at tol/4, the shell at tol/2 is summed alone, with no more weights than
+  the intersection: the usual case at genus 2.
 * Lines. In the labels, (r+1) casimir = sum_ij K_ij lambda_i lambda_j +
   sum_i b_i lambda_i with K_ij = min(i, j)(r + 1 - max(i, j)), (r+1) times
   the inverse Cartan matrix, and b_i = 2 sum_j K_ij. Along label d, with
   the labels before it fixed and those after it at 0, it is
   a + v (B_d + K_dd v), B_d = (r+1-d)(d(r+1) + 2 sum_{j<d} j lambda_j), so
-  the last value of each label in the shell is an integer square root.
-  Along the last label, Lambda + rho = (s, c) with c = v + 1, only the r
-  factors e_i - e_(r+1) = t_i + c of V = prod_{i<j} (e_i - e_j) move, t
-  the epsilon coordinates of s, so dim = w c prod_{i<r} (t_i + c) / V(rho)
-  with w = V(t) fixed per line, taken as the Vandermonde of the prefix
-  sums of s as the labels are fixed. Dims and casimirs stay exact Python
-  ints (A5 at L = 16 has V near 1e23).
+  the last value of each label in the Casimir shell is an integer square
+  root. The dimension stop is the last v with V(Lambda + rho) <= X V(rho),
+  V taken over the prefix sums of the shifted labels: the Casimir stop or
+  X - 1 (dim >= lambda_d + 1) where V holds there, else the first v whose
+  successor fails. Along the last label, Lambda + rho = (s, c) with
+  c = v + 1, only the r factors e_i - e_(r+1) = t_i + c of V = prod_{i<j}
+  (e_i - e_j) move, t the epsilon coordinates of s, so dim = w c
+  prod_{i<r} (t_i + c) / V(rho).
+  Dims and casimirs stay exact Python ints (V passes 2^63 from rank 7).
 
 The two floating point steps, dim^-m and exp(-eps casimir/2), are scalar
 libm calls, so every term is bit-identical to the per-weight formula; at
@@ -109,15 +101,17 @@ and the product with eps; /2 is exact), which move exp by a factor of at
 most exp(x gamma_2). A computed term t' is then within
 t' (gamma_(m+5) + expm1(x gamma_2))/(1 - gamma_(m+5)) of the exact one, and
 with the fsum the computed Z is within (gamma_(m+6) Z + E)/(1 - gamma_(m+6))
-of the exact sum over the cube or shell, E = sum t' expm1(x gamma_2): each
+of the exact sum over the shell, E = sum t' expm1(x gamma_2): each
 argument's rounding weighted by its own term. _cone_terms sums E beside
 the terms, a share per block of _BLOCK terms, with gamma_4 for gamma_2,
 which covers x <= x'/(1 - gamma_2) for the computed x' and E's own
 roundings. That is added to the tail bound; a total above tol is refused.
 
-The term budget, MAX_TERMS, counts the weights of the chosen stop on the
-cone, and is checked before any term is summed; a refusal names the size
-the tolerance needed. The flat sums are not held to it: the closed form
+As Z >= 1, the vacuum's term, the rounding bound is at least
+gamma_(m+6)/(1 - gamma_(m+6)), and a tol below that is refused before the
+shells are sized. The term budget, MAX_TERMS, counts the weights of the
+shell, and is checked before any term is summed; a refusal names the
+shell's X and cap. The flat sums are not held to it: the closed form
 sums no terms and counts as one, and the genus-2 route from rank 3 counts
 the weights of its levels 1 .. D + 1, which modular.price_level prices.
 
@@ -134,7 +128,7 @@ from operator import floordiv, mul
 from typing import NamedTuple
 
 from .errors import BudgetExceededError, CertificationError, PreconditionError
-from .lie import RootSystem, _gamma, _shifted_epsilon, _vandermonde
+from .lie import RootSystem, _form, _gamma, _shifted_epsilon, _vandermonde
 
 DEFAULT_TOL = 1e-10
 MAX_TERMS = 2_000_000
@@ -174,23 +168,6 @@ def _flat_rational(rank: int, m: int) -> Fraction:
     return (-1) ** p * Fraction(2 ** (4 * m), 3 * math.factorial(3 * m)) * total
 
 
-def _zeta(k: int) -> tuple[Fraction, Fraction]:
-    """zeta(k), k >= 2, by Euler-Maclaurin from N = 16 as an exact rational,
-    and the first omitted term, which bounds its remainder."""
-    n = 16
-    value = (sum(Fraction(1, i ** k) for i in range(1, n))
-             + Fraction(1, (k - 1) * n ** (k - 1)) + Fraction(1, 2 * n ** k))
-    rising, fact = k, 2  # k (k+1) ... (k+2j-2) and (2j)!
-    corrections = _bernoulli(7)[1:]  # B_2 .. B_14, the last one bounds the remainder
-    for j, b in enumerate(corrections, 1):
-        term = b * rising / (fact * n ** (k + 2 * j - 1))
-        if j == len(corrections):
-            return value, abs(term)
-        value += term
-        rising *= (k + 2 * j - 1) * (k + 2 * j)
-        fact *= (2 * j + 1) * (2 * j + 2)
-
-
 def _flat_sum(rs: RootSystem, m: int):
     """(Z, bound, terms) at eps = 0, Z = q Pi^e rounded once, e = |Delta+| m:
     q in closed form at rank <= 2, whatever its bound, and from the Verlinde
@@ -212,46 +189,65 @@ def _flat_sum(rs: RootSystem, m: int):
     return value, (_gamma(1) + 2e-60 * e) * value, terms
 
 
-def _box_tail_bound(rank: int, m: int, eps: float, box: int) -> float:
-    geom = rank * 2.0 ** (rank - 1) * (box + 1.0) ** (1 - m) / (m - 1)
-    if rank >= 2:
-        # the product over simple coordinates misses the full-chain factor
-        geom *= (rank / (box + 1.0 + rank)) ** m
-    return geom * math.exp(-eps * box * box / 8)
-
-
-def _shell(rank: int, m: int, eps: float, target: float):
-    """(cap, tail): the smallest cap on (r+1) casimir whose shell tail
-    zeta(m)^r exp(-eps (cap+1)/(2(r+1))) is at most target, and that tail;
-    None when eps is too small for a cap that binary64 can tell apart."""
-    value, remainder = _zeta(m)
-    log_z = rank * math.log(float(value + remainder))
-    x = 2 * (rank + 1) * (log_z - math.log(target)) / eps
-    if not x < math.inf:
+def _cap(log_tail, root, target: float, least: int = 0):
+    """(cap, tail): the smallest integer cap >= least, next to the real root
+    of log_tail = log target, whose tail exp(log_tail(cap + 1)) is at most
+    target, and that tail; None when root is not finite."""
+    if not root < math.inf:
         return None
-    first = max(0, math.ceil(x) - 1)
-    for cap in (first, first + 1):  # the second covers the rounding of x
-        tail = math.exp(log_z - eps * (cap + 1) / (2 * (rank + 1)))
+    first = max(least, math.ceil(root) - 1)
+    for cap in (first, first + 1):  # the second covers the rounding of root
+        tail = math.exp(log_tail(cap + 1))
         if tail <= target:
             return cap, tail
     return None
 
 
-def _cone_lines(rank: int, box: int | None = None, cap: int | None = None):
-    """Yield (t, w, a, b, n) for each line of dominant weights, in
-    itertools.product order of the labels (the last one fastest), within
-    labels <= box or (r+1) casimir <= cap, whichever is given. On a line
-    the outer labels are fixed and the last one is v = 0 .. n - 1; with
+def _dimension_shell(rank: int, m: int, target: float):
+    """_cap for dim <= X: tail (s/(s-1))^r (X+1)^-(m-s), at the s on the grid
+    1 + j/64 in (1, m) that needs the smallest X; None past binary64. log X
+    is quasi-convex in s, so the scan stops where it starts to rise."""
+    def log_x(s):
+        return (rank * math.log(s / (s - 1)) - math.log(target)) / (m - s)
+
+    s = 1 + 1 / 64
+    while s + 1 / 64 < m and log_x(s + 1 / 64) < log_x(s):
+        s += 1 / 64
+    return _cap(lambda c: rank * math.log(s / (s - 1)) - (m - s) * math.log(c),
+                math.exp(log_x(s)) if log_x(s) < 709 else math.inf, target, 1)
+
+
+def _shell(rank: int, m: int, eps: float, target: float):
+    """_cap for (r+1) casimir <= cap: tail zeta(m)^r exp(-eps (cap+1)/(2(r+1))),
+    zeta(m) <= q (Pi + 10^-60)^m with q = _flat_rational(1, m); None when
+    eps is too small for a cap that binary64 can tell apart."""
+    log_z = rank * math.log(float(_flat_rational(1, m) * (_PI + Fraction(1, 10 ** 60)) ** m))
+    return _cap(lambda c: log_z - eps * c / (2 * (rank + 1)),
+                2 * (rank + 1) * (log_z - math.log(target)) / eps, target)
+
+
+def _cone_lines(rank: int, dim_cap: int | None, cap: int | None = None):
+    """Yield (t, w, a, b, n) for each line of dominant weights with
+    dim <= dim_cap and (r+1) casimir <= cap (a cap that is None is absent),
+    in itertools.product order of the labels (the last one fastest). On a
+    line the outer labels are fixed and the last one is v = 0 .. n - 1; with
     c = v + 1, dim = w c prod_i (t_i + c) / V(rho) over the r - 1 entries
     of t, and (r+1) casimir = a + v (b + r v) (module docstring)."""
     r1 = rank + 1
+    most = None if dim_cap is None else dim_cap * _vandermonde(_shifted_epsilon((0,) * rank))
 
     def walk(d, u, w, a, p):
         # labels 1 .. d-1 are fixed: u holds the sums of their shifted values,
         # u_1 = 0, w = V(u), a = (r+1) casimir with labels d .. r at 0, and
         # p = sum_j j lambda_j
         k, b = d * (r1 - d), (r1 - d) * (d * r1 + 2 * p)
-        top = box if cap is None else (math.isqrt(b * b - 4 * k * (a - cap)) - b) // (2 * k)
+        top = math.inf if cap is None else (math.isqrt(b * b - 4 * k * (a - cap)) - b) // (2 * k)
+        if most is not None:  # V(Lambda + rho) <= dim_cap V(rho), the later labels at 0
+            def fits(v, later=range(u[-1] + 1, u[-1] + r1 - d + 1)):
+                return abs(_vandermonde(u + [x + v for x in later])) <= most
+
+            top = min(top, dim_cap - 1)
+            top = top if fits(top) else next(v for v in itertools.count() if not fits(v + 1))
         if d == rank:
             yield [u[-1] - x for x in u[:-1]], w, a, b, top + 1
             return
@@ -263,13 +259,13 @@ def _cone_lines(rank: int, box: int | None = None, cap: int | None = None):
     return walk(1, [0], 1, 0, 0)
 
 
-def _cone_invariants(rank: int, box: int | None = None, cap: int | None = None):
+def _cone_invariants(rank: int, dim_cap: int | None, cap: int | None = None):
     """Yield dim Lambda and (r+1) casimir(Lambda), exact ints, as two lazy
     iterators per segment of at most _BLOCK points of each line of
     _cone_lines: the dims through one product per factor that moves along
     the line, the casimirs from their quadratic in the last label."""
     v_rho = _vandermonde(_shifted_epsilon((0,) * rank))
-    for t, w, a, b, n in _cone_lines(rank, box, cap):
+    for t, w, a, b, n in _cone_lines(rank, dim_cap, cap):
         for lo in range(0, n, _BLOCK):
             hi = min(lo + _BLOCK, n)
             v = map(mul, range(lo + 1, hi + 1), itertools.repeat(w))
@@ -279,7 +275,7 @@ def _cone_invariants(rank: int, box: int | None = None, cap: int | None = None):
                    (a + j * (b + rank * j) for j in range(lo, hi)))
 
 
-def _cone_terms(rank: int, m: int, eps: float, box: int | None = None,
+def _cone_terms(rank: int, m: int, eps: float, dim_cap: int | None,
                 cap: int | None = None):
     """Yield the terms dim^-m exp(-eps casimir/2) of the dominant weights
     of _cone_lines, in their order, in lists of _BLOCK terms (the last one
@@ -287,7 +283,7 @@ def _cone_terms(rank: int, m: int, eps: float, box: int | None = None,
     r1 = rank + 1
     g4 = _gamma(4)
     terms, shares = [], []
-    for dims, cas in _cone_invariants(rank, box, cap):
+    for dims, cas in _cone_invariants(rank, dim_cap, cap):
         if eps:
             xs = [eps * (c / r1) / 2 for c in cas]
             seg = [d ** -m * math.exp(-x) for d, x in zip(dims, xs)]
@@ -303,35 +299,37 @@ def _cone_terms(rank: int, m: int, eps: float, box: int | None = None,
 
 
 def _cone_sum(rank: int, m: int, eps: float, tol: float):
-    """(Z, bound, points) summed over the cube or, at eps > 0, the Casimir
-    shell, whichever holds fewer points; both counts are taken, and the
-    budget checked, before any term is summed."""
-    box = 16
-    while (box + 1) ** rank <= MAX_TERMS and _box_tail_bound(rank, m, eps, box) > tol:
-        box *= 2
-    stop, points = {"box": box}, (box + 1) ** rank
-    tail = _box_tail_bound(rank, m, eps, box)
+    """(Z, bound, points) summed over the dimension shell, intersected at
+    eps > 0 with the Casimir shell; the points are counted, and the budget
+    checked, before any term is summed."""
+    g = _gamma(m + 6)
+    if tol < g / (1 - g):  # Z >= 1, the vacuum's term: its rounding alone passes tol
+        raise CertificationError("tol %g is below the bound %g on the sum's rounding"
+                                 % (tol, g / (1 - g)))
     shell = _shell(rank, m, eps, tol / 2) if eps > 0 else None
-    if shell is not None:
-        limit, count = min(points - 1, MAX_TERMS), 0
-        for *_, n in _cone_lines(rank, cap=shell[0]):
-            count += n
-            if count > limit:
-                break
+    dims = _dimension_shell(rank, m, tol / 2 if shell is None else tol / 4)
+    if shell and dims:
+        n, e = rank * (rank + 1) // 2, _shifted_epsilon((0,) * rank)
+        if n / 2 * math.log((shell[0] + _form(e, e)) / n) <= math.log(dims[0] * _vandermonde(e)):
+            dims = None  # the shell at tol/2 lies inside dim <= X (module docstring)
         else:
-            stop, points, tail = {"cap": shell[0]}, count, shell[1]
-    if points > MAX_TERMS:
-        raise BudgetExceededError(
-            "certifying tol %g needs a box of at least %d^%d dominant weights%s, "
-            "budget %d; relax target_tol"
-            % (tol, box + 1, rank,
-               "" if shell is None else " or a Casimir shell of more than %d" % MAX_TERMS,
-               MAX_TERMS))
+            shell = _shell(rank, m, eps, tol / 4)
+    (cap, cap_tail), (dim_cap, dim_tail) = shell or (None, 0.0), dims or (None, 0.0)
+    refusal = BudgetExceededError(
+        "certifying tol %g needs more than %d dominant weights in the shell dim <= %.6g, "
+        "(r+1) casimir <= %.6g; relax target_tol"
+        % (tol, MAX_TERMS, dim_cap or math.inf, math.inf if cap is None else cap))
+    if dim_cap is None and cap is None:
+        raise refusal
+    points = 0
+    for *_, n in _cone_lines(rank, dim_cap, cap):
+        points += n
+        if points > MAX_TERMS:
+            raise refusal
     shares = []  # E (module docstring), one share per block
     value = math.fsum(itertools.chain.from_iterable(
-        shares.append(e) or block for block, e in _cone_terms(rank, m, eps, **stop)))
-    g = _gamma(m + 6)
-    return value, tail + (g / (1 - g) * value + math.fsum(shares) / (1 - g)), points
+        shares.append(e) or block for block, e in _cone_terms(rank, m, eps, dim_cap, cap)))
+    return value, dim_tail + cap_tail + (g / (1 - g) * value + math.fsum(shares) / (1 - g)), points
 
 
 def ym2_partition(rs: RootSystem, genus: int, epsilon: float,

@@ -14,8 +14,9 @@ certify_expressions is the S certificate written as four whole-matrix
 products, against which the row-blocked modular._certify's measured
 residuals are pinned bit for bit and its two bounds are checked, and
 ym2_box_terms is the per-weight ym2 box loop on lie's
-integer _form and _vandermonde, against which the enumerator
-ym2._cone_terms is pinned bit for bit, ym2_reference is the heat-kernel
+integer _form and _vandermonde, filtered by dim and Casimir caps, against
+which the shell enumerator ym2._cone_terms is pinned bit for bit, with
+ym2_box_tail_bound the bound on what a box leaves out, ym2_reference is the heat-kernel
 sum at 40 digits, one weight at a time, and t_diagonals is T taken one
 weight at a time from _form, against which the level's integer norms
 (modular._Level.t_diagonals) are pinned bit for bit.
@@ -386,9 +387,11 @@ def certify_expressions(s, t_canon, tol):
     return ok, residuals, tuple(perm)
 
 
-def ym2_box_terms(rank: int, box: int, m: int, eps: float) -> list:
+def ym2_box_terms(rank: int, box: int, m: int, eps: float,
+                  dim_cap: int | None = None, cap: int | None = None) -> list:
     """The terms dim^-m exp(-eps casimir/2) of the A_rank dominant weights
-    with coordinates in 0..box, one weight at a time in product order."""
+    with coordinates in 0..box, dim <= dim_cap and (r+1) casimir <= cap (a
+    cap that is None is absent), one weight at a time in product order."""
     r1 = rank + 1
     e_rho = _shifted_epsilon((0,) * rank)
     m_rho = _form(e_rho, e_rho)
@@ -397,9 +400,23 @@ def ym2_box_terms(rank: int, box: int, m: int, eps: float) -> list:
     for coords in itertools.product(range(box + 1), repeat=rank):
         e = _shifted_epsilon(coords)
         dim = _vandermonde(e) // v_rho
-        cas = (_form(e, e) - m_rho) / r1
-        parts.append(dim ** (-m) * math.exp(-eps * cas / 2))
+        norm = _form(e, e) - m_rho
+        if (dim_cap is None or dim <= dim_cap) and (cap is None or norm <= cap):
+            parts.append(dim ** (-m) * math.exp(-eps * (norm / r1) / 2))
     return parts
+
+
+def ym2_box_tail_bound(rank: int, m: int, eps: float, box: int) -> float:
+    """A bound on the terms of ym2_box_terms(rank, box, m, eps) left out of
+    the cone: dim >= prod (lambda_i + 1), the full-chain factor dim >= prod
+    (|Lambda| + r)/r from rank 2, and <Lambda, Lambda> >= box^2/4 outside
+    the box (the smallest eigenvalue of the inverse Cartan matrix exceeds
+    1/4 in the A series) give r 2^(r-1) (box+1)^(1-m)/(m-1)
+    (r/(box+1+r))^(m [r>=2]) exp(-eps box^2/8)."""
+    geom = rank * 2.0 ** (rank - 1) * (box + 1.0) ** (1 - m) / (m - 1)
+    if rank >= 2:
+        geom *= (rank / (box + 1.0 + rank)) ** m
+    return geom * math.exp(-eps * box * box / 8)
 
 
 def ym2_reference(rank: int, m: int, eps: float, cut: float):

@@ -213,11 +213,26 @@ def test_ym2_rank3_flat_limit_at_the_default_tol(capsys):
     assert float(bound) <= 1e-10 and float(z) > 1
 
 
+# refused before: the cube these needed held 65^4 (A4 g3), 33^5 or 17^r
+# weights, past the 2M budget, where the dimension shell holds 957, 773, 51,
+# 655, 585 and 1, and A6 g3 at eps = 0.02 a Casimir shell past it too (732)
+@pytest.mark.parametrize("algebra, genus, eps", [
+    ("A4", 3, "0"), ("A5", 3, "0"), ("A5", 4, "0"), ("A6", 3, "0"), ("A7", 3, "0"),
+    ("A6", 20, "0"), ("A6", 3, "0.02")])
+def test_ym2_shells_past_the_old_cube_budget(algebra, genus, eps, capsys):
+    code, out, err = run(["ym2", "--algebra", algebra, "--genus", str(genus),
+                          "--epsilons", eps], capsys)
+    assert code == 0 and err == ""
+    (_, z, bound), = list(csv.reader(io.StringIO(out)))[1:]
+    assert 0 < float(bound) <= 1e-10 and float(z) >= 1
+
+
 @pytest.mark.parametrize("algebra, genus", [("A3", 150), ("A3", 200), ("A3", 300),
                                             ("A4", 150)])
 def test_ym2_flat_limit_past_binary64_takes_the_cube(algebra, genus, capsys):
     # these once ended in an OverflowError (the outer tail's float) or a
-    # ValueError (fsum of inf - inf) with exit 1. 1 <= Z <= zeta(m)^r, as
+    # ValueError (fsum of inf - inf) with exit 1, and then took the cube; the
+    # dimension shell now holds the vacuum alone. 1 <= Z <= zeta(m)^r, as
     # dim >= prod (lambda_i + 1) and every term but the vacuum's is positive
     code, out, err = run(["ym2", "--algebra", algebra, "--genus", str(genus),
                           "--epsilons", "0"], capsys)

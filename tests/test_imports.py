@@ -39,14 +39,16 @@ def test_importing_the_cli_loads_no_subcommand_module():
 
 # the flat sums compute their zeta values themselves: mpmath would cost ym2
 # about 4 MB of RSS; only the flat genus-2 sum of rank >= 3 reads Verlinde
-# levels, so only it may load verlinde, modular and numpy
+# levels, so only it may load verlinde, modular and numpy; the flat sum from
+# genus 3 takes the dimension shell
 @pytest.mark.parametrize("argv", [
     ["ym2", "--algebra", "A1", "--genus", "2", "--epsilons", "0"],
     ["ym2", "--algebra", "A2", "--genus", "2", "--epsilons", "0"],
     ["ym2", "--algebra", "A3", "--genus", "2", "--epsilons", "0"],
     ["ym2", "--algebra", "A3", "--genus", "3", "--epsilons", "0.5"],
     ["ym2", "--algebra", "A6", "--genus", "2", "--epsilons", "1"],
-], ids=["A1", "A2-flat", "A3-flat", "A3-shell", "A6-shell"])
+    ["ym2", "--algebra", "A4", "--genus", "3", "--epsilons", "0"],
+], ids=["A1", "A2-flat", "A3-flat", "A3-shell", "A6-shell", "A4-g3-flat"])
 def test_a_ym2_call_loads_only_lie_and_ym2(argv):
     code = "from seifertsum import cli\nassert cli.main(%r) == 0" % (argv,)
     loaded = loaded_after(code)

@@ -1,8 +1,10 @@
 """Heat-kernel sums: zeta anchors, certified tails, coupling profiles."""
 
 import csv
+import importlib.util
 import io
 import itertools
+import json
 import math
 import os
 import random
@@ -16,7 +18,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from oracles import ym2_box_terms, ym2_reference
+from oracles import ym2_box_tail_bound, ym2_box_terms, ym2_reference
 import seifertsum
 from seifertsum import ym2
 from seifertsum.errors import (
@@ -100,41 +102,52 @@ def test_rank2_flat_sum_is_pinned(a2):
     assert gap <= res.tail_bound <= 2.0 ** -52 * res.value
 
 
-# boxes of 4501, 4489, 4913, 6561, 3125 and 729 points: none a multiple
-# of the 4096-point block, so every partial last block is exercised
+# shells of 4400, 1851, 379, 93, 34 and 5 weights: none a multiple of the
+# 4096-point block, so every partial last block is exercised; from rank 2 to
+# 5 both stops cut the shell. (r+1) casimir >= r lambda_i (lambda_i + 2) for
+# each label, so the Casimir cap below r (box+1)(box+3) keeps the shell in the box
+DIM_CAPS = {1: 4400, 2: 20000, 3: 5000, 4: 1000, 5: 500, 6: 30}
+
+
 @pytest.mark.parametrize("rank, box", [(1, 4500), (2, 66), (3, 16), (4, 8), (5, 4), (6, 2)])
 def test_box_kernel_matches_the_scalar_loop_bit_for_bit(rank, box):
-    assert (box + 1) ** rank % ym2._BLOCK
+    dim_cap, cap = DIM_CAPS[rank], rank * (box + 1) * (box + 3) - 1
     for m in (2, 4):
         for eps in (0.0, 0.05, 0.5, 2.0):
-            blocks = [b for b, _ in ym2._cone_terms(rank, m, eps, box=box)]
+            blocks = [b for b, _ in ym2._cone_terms(rank, m, eps, dim_cap, cap)]
             assert all(len(b) <= ym2._BLOCK for b in blocks)
             terms = [t for b in blocks for t in b]
-            assert terms == ym2_box_terms(rank, box, m, eps), (m, eps)
+            assert len(terms) % ym2._BLOCK
+            assert terms == ym2_box_terms(rank, box, m, eps, dim_cap, cap), (m, eps)
 
 
 def test_box_invariants_stay_exact_past_int64():
-    # A5 at box 16 reaches V near 1e23: the enumerator keeps exact ints
-    rank, box = 5, 16
-    points = [(16, 16, 16, 16, 16), (16, 0, 16, 0, 16), (0, 16, 16, 16, 0),
-              (1, 2, 3, 4, 16), (0, 0, 0, 0, 0)]
-    lines = {p[:-1] for p in points}
-    seen = {}
-    segments = ym2._cone_invariants(rank, box=box)
-    for prefix in itertools.product(range(box + 1), repeat=rank - 1):
-        dims, cas = next(segments)  # one segment per line of 17 points
-        if prefix in lines:
-            for c, (d, k) in enumerate(zip(dims, cas)):
-                seen[prefix + (c,)] = d, k
-    assert next(segments, None) is None
+    # A7 in the shell dim <= 10^8 (6,511 weights) reaches V = dim V(rho) past
+    # 2^63: the enumerator keeps exact ints. The reference walks the same
+    # labels one weight at a time, each label stopping at the first weight,
+    # with the later labels at 0, whose dim passes the cap
+    rank, dim_cap = 7, 10 ** 8
     e_rho = _shifted_epsilon((0,) * rank)
-    assert _vandermonde(_shifted_epsilon(points[0])) > 2 ** 63
-    for p in points:
-        e = _shifted_epsilon(p)
-        d, k = seen[p]
-        assert type(d) is int and type(k) is int
-        assert d == _vandermonde(e) // _vandermonde(e_rho)
-        assert k == _form(e, e) - _form(e_rho, e_rho)
+    v_rho, m_rho = _vandermonde(e_rho), _form(e_rho, e_rho)
+    want = []
+
+    def walk(prefix):
+        if len(prefix) == rank:
+            e = _shifted_epsilon(prefix)
+            want.append((_vandermonde(e) // v_rho, _form(e, e) - m_rho))
+            return
+        for v in itertools.count():
+            zeros = (0,) * (rank - len(prefix) - 1)
+            if _vandermonde(_shifted_epsilon(prefix + (v,) + zeros)) > dim_cap * v_rho:
+                return
+            walk(prefix + (v,))
+
+    walk(())
+    got = [(d, k) for dims, cas in ym2._cone_invariants(rank, dim_cap)
+           for d, k in zip(dims, cas)]
+    assert got == want and len(got) == 6511
+    assert max(got)[0] * v_rho > 2 ** 63
+    assert all(type(d) is int and type(k) is int for d, k in got)
 
 
 def test_box_norms_stay_exact_past_int64_on_their_own():
@@ -143,13 +156,14 @@ def test_box_norms_stay_exact_past_int64_on_their_own():
     box = 2 ** 40
     cap = (box + 1) ** 2 - 1
     assert cap > 2 ** 80
-    (line,) = ym2._cone_lines(1, box=box)
+    (line,) = ym2._cone_lines(1, box + 1)  # dim = lambda + 1 <= box + 1
     assert line == ([], 1, 0, 2, box + 1)
-    assert list(ym2._cone_lines(1, cap=cap)) == [line]
-    assert list(ym2._cone_lines(1, cap=cap - 1)) == [([], 1, 0, 2, box)]
+    assert list(ym2._cone_lines(1, None, cap)) == [line]
+    assert list(ym2._cone_lines(1, box + 1, cap - 1)) == [([], 1, 0, 2, box)]
+    assert list(ym2._cone_lines(1, box, cap)) == [([], 1, 0, 2, box)]
     a, b = line[2:4]
     assert [a + v * (b + v) for v in (0, box - 1, box)] == [0, box ** 2 - 1, cap]
-    dims, cas = next(ym2._cone_invariants(1, cap=cap))
+    dims, cas = next(ym2._cone_invariants(1, None, cap))
     dims, cas = list(dims), list(cas)
     assert dims == list(range(1, ym2._BLOCK + 1))
     assert cas == [d * d - 1 for d in dims]
@@ -157,8 +171,8 @@ def test_box_norms_stay_exact_past_int64_on_their_own():
 
 
 def test_box_sum_stays_within_a_block_of_memory(a2):
-    # the Casimir shell, not the 257^2 box, wins here: a list holding all its
-    # 36237 terms and their shares at once would peak near 2.3 MB
+    # a list holding all 36237 terms of the Casimir shell and their shares at
+    # once would peak near 2.3 MB
     _run(a2, 2, 0.5, target_tol=1e-3)
     tracemalloc.start()
     try:
@@ -214,32 +228,30 @@ def test_profile_refuses_a_rising_z(a1, monkeypatch):
 
 
 def test_budget_errors_are_loud(a1, a2, monkeypatch):
-    # a flat sum at rank <= 2 is a closed form with nothing to budget; a
-    # rank-1 box and the flat A4 g3 cube have, and are refused before any term
+    # a flat sum at rank <= 2 is a closed form with nothing to budget; the
+    # rank-1 Casimir shell at eps = 1e-12 has, and is refused before any term.
+    # Its dimension stop at tol/4 would cut nothing from the shell at tol/2
     def no_sum(*args, **kwargs):
         raise AssertionError("summed past the budget")
 
     monkeypatch.setattr(ym2, "_cone_terms", no_sum)
     assert ym2.MAX_TERMS == 2_000_000
     assert _run(a2, 2, 0.0).terms == 1
-    with pytest.raises(BudgetExceededError, match=r"box of at least 2097153\^1 dominant weights"):
+    with pytest.raises(BudgetExceededError, match=r"more than 2000000 dominant weights in the "
+                       r"shell dim <= inf, \(r\+1\) casimir <= 9\.68668e\+13; relax"):
         _run(a1, 2, 1e-12)
-    with pytest.raises(BudgetExceededError, match=r"box of at least 65\^4 dominant weights, "
-                       r"budget 2000000"):
-        _run(build_root_system("A", 4), 3, 0.0)
 
 
 def test_first_box_is_checked_against_the_budget(monkeypatch):
+    # the shell's weights are counted, and the budget checked, before any
+    # term is summed: at genus 2 dim <= X cuts little
     def no_sum(*args, **kwargs):
         raise AssertionError("summed past the budget")
 
     monkeypatch.setattr(ym2, "_cone_terms", no_sum)
-    # the first box, 17^r weights (24.1M and 410M), and the shell both
-    # exceed the budget
-    for rank, genus, eps in ((6, 3, 0.02), (7, 2, 0.05)):
-        with pytest.raises(BudgetExceededError, match=r"17\^%d dominant weights or a Casimir "
-                           r"shell of more than 2000000, budget 2000000" % rank):
-            _run(build_root_system("A", rank), genus, eps)
+    with pytest.raises(BudgetExceededError, match=r"more than 2000000 dominant weights in the "
+                       r"shell dim <= 5\.51843e\+19, \(r\+1\) casimir <= 8926; relax"):
+        _run(build_root_system("A", 7), 2, 0.05)
 
 
 def test_preconditions(a1):
@@ -365,18 +377,17 @@ def test_rank2_flat_bound_encloses_the_reference(a2, genus, tol):
     assert _encloses(res, A2_FLAT[genus])
 
 
-def test_flat_sum_falls_back_to_the_box_where_rounding_needs_it(a3, monkeypatch):
-    boxes = []
+def test_flat_sum_from_genus_three_takes_the_dimension_shell(a3, monkeypatch):
+    shells = []
     cone_terms = ym2._cone_terms
-    monkeypatch.setattr(ym2, "_cone_terms", lambda *args, **kwargs: boxes.append(
-        (args, kwargs)) or cone_terms(*args, **kwargs))
+    monkeypatch.setattr(ym2, "_cone_terms", lambda *args: shells.append(args) or cone_terms(*args))
     # g = 2 reads q off the Verlinde levels 1 .. 16, C(20, 4) - 1 weights in all
-    assert _run(a3, 2, 0.0).terms == math.comb(20, 4) - 1 and boxes == []
-    # from g = 3 the flat sum takes the 65^3 box, which encloses q pi^e with
-    # q from the Verlinde polynomial
+    assert _run(a3, 2, 0.0).terms == math.comb(20, 4) - 1 and shells == []
+    # from g = 3 the flat sum takes the shell dim <= 32162 (the 65^3 box
+    # before), which encloses q pi^e with q from the Verlinde polynomial
     assert ym2._flat_sum(a3, 4) is None
     res = _run(a3, 3, 0.0)
-    assert boxes == [((3, 4, 0.0), {"box": 64})] and res.terms == 65 ** 3
+    assert shells == [(3, 4, 0.0, 32162, None)] and res.terms == 1297
     assert res.tail_bound <= DEFAULT_TOL
     q = _flat_q(a3, 3)
     with mpmath.workdps(40):
@@ -388,9 +399,8 @@ def test_box_bound_covers_rounding_at_every_coupling(a1):
     # this row once printed a tail bound of 8.9e-25 for Z = 1.41, far below
     # one ulp of Z: the rounding is now bounded at every eps, and the bound
     # encloses the series at the binary64 coupling, summed at 40 digits; at
-    # g = 10 the 17-point box wins over the 30-point shell, and its tail is
-    # far below its rounding
-    for genus, terms, most in ((2, 31, DEFAULT_TOL), (10, 17, 1e-14)):
+    # g = 10 the dimension shell cuts the 30-point Casimir shell to 4 points
+    for genus, terms, most in ((2, 31, DEFAULT_TOL), (10, 4, DEFAULT_TOL)):
         m = 2 * genus - 2
         res = _run(a1, genus, 0.1)
         assert res.terms == terms
@@ -410,8 +420,7 @@ def test_shell_bound_encloses_the_reference(rank, genus):
     eps = random.Random(100 * rank + genus).uniform(0.05, 2.0)
     tol, m = 1e-6, 2 * genus - 2
     res = _run(build_root_system("A", rank), genus, eps, target_tol=tol)
-    cube = 17 ** rank  # the smallest box the sum may take
-    assert res.terms < cube and res.tail_bound <= tol
+    assert res.terms < 17 ** rank and res.tail_bound <= tol
     with mpmath.workdps(40):
         cut = 2 * (rank * mpmath.log(mpmath.zeta(m)) - mpmath.log(tol / 2000)) / eps
         low, tail = ym2_reference(rank, m, eps, float(cut))
@@ -423,27 +432,36 @@ def test_shell_bound_encloses_the_reference(rank, genus):
 def test_a_tol_below_the_rounding_bound_is_refused(a1, a2):
     with pytest.raises(CertificationError, match="tol 1e-16 is below the bound"):
         _run(a2, 10, 0.0, target_tol=1e-16)
-    # at eps > 0 too: the box's tail meets 1e-16, its rounding does not
+    # at eps > 0 too, before the shells are sized: Z >= 1, so its rounding
+    # alone passes 1e-16; tol 5e-324 once ended in a math domain error
     with pytest.raises(CertificationError, match="tol 1e-16 is below the bound"):
         _run(a1, 2, 1.0, target_tol=1e-16)
+    with pytest.raises(CertificationError, match="tol 4.94066e-324 is below the bound"):
+        _run(a1, 2, 0.5, target_tol=5e-324)
 
 
 def test_rank3_flat_sum_against_a_brute_force_box(a3):
     # the box sum is a lower bound on Z, short of it by at most its tail bound
     res = _run(a3, 2, 0.0, target_tol=1e-6)
     assert res.tail_bound <= 1e-6
-    box = 64
-    brute = math.fsum(t for b, _ in ym2._cone_terms(3, 2, 0.0, box=box) for t in b)
+    box = 32
+    brute = math.fsum(ym2_box_terms(3, box, 2, 0.0))
     assert brute - res.tail_bound <= res.value
-    assert res.value <= brute + ym2._box_tail_bound(3, 2, 0.0, box) + res.tail_bound
+    assert res.value <= brute + ym2_box_tail_bound(3, 2, 0.0, box) + res.tail_bound
+
+
+# the Verlinde polynomial's leading coefficient for A4 at g = 3, taken once
+# with verlinde._leading_coefficient over the levels 0 .. 49 (about 3 s): an
+# exact value, summed apart from the cone, for the flat A4 g3 shell sum
+A4_G3_LEADING = Fraction(3998447009863, 18546080754338014660769482402427552723160268800000000)
 
 
 @pytest.mark.parametrize("rank, genus, leading", [
     (1, 2, Fraction(1, 6)), (1, 3, Fraction(1, 180)),
     (2, 2, Fraction(1, 20160)), (2, 3, Fraction(19, 41513472000)),
     (3, 2, Fraction(23, 653837184000)), (3, 3, Fraction(14081, 64814699109633048576000000)),
-    (4, 2, Fraction(1, 27303661403504640000)),
-], ids=["A1-g2", "A1-g3", "A2-g2", "A2-g3", "A3-g2", "A3-g3", "A4-g2"])
+    (4, 2, Fraction(1, 27303661403504640000)), (4, 3, A4_G3_LEADING),
+], ids=["A1-g2", "A1-g3", "A2-g2", "A2-g3", "A3-g2", "A3-g3", "A4-g2", "A4-g3"])
 def test_witten_volume_identity(rank, genus, leading):
     # the leading coefficient of the Verlinde polynomial V_g(k) (the exact
     # pairings fits) is |Z(G)| (r+1)^(g-1) V(rho)^(2-2g) (2 pi)^(-(2g-2)|Delta+|)
@@ -471,12 +489,47 @@ def test_witten_volume_identity_is_exact(rank, genus, k_max):
         leading * ym2._flat_rational(rank, m),)
 
 
+def _benchmark_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_ym2_references_are_enclosed():
+    # the benchmark's checker holds each ym2 row to its reference within the
+    # bound plus a rounding allowance; here every row is summed at the tol of
+    # each workload call that prints it, and must lie within the bound plus
+    # 2^-52 of the reference (the file is only read)
+    workloads = _benchmark_workloads()
+    text = (Path(workloads.__file__).parent / "reference.json").read_text()
+    reference = json.loads(text)["ym2"]
+    tols = {}
+    for name in workloads.WORKLOADS:
+        for call in itertools.chain(*workloads.calls(name, 0)):
+            if call["cmd"] == "ym2":
+                for eps in call["epsilons"]:
+                    key = "%s g%d eps=%r" % (call["algebra"], call["genus"], float(eps))
+                    tols.setdefault(key, set()).add(call.get("tol", DEFAULT_TOL))
+    assert set(tols) == set(reference) and len(reference) == 10
+    for key, want in reference.items():
+        algebra, genus, eps = key.split()
+        rs = build_root_system("A", int(algebra[1:]))
+        for tol in tols[key]:
+            res = _run(rs, int(genus[1:]), float(eps[4:]), target_tol=tol)
+            assert abs(res.value - want) <= res.tail_bound + 2.0 ** -52 * want, (key, tol)
+
+
 def test_zeta_remainder_is_below_the_unit_roundoff():
-    for k in range(2, 80):
-        value, remainder = ym2._zeta(k)
-        assert remainder <= Fraction(1.02e-18) and remainder < 2 ** -53
+    # the Casimir tail takes zeta(m) <= q (Pi + 10^-60)^m, q = zeta(m)/pi^m in
+    # closed form: an upper bound within far less than an ulp of zeta(m)
+    for k in range(2, 80, 2):
+        q = ym2._flat_rational(1, k)
+        upper = q * (ym2._PI + Fraction(1, 10 ** 60)) ** k
+        assert upper - q * ym2._PI ** k < 2 ** -53 * 1e-40
         with mpmath.workdps(40):
-            assert float(value) == float(mpmath.zeta(k))
+            assert float(upper) == float(mpmath.zeta(k))
 
 
 @pytest.mark.parametrize("rank, genus, tol, seconds", [
