@@ -46,47 +46,38 @@ before the first is summed, so A5 g2 (levels up to 36) is summed and A6 g2
 (level 49, 28,989,675 weights) is refused. At genus >= 3 the levels grow with
 D, and the flat sum takes the dominant cone below.
 
-Cone (eps > 0, and eps = 0 from rank 3 at genus >= 3): the dominant
-weights are walked line by line in itertools.product order of the labels
-(the last one fastest). Each label stops where the weight with the later
-labels at 0 leaves the dimension shell dim <= X or, at eps > 0, the
-Casimir shell (r+1) casimir <= cap; both grow in every label, as no
-factor <Lambda+rho, alpha> of dim falls and the inverse Cartan matrix is
-positive.
+Cone (eps > 0, and eps = 0 from rank 3 at genus >= 3): the dominant weights
+are walked line by line in itertools.product order of the labels (the last
+one fastest). Each label stops where the weight with the later labels at 0
+leaves the dimension shell dim <= X or, at eps > 0, the Casimir shell (r+1)
+casimir <= cap; both grow in every label, as no factor <Lambda+rho, alpha>
+of dim falls and the inverse Cartan matrix is positive.
 
 * Tails. The simple roots give the factors lambda_i + 1 of dim and the
-  other factors are at least 1, so dim >= prod (lambda_i + 1), and dim^-s
-  sums to at most zeta(s)^r <= (s/(s-1))^r over the cone for s > 1. Out
-  of the dimension shell dim >= X + 1, so for any 1 < s < m
-
-      tail <= (s/(s-1))^r (X+1)^-(m-s),
-
-  X the smallest integer that meets its share of tol at the s on the grid
-  1 + j/64 where X is smallest. Out of the Casimir shell, tail <= zeta(m)^r
-  exp(-eps (cap + 1)/(2 (r+1))), cap the smallest that meets its share.
-* Shares. A term left out lies out of one shell or the other, so the
-  tails add. At eps = 0 the dimension tail gets tol/2; at eps > 0 each
-  gets tol/4, or the dimension tail tol/2 where eps is too small for a
-  cap that binary64 can tell apart. Rounding keeps the other half. The
-  squares <Lambda+rho, alpha>^2 sum to (r+1) |Lambda+rho|^2 = (r+1) casimir
-  + M(rho), so by AM-GM dim <= ((cap + M(rho))/|Delta+|)^(|Delta+|/2)/V(rho)
-  in the Casimir shell. Where that is at most X, with cap at tol/2 and X
-  at tol/4, the shell at tol/2 is summed alone, with no more weights than
-  the intersection: the usual case at genus 2.
-* Lines. In the labels, (r+1) casimir = sum_ij K_ij lambda_i lambda_j +
-  sum_i b_i lambda_i with K_ij = min(i, j)(r + 1 - max(i, j)), (r+1) times
-  the inverse Cartan matrix, and b_i = 2 sum_j K_ij. Along label d, with
-  the labels before it fixed and those after it at 0, it is
+  others are at least 1, so dim^-s sums to at most zeta(s)^r <=
+  (s/(s-1))^r over the cone for s > 1. Out of the dimension shell the
+  tail is at most (s/(s-1))^r (X+1)^-(m-s) for any 1 < s < m, X the
+  smallest integer that meets its share of tol at the s on the grid
+  1 + j/64 that needs the smallest X; out of the Casimir shell, at most
+  zeta(m)^r exp(-eps (cap + 1)/(2 (r+1))), zeta(m) bounded by _zeta.
+* Shares. The tails add. At eps = 0 the dimension tail gets tol/2; at
+  eps > 0 each gets tol/4, or the dimension tail tol/2 where binary64 can
+  tell no cap apart. Rounding keeps the other half. As the squares
+  <Lambda+rho, alpha>^2 sum to (r+1) casimir + M(rho), AM-GM gives
+  dim <= ((cap + M(rho))/|Delta+|)^(|Delta+|/2)/V(rho) in the Casimir
+  shell; where that is at most X, cap at tol/2 and X at tol/4, the shell
+  at tol/2 is summed alone: the usual case at genus 2.
+* Lines. (r+1) casimir = sum_ij K_ij lambda_i lambda_j + sum_i b_i lambda_i,
+  K_ij = min(i, j)(r + 1 - max(i, j)) and b_i = 2 sum_j K_ij. Along label
+  d, the labels before it fixed and those after it at 0, it is
   a + v (B_d + K_dd v), B_d = (r+1-d)(d(r+1) + 2 sum_{j<d} j lambda_j), so
-  the last value of each label in the Casimir shell is an integer square
-  root. The dimension stop is the last v with V(Lambda + rho) <= X V(rho),
-  V taken over the prefix sums of the shifted labels: the Casimir stop or
-  X - 1 (dim >= lambda_d + 1) where V holds there, else the first v whose
-  successor fails. Along the last label, Lambda + rho = (s, c) with
-  c = v + 1, only the r factors e_i - e_(r+1) = t_i + c of V = prod_{i<j}
-  (e_i - e_j) move, t the epsilon coordinates of s, so dim = w c
-  prod_{i<r} (t_i + c) / V(rho).
-  Dims and casimirs stay exact Python ints (V passes 2^63 from rank 7).
+  the Casimir stop is an integer square root. The dimension stop is the
+  last v with V(Lambda + rho) <= X V(rho), V = prod_{i<j} (e_i - e_j) on
+  the epsilon coordinates, by doubling and bisection where the Casimir
+  stop (or X - 1) fails it. Along the last label, Lambda + rho = (s, c),
+  c = v + 1, only the r factors t_i + c of V move, t the epsilon
+  coordinates of s, so dim = w c prod_{i<r} (t_i + c) / V(rho). Dims and
+  casimirs stay exact Python ints (V passes 2^63 from rank 7).
 
 The two floating point steps, dim^-m and exp(-eps casimir/2), are scalar
 libm calls, so every term is bit-identical to the per-weight formula; at
@@ -107,13 +98,12 @@ the terms, a share per block of _BLOCK terms, with gamma_4 for gamma_2,
 which covers x <= x'/(1 - gamma_2) for the computed x' and E's own
 roundings. That is added to the tail bound; a total above tol is refused.
 
-As Z >= 1, the vacuum's term, the rounding bound is at least
-gamma_(m+6)/(1 - gamma_(m+6)), and a tol below that is refused before the
-shells are sized. The term budget, MAX_TERMS, counts the weights of the
-shell, and is checked before any term is summed; a refusal names the
-shell's X and cap. The flat sums are not held to it: the closed form
-sums no terms and counts as one, and the genus-2 route from rank 3 counts
-the weights of its levels 1 .. D + 1, which modular.price_level prices.
+As Z >= 1, the vacuum's term, a tol below gamma_(m+6)/(1 - gamma_(m+6))
+is refused before the shells are sized. The term budget, MAX_TERMS, counts
+the shell's weights before any term is summed; a refusal names X and cap.
+The flat sums are not held to it: the closed form sums no terms and counts
+as one, and the genus-2 route from rank 3 counts the weights of its levels
+1 .. D + 1, which modular.price_level prices.
 
 Genus must be at least 2; the g < 2 sums diverge at eps = 0 and are
 refused rather than regularised.
@@ -168,6 +158,16 @@ def _flat_rational(rank: int, m: int) -> Fraction:
     return (-1) ** p * Fraction(2 ** (4 * m), 3 * math.factorial(3 * m)) * total
 
 
+def _zeta(k: int) -> tuple[Fraction, Fraction]:
+    """zeta(k), k >= 2, by Euler-Maclaurin from N = 16 through B_12 as an
+    exact rational, and the B_14 term, which bounds its remainder."""
+    n, b = 16, _bernoulli(7)
+    corrections = [b[j] * math.prod(range(k, k + 2 * j - 1))
+                   / (math.factorial(2 * j) * n ** (k + 2 * j - 1)) for j in range(1, 8)]
+    return (sum(Fraction(1, i ** k) for i in range(1, n)) + Fraction(1, (k - 1) * n ** (k - 1))
+            + Fraction(1, 2 * n ** k) + sum(corrections[:-1]), abs(corrections[-1]))
+
+
 def _flat_sum(rs: RootSystem, m: int):
     """(Z, bound, terms) at eps = 0, Z = q Pi^e rounded once, e = |Delta+| m:
     q in closed form at rank <= 2, whatever its bound, and from the Verlinde
@@ -217,11 +217,9 @@ def _dimension_shell(rank: int, m: int, target: float):
                 math.exp(log_x(s)) if log_x(s) < 709 else math.inf, target, 1)
 
 
-def _shell(rank: int, m: int, eps: float, target: float):
-    """_cap for (r+1) casimir <= cap: tail zeta(m)^r exp(-eps (cap+1)/(2(r+1))),
-    zeta(m) <= q (Pi + 10^-60)^m with q = _flat_rational(1, m); None when
-    eps is too small for a cap that binary64 can tell apart."""
-    log_z = rank * math.log(float(_flat_rational(1, m) * (_PI + Fraction(1, 10 ** 60)) ** m))
+def _shell(rank: int, log_z: float, eps: float, target: float):
+    """_cap for (r+1) casimir <= cap: tail exp(log_z - eps (cap+1)/(2(r+1))),
+    log_z = r log zeta(m); None where binary64 can tell no cap apart."""
     return _cap(lambda c: log_z - eps * c / (2 * (rank + 1)),
                 2 * (rank + 1) * (log_z - math.log(target)) / eps, target)
 
@@ -229,17 +227,15 @@ def _shell(rank: int, m: int, eps: float, target: float):
 def _cone_lines(rank: int, dim_cap: int | None, cap: int | None = None):
     """Yield (t, w, a, b, n) for each line of dominant weights with
     dim <= dim_cap and (r+1) casimir <= cap (a cap that is None is absent),
-    in itertools.product order of the labels (the last one fastest). On a
-    line the outer labels are fixed and the last one is v = 0 .. n - 1; with
-    c = v + 1, dim = w c prod_i (t_i + c) / V(rho) over the r - 1 entries
-    of t, and (r+1) casimir = a + v (b + r v) (module docstring)."""
+    in itertools.product order of the labels: the last one is v = 0 .. n - 1,
+    and with c = v + 1, dim = w c prod_i (t_i + c) / V(rho) over the r - 1
+    entries of t and (r+1) casimir = a + v (b + r v) (module docstring)."""
     r1 = rank + 1
     most = None if dim_cap is None else dim_cap * _vandermonde(_shifted_epsilon((0,) * rank))
 
     def walk(d, u, w, a, p):
-        # labels 1 .. d-1 are fixed: u holds the sums of their shifted values,
-        # u_1 = 0, w = V(u), a = (r+1) casimir with labels d .. r at 0, and
-        # p = sum_j j lambda_j
+        # labels 1 .. d-1 are fixed: u holds the sums of their shifted values (u_1 = 0),
+        # w = V(u), a = (r+1) casimir with labels d .. r at 0, p = sum_j j lambda_j
         k, b = d * (r1 - d), (r1 - d) * (d * r1 + 2 * p)
         top = math.inf if cap is None else (math.isqrt(b * b - 4 * k * (a - cap)) - b) // (2 * k)
         if most is not None:  # V(Lambda + rho) <= dim_cap V(rho), the later labels at 0
@@ -247,7 +243,14 @@ def _cone_lines(rank: int, dim_cap: int | None, cap: int | None = None):
                 return abs(_vandermonde(u + [x + v for x in later])) <= most
 
             top = min(top, dim_cap - 1)
-            top = top if fits(top) else next(v for v in itertools.count() if not fits(v + 1))
+            if not fits(top):  # fits(0): gallop to a v that fails, then bisect
+                lo, hi = 0, 1
+                while fits(hi):
+                    lo, hi = hi, 2 * hi
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+                top = lo
         if d == rank:
             yield [u[-1] - x for x in u[:-1]], w, a, b, top + 1
             return
@@ -261,9 +264,8 @@ def _cone_lines(rank: int, dim_cap: int | None, cap: int | None = None):
 
 def _cone_invariants(rank: int, dim_cap: int | None, cap: int | None = None):
     """Yield dim Lambda and (r+1) casimir(Lambda), exact ints, as two lazy
-    iterators per segment of at most _BLOCK points of each line of
-    _cone_lines: the dims through one product per factor that moves along
-    the line, the casimirs from their quadratic in the last label."""
+    iterators per segment of at most _BLOCK points of each line of _cone_lines:
+    the dims one product per moving factor, the casimirs from their quadratic."""
     v_rho = _vandermonde(_shifted_epsilon((0,) * rank))
     for t, w, a, b, n in _cone_lines(rank, dim_cap, cap):
         for lo in range(0, n, _BLOCK):
@@ -275,8 +277,7 @@ def _cone_invariants(rank: int, dim_cap: int | None, cap: int | None = None):
                    (a + j * (b + rank * j) for j in range(lo, hi)))
 
 
-def _cone_terms(rank: int, m: int, eps: float, dim_cap: int | None,
-                cap: int | None = None):
+def _cone_terms(rank: int, m: int, eps: float, dim_cap: int | None, cap: int | None = None):
     """Yield the terms dim^-m exp(-eps casimir/2) of the dominant weights
     of _cone_lines, in their order, in lists of _BLOCK terms (the last one
     shorter), each list with its share of E (module docstring)."""
@@ -299,21 +300,21 @@ def _cone_terms(rank: int, m: int, eps: float, dim_cap: int | None,
 
 
 def _cone_sum(rank: int, m: int, eps: float, tol: float):
-    """(Z, bound, points) summed over the dimension shell, intersected at
-    eps > 0 with the Casimir shell; the points are counted, and the budget
-    checked, before any term is summed."""
+    """(Z, bound, points) over the dimension shell, cut at eps > 0 by the Casimir
+    shell; the points are counted, and the budget checked, before any term."""
     g = _gamma(m + 6)
     if tol < g / (1 - g):  # Z >= 1, the vacuum's term: its rounding alone passes tol
         raise CertificationError("tol %g is below the bound %g on the sum's rounding"
                                  % (tol, g / (1 - g)))
-    shell = _shell(rank, m, eps, tol / 2) if eps > 0 else None
+    log_z = rank * math.log(float(sum(_zeta(m)))) if eps > 0 else None
+    shell = _shell(rank, log_z, eps, tol / 2) if eps > 0 else None
     dims = _dimension_shell(rank, m, tol / 2 if shell is None else tol / 4)
     if shell and dims:
         n, e = rank * (rank + 1) // 2, _shifted_epsilon((0,) * rank)
         if n / 2 * math.log((shell[0] + _form(e, e)) / n) <= math.log(dims[0] * _vandermonde(e)):
             dims = None  # the shell at tol/2 lies inside dim <= X (module docstring)
         else:
-            shell = _shell(rank, m, eps, tol / 4)
+            shell = _shell(rank, log_z, eps, tol / 4)
     (cap, cap_tail), (dim_cap, dim_tail) = shell or (None, 0.0), dims or (None, 0.0)
     refusal = BudgetExceededError(
         "certifying tol %g needs more than %d dominant weights in the shell dim <= %.6g, "
